@@ -8,16 +8,14 @@ analysis layer compares the two and extracts peak structure.
 """
 from .core import (DEFAULT_AMP, DEFAULT_GAMMA, ConflictingFreeTime,
                    DriveParams, FrequencyGrid, GridMismatch,
-                   MissingFreeTime, NonPositiveGamma, NonPositiveTau,
-                   PulsespecError, Spectrum, TimeGrid, build_meta,
-                   default_substeps, make_frequency_grid, make_time_grid,
-                   validate_params)
-from .lindblad import (AuxMatrix, DensityMatrix, NegativeDt, apply_pi_pulse,
-                       free_evolve, propagate_trajectory)
-from .correlators import (CorrelatorGrid, build_correlator_grids,
-                          init_rho_double_prime, init_rho_prime)
-from .spectrum_numeric import (EmptyRow, compute_numeric_spectrum,
-                               fourier_over_theta, numeric_spectrum)
+                   MissingFreeTime, NonFiniteSpectrum, NonPositiveGamma,
+                   NonPositiveTau, PulsespecError, Spectrum, TimeGrid,
+                   build_meta, default_substeps, make_frequency_grid,
+                   make_time_grid, validate_params)
+from .lindblad import (DensityMatrix, NegativeDt, apply_pi_pulse, free_evolve,
+                       propagate_trajectory)
+from .correlators import CorrelatorGrid, build_correlator_grids
+from .spectrum_numeric import compute_numeric_spectrum, numeric_spectrum
 from .closed_form import (GammaTriple, NegativeM, NegativeTheta,
                           OddPulseCount, OutOfRangeT, TooFewPulses,
                           closed_spectrum, f_analytic, gammas, p1_closed,
@@ -30,16 +28,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_AMP", "DEFAULT_GAMMA", "ConflictingFreeTime", "DriveParams",
-    "FrequencyGrid", "GridMismatch", "MissingFreeTime", "NonPositiveGamma",
-    "NonPositiveTau", "PulsespecError", "Spectrum", "TimeGrid", "build_meta",
-    "default_substeps", "make_frequency_grid", "make_time_grid",
-    "validate_params",
-    "AuxMatrix", "DensityMatrix", "NegativeDt", "apply_pi_pulse",
-    "free_evolve", "propagate_trajectory",
-    "CorrelatorGrid", "build_correlator_grids", "init_rho_double_prime",
-    "init_rho_prime",
-    "EmptyRow", "compute_numeric_spectrum", "fourier_over_theta",
-    "numeric_spectrum",
+    "FrequencyGrid", "GridMismatch", "MissingFreeTime", "NonFiniteSpectrum",
+    "NonPositiveGamma", "NonPositiveTau", "PulsespecError", "Spectrum",
+    "TimeGrid", "build_meta", "default_substeps", "make_frequency_grid",
+    "make_time_grid", "validate_params",
+    "DensityMatrix", "NegativeDt", "apply_pi_pulse", "free_evolve",
+    "propagate_trajectory",
+    "CorrelatorGrid", "build_correlator_grids",
+    "compute_numeric_spectrum", "numeric_spectrum",
     "GammaTriple", "NegativeM", "NegativeTheta", "OddPulseCount",
     "OutOfRangeT", "TooFewPulses", "closed_spectrum", "f_analytic", "gammas",
     "p1_closed", "p3_closed", "rho0", "rho_gg_analytic",

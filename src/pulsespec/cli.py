@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -216,10 +214,9 @@ def run_sweep(cfg: dict, outdir: Path) -> int:
     """One spectrum file per Cartesian-product point plus a manifest.
 
     Sweeps run a single engine per invocation so every output file has an
-    unambiguous provenance; the default is the closed-form engine. Points
-    may be computed concurrently (PULSESPEC_THREADS), files are written
-    in point order, the manifest last; on any failure the files written
-    so far are removed.
+    unambiguous provenance; the default is the closed-form engine. Files
+    are written in point order, the manifest last; on any failure the
+    files written so far are removed.
     """
     engine = cfg.get("engine", "closed_form")
     if engine == "both":
@@ -243,30 +240,20 @@ def run_sweep(cfg: dict, outdir: Path) -> int:
     pulse_counts = axis("n_pulses_list", "n_pulses")
     points = [(d, t, n) for d in deltas for t in taus for n in pulse_counts]
 
-    def compute(point):
-        d, t, n = point
-        p = _params_from(cfg, delta=d, tau=t, n_pulses=n)
-        s = _spectrum_for(engine, p, cfg)
-        return s, positive_weight_fraction(s), _peak_table(s)
-
-    threads = _thread_count()
     written: list[Path] = []
     try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(compute, points))
-        else:
-            results = [compute(point) for point in points]
         manifest_points = []
-        for (d, t, n), (s, pwf, peaks) in zip(points, results):
+        for d, t, n in points:
+            p = _params_from(cfg, delta=d, tau=t, n_pulses=n)
+            s = _spectrum_for(engine, p, cfg)
             stem = f"spectrum_delta{d:g}_tau{t:g}_np{n}"
             files = _write_outputs(outdir, stem, s, fmt)
             written.extend(files)
             manifest_points.append({
                 "files": [f.name for f in files],
                 "params": s.meta,
-                "positive_weight_fraction": pwf,
-                "peaks": peaks,
+                "positive_weight_fraction": positive_weight_fraction(s),
+                "peaks": _peak_table(s),
             })
     except Exception:
         for f in written:
@@ -297,13 +284,13 @@ def _invariant_suite(p: DriveParams, g: TimeGrid,
     stride = max(1, last // 64)
     factor_dev = 0.0
     for i in range(0, last, stride):
-        row1 = cg.c1[i]
-        row2 = cg.c2[i]
-        for j in range(0, row1.size, stride):
+        row = cg.rows[i % g.substeps_per_interval]
+        for j in range(0, last - i + 1, stride):
             f = f_analytic(g.times[i], j * g.dt, p)
+            c1, c2 = cg.pops[:, i] * row[j]
             factor_dev = max(factor_dev,
-                             float(abs(row1[j] - f * ee[i])),
-                             float(abs(row2[j] - f * gg[i])))
+                             float(abs(c1 - f * ee[i])),
+                             float(abs(c2 - f * gg[i])))
     checks = {
         "trace": (trace_dev, 1e-12),
         "hermiticity": (herm_dev, 1e-12),
@@ -366,17 +353,6 @@ def run_validate(cfg: dict, outdir: Path) -> int:
     }
     _write_report(outdir / "validation_report.json", report)
     return 0 if passed else 1
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("PULSESPEC_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        return 1
-    return count if count > 1 else 1
 
 
 def main(argv=None) -> int:

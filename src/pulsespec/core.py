@@ -37,6 +37,10 @@ class GridMismatch(PulsespecError):
     pass
 
 
+class NonFiniteSpectrum(PulsespecError):
+    pass
+
+
 DEFAULT_GAMMA = 2.0
 DEFAULT_AMP = math.sqrt(0.5)
 
@@ -217,6 +221,8 @@ class Spectrum:
             arr = getattr(self, name)
             if arr.size != n:
                 raise GridMismatch(f"{name} has {arr.size} values for {n} nodes")
+            if not np.all(np.isfinite(arr)):
+                raise NonFiniteSpectrum(f"{name} has non-finite values")
         if np.max(np.abs(self.q - (self.p2 - self.p1)), initial=0.0) > 1e-12:
             raise PulsespecError("q must equal p2 - p1")
 

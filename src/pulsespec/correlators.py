@@ -1,35 +1,40 @@
-"""Two-time correlator grids built by re-propagating auxiliary matrices.
+"""Two-time correlators as populations times periodic propagator rows.
 
 For every grid time t the two correlators
 
     C1(t, theta) = <sigma_+(t + theta) sigma_-(t)>
     C2(t, theta) = <sigma_-(t) sigma_+(t + theta)>
 
-are obtained by initializing an auxiliary matrix from the physical state
-at t and marching it forward in theta with the same exact free map and
-pulse swaps as the state itself; the recorded value is the ge element.
-The theta range of row i is [0, T - t_i] (same spacing dt), so the rows
-are ragged and shrink with t.
+follow from the quantum regression theorem: a matrix seeded from the
+physical state at t is marched forward in theta with the same exact free
+map and pulse swaps as the state itself, and its ge element is recorded.
+Population components never feed the ge/eg pair under either the free
+map or the swap, and on the physical trajectory the seeds are
+(ge, eg) = (ee(t), 0) for C1 and (gg(t), 0) for C2. Both correlators are
+therefore a population times one ge-propagator K_i(theta), the march of
+(ge, eg) = (1, 0) from node i.
 
-Population components of the auxiliary matrices never feed the ge/eg
-pair under either the free map or the swap, so each row march tracks
-only that pair. On the physical trajectory the initial eg component is
-zero, which makes every row a pure two-term recurrence.
+Pulses sit on every n_sub-th node and every crossing before T counts, so
+K_i depends on i only through i mod n_sub. The grid stores n_sub + 1
+marched rows over the full node range:
+
+ * rows[r] for r < n_sub is the residue-r propagator, marched from node r.
+   C1[i][j] = ee_i * rows[i % n_sub][j] and C2[i][j] = gg_i * rows[...][j]
+   for theta_j = j*dt, j = 0..n_nodes-1-i; entries past that range lie
+   beyond the final node and carry no quadrature weight.
+ * rows[n_sub] is the residue-0 pre-pulse companion: at an interior pulse
+   time t = n*tau the correlators also have a row started from the
+   pre-pulse state, whose theta = 0 entry is recorded before the swap and
+   which is swapped right after. Its populations are those of the stored
+   (post-pulse) node swapped back.
 
 Stored values follow the post-pulse convention: when t + theta lands
 exactly on a pulse instant the recorded value is the one immediately
 after the swap. The correlators are discontinuous there, and a
 trapezoidal rule sampling only one side of each jump loses an order of
-accuracy, so the grid also carries the data for the other side:
-
- * c1_before / c2_before hold the pre-swap one-sided limits, equal to
-   the stored arrays away from crossings;
- * pre_c1 / pre_c2 hold, for every interior pulse time t = n*tau, a
-   companion row started from the pre-pulse physical state (its theta=0
-   entry is recorded before the swap, the swap is applied immediately
-   after).
-
-Downstream quadrature averages the two one-sided limits at every jump.
+accuracy, so `before` holds the pre-swap one-sided limits, equal to
+`rows` away from crossings. Downstream quadrature averages the two
+one-sided limits at every jump.
 """
 from __future__ import annotations
 
@@ -39,44 +44,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DriveParams, GridMismatch, TimeGrid, validate_params
-from .lindblad import AuxMatrix, DensityMatrix, apply_pi_pulse
+from .lindblad import DensityMatrix
 
 
 @dataclass
 class CorrelatorGrid:
-    """Ragged correlator values C(t_i, theta_j) plus jump bookkeeping.
+    """Periodic propagator rows plus the trajectory populations.
 
-    c1[i][j] and c2[i][j] are the stored (post-pulse convention) values at
-    theta_j = j*dt for j = 0..n_nodes-1-i. See the module docstring for
-    the *_before and pre_* companions.
+    rows and before are (n_sub + 1) x n_nodes: the post-pulse and pre-swap
+    values of the residue rows and of the pre-pulse companion (see the
+    module docstring). pops is 2 x n_nodes: the ee and gg populations of
+    the trajectory.
     """
 
     t_nodes: np.ndarray
-    c1: list[np.ndarray]
-    c2: list[np.ndarray]
-    c1_before: list[np.ndarray]
-    c2_before: list[np.ndarray]
-    pre_c1: dict[int, tuple[np.ndarray, np.ndarray]]
-    pre_c2: dict[int, tuple[np.ndarray, np.ndarray]]
+    rows: np.ndarray
+    before: np.ndarray
+    pops: np.ndarray
     dt: float
     substeps_per_interval: int
     n_pulses: int
 
 
-def init_rho_prime(rho_t: DensityMatrix) -> AuxMatrix:
-    """Seed matrix whose propagated ge element is C1(t, theta)."""
-    return AuxMatrix(ee=0.0j, eg=0.0j, gg=rho_t.eg, ge=rho_t.ee)
-
-
-def init_rho_double_prime(rho_t: DensityMatrix) -> AuxMatrix:
-    """Seed matrix whose propagated ge element is C2(t, theta)."""
-    return AuxMatrix(ee=rho_t.eg, eg=0.0j, gg=0.0j, ge=rho_t.gg)
-
-
-def _march_ge_row(ge0: complex, eg0: complex, start: int, length: int,
-                  n_sub: int, n_pulses: int, r_ge: complex,
+def _march_ge_row(start: int, length: int, n_sub: int, n_pulses: int,
+                  r_ge: complex,
                   initial_pulse: bool) -> tuple[np.ndarray, np.ndarray]:
-    """March the (ge, eg) pair over `length` sub-steps from node `start`.
+    """March (ge, eg) = (1, 0) over `length` sub-steps from node `start`.
 
     Returns (stored, before): stored follows the post-pulse convention,
     before holds the pre-swap limit at crossing nodes and the same values
@@ -91,12 +84,8 @@ def _march_ge_row(ge0: complex, eg0: complex, start: int, length: int,
     """
     stored = np.empty(length + 1, dtype=complex)
     before = stored if n_pulses == 0 else np.empty(length + 1, dtype=complex)
-    ge = complex(ge0)
-    eg = complex(eg0)
-    stored[0] = ge
-    before[0] = ge
-    if initial_pulse:
-        ge, eg = eg, ge
+    stored[0] = before[0] = 1.0
+    ge, eg = (0j, 1 + 0j) if initial_pulse else (1 + 0j, 0j)
     r_eg = r_ge.conjugate()
     j = 0
     while j < length:
@@ -120,44 +109,26 @@ def _march_ge_row(ge0: complex, eg0: complex, start: int, length: int,
 
 def build_correlator_grids(p: DriveParams, g: TimeGrid,
                            traj: list[DensityMatrix]) -> CorrelatorGrid:
-    """Build C1 and C2 rows for every node of the trajectory.
+    """Build the propagator rows for the grid and take the populations of
+    the trajectory.
 
     traj must come from propagate_trajectory on the same grid (post-pulse
-    node convention). Rows are independent of each other; each one is
-    re-seeded from traj[i] and marched over its own theta range.
+    node convention).
     """
     validate_params(p)
     n_nodes = g.n_nodes
     if len(traj) != n_nodes:
         raise GridMismatch(
             f"trajectory has {len(traj)} nodes, grid has {n_nodes}")
-    last = n_nodes - 1
     n_sub = g.substeps_per_interval
     r_ge = cmath.exp((1j * p.delta - 0.5 * p.gamma) * g.dt)
-    c1, c2, c1_before, c2_before = [], [], [], []
-    pre_c1: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    pre_c2: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for i in range(n_nodes):
-        length = last - i
-        a1 = init_rho_prime(traj[i])
-        a2 = init_rho_double_prime(traj[i])
-        s, b = _march_ge_row(a1.ge, a1.eg, i, length, n_sub, p.n_pulses,
-                             r_ge, False)
-        c1.append(s)
-        c1_before.append(b)
-        s, b = _march_ge_row(a2.ge, a2.eg, i, length, n_sub, p.n_pulses,
-                             r_ge, False)
-        c2.append(s)
-        c2_before.append(b)
-        if p.n_pulses >= 1 and 0 < i < last and i % n_sub == 0:
-            pre_rho = apply_pi_pulse(traj[i])
-            a1p = init_rho_prime(pre_rho)
-            a2p = init_rho_double_prime(pre_rho)
-            pre_c1[i] = _march_ge_row(a1p.ge, a1p.eg, i, length, n_sub,
-                                      p.n_pulses, r_ge, True)
-            pre_c2[i] = _march_ge_row(a2p.ge, a2p.eg, i, length, n_sub,
-                                      p.n_pulses, r_ge, True)
-    return CorrelatorGrid(t_nodes=g.times, c1=c1, c2=c2,
-                          c1_before=c1_before, c2_before=c2_before,
-                          pre_c1=pre_c1, pre_c2=pre_c2, dt=g.dt,
-                          substeps_per_interval=n_sub, n_pulses=p.n_pulses)
+    marched = [_march_ge_row(r, n_nodes - 1, n_sub, p.n_pulses, r_ge,
+                             r == n_sub)
+               for r in range(n_sub + 1)]
+    pops = np.array([[m.ee for m in traj], [m.gg for m in traj]],
+                    dtype=complex)
+    return CorrelatorGrid(t_nodes=g.times,
+                          rows=np.array([s for s, _ in marched]),
+                          before=np.array([b for _, b in marched]),
+                          pops=pops, dt=g.dt, substeps_per_interval=n_sub,
+                          n_pulses=p.n_pulses)

@@ -22,7 +22,11 @@ class NegativeDt(PulsespecError):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Physical state: trace one, ge the conjugate of eg, real populations."""
+    """2x2 matrix in (ee, eg, ge, gg) layout.
+
+    A physical state has trace one, ge the conjugate of eg and real
+    populations; the maps below act on any matrix of this layout.
+    """
 
     ee: complex
     eg: complex
@@ -30,19 +34,8 @@ class DensityMatrix:
     gg: complex
 
 
-@dataclass(frozen=True)
-class AuxMatrix:
-    """Correlator carrier with the same layout but no hermiticity or trace
-    constraints; its ge element is the recorded correlation value."""
-
-    ee: complex
-    eg: complex
-    ge: complex
-    gg: complex
-
-
-def free_evolve(m, dt: float, p: DriveParams):
-    """Propagate m over dt with no pulse; returns the same type as m.
+def free_evolve(m: DensityMatrix, dt: float, p: DriveParams) -> DensityMatrix:
+    """Propagate m over dt with no pulse.
 
     ee decays as exp(-gamma*dt) and feeds gg so that ee + gg is conserved
     exactly; ge picks up exp((i*delta - gamma/2)*dt) and eg its conjugate.
@@ -51,7 +44,7 @@ def free_evolve(m, dt: float, p: DriveParams):
         raise NegativeDt(f"dt must be >= 0, got {dt}")
     decay = math.exp(-p.gamma * dt)
     rot = cmath.exp((1j * p.delta - 0.5 * p.gamma) * dt)
-    return type(m)(
+    return DensityMatrix(
         ee=m.ee * decay,
         eg=m.eg * rot.conjugate(),
         ge=m.ge * rot,
@@ -59,9 +52,9 @@ def free_evolve(m, dt: float, p: DriveParams):
     )
 
 
-def apply_pi_pulse(m):
+def apply_pi_pulse(m: DensityMatrix) -> DensityMatrix:
     """Swap ee with gg and eg with ge; applying it twice is the identity."""
-    return type(m)(ee=m.gg, eg=m.ge, ge=m.eg, gg=m.ee)
+    return DensityMatrix(ee=m.gg, eg=m.ge, ge=m.eg, gg=m.ee)
 
 
 def propagate_trajectory(p: DriveParams, g: TimeGrid) -> list[DensityMatrix]:

@@ -1,64 +1,30 @@
-"""Quadrature assembly of the numeric spectrum from correlator grids.
+"""Quadrature assembly of the numeric spectrum from propagator rows.
 
 The double integral over (t, theta) is a trapezoidal rule on both axes
-honoring the ragged theta ranges. At pulse crossings the integrands are
-discontinuous; every interior crossing node takes the average of the two
-one-sided limits carried by the correlator grid, the final theta node of
-a row takes the left limit, and every interior pulse time combines the
-post-pulse row with its pre-pulse companion at half weight each. This
-keeps the composite rule second order in dt; sampling a single side of
-each jump degrades it to first order.
+honoring the ragged theta ranges [0, T - t_i]. At pulse crossings the
+integrands are discontinuous; every interior crossing node takes the
+average of the two one-sided limits carried by the correlator grid, the
+final theta node of a row takes the left limit, and every interior pulse
+time combines the post-pulse row with its pre-pulse companion at half
+weight each. This keeps the composite rule second order in dt; sampling
+a single side of each jump degrades it to first order.
+
+Every correlator row is a population times one of the n_sub + 1
+propagator rows, so the sum over t at fixed theta_j groups by row: each
+propagator row is multiplied by the running sum of the weighted
+populations of the t nodes whose theta range reaches past j. The final
+node of each range carries a half weight and the left limit, which adds
+one term per t node.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import (DriveParams, FrequencyGrid, GridMismatch, PulsespecError,
-                   Spectrum, TimeGrid, build_meta, make_frequency_grid,
-                   make_time_grid, validate_params)
+from .core import (DriveParams, FrequencyGrid, GridMismatch, Spectrum,
+                   TimeGrid, build_meta, make_frequency_grid, make_time_grid,
+                   validate_params)
 from .correlators import CorrelatorGrid, build_correlator_grids
 from .lindblad import propagate_trajectory
-
-
-class EmptyRow(PulsespecError):
-    pass
-
-
-def fourier_over_theta(row: np.ndarray, dt: float, omega: float) -> complex:
-    """Composite trapezoidal estimate of the row's Fourier integral.
-
-    Evaluates integral of C(theta) * exp(-i*omega*theta) over the row's
-    range [0, (len(row)-1)*dt] from uniformly spaced samples.
-    """
-    row = np.asarray(row)
-    if row.size < 2:
-        raise EmptyRow(f"need at least 2 samples, got {row.size}")
-    thetas = np.arange(row.size) * dt
-    weights = np.full(row.size, dt)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return complex(np.sum(row * np.exp(-1j * omega * thetas) * weights))
-
-
-def _effective_row(stored: np.ndarray, before: np.ndarray, start: int,
-                   n_sub: int, have_pulses: bool) -> np.ndarray:
-    """Quadrature samples for one row: jump nodes get two-sided averages.
-
-    The final node of a pulsed row always sits on a pulse instant; its
-    integrand limit from inside the range is the pre-swap value, so the
-    left limit is used there instead of an average.
-    """
-    last = stored.size - 1
-    if not have_pulses or last == 0:
-        return stored
-    eff = stored.copy()
-    js = np.arange(last + 1)
-    cross = ((start + js) % n_sub == 0) & (js > 0)
-    interior = cross & (js < last)
-    eff[interior] = 0.5 * (stored[interior] + before[interior])
-    if (start + last) % n_sub == 0:
-        eff[last] = before[last]
-    return eff
 
 
 def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, cg: CorrelatorGrid,
@@ -78,34 +44,40 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, cg: CorrelatorGrid,
             f"{g.times.size}")
     last = cg.t_nodes.size - 1
     n_sub = cg.substeps_per_interval
-    have_pulses = cg.n_pulses >= 1
     dt = cg.dt
-    s1 = np.zeros(last + 1, dtype=complex)
-    s2 = np.zeros(last + 1, dtype=complex)
-    for i in range(last):
-        length = last - i
-        w_theta = np.full(length + 1, dt)
-        w_theta[0] *= 0.5
-        w_theta[-1] *= 0.5
-        wt = dt * (0.5 if i == 0 else 1.0)
-        pulse_node = have_pulses and i > 0 and i % n_sub == 0
-        w_post = (0.5 * wt if pulse_node else wt) * w_theta
-        s1[:length + 1] += w_post * _effective_row(
-            cg.c1[i], cg.c1_before[i], i, n_sub, have_pulses)
-        s2[:length + 1] += w_post * _effective_row(
-            cg.c2[i], cg.c2_before[i], i, n_sub, have_pulses)
-        if pulse_node:
-            w_pre = 0.5 * wt * w_theta
-            stored, before = cg.pre_c1[i]
-            s1[:length + 1] += w_pre * _effective_row(
-                stored, before, i, n_sub, have_pulses)
-            stored, before = cg.pre_c2[i]
-            s2[:length + 1] += w_pre * _effective_row(
-                stored, before, i, n_sub, have_pulses)
-    # row `last` has an empty theta range and a vanishing integral
+    # t node i < last owns the theta range j = 0..last-i; node `last` has
+    # an empty range and a vanishing integral
+    nodes = np.arange(last)
+    residue = nodes % n_sub
+    pulse = (residue == 0) & (nodes > 0) & (cg.n_pulses >= 1)
+    w_t = np.full(last, dt)
+    w_t[0] *= 0.5
+    w_t[pulse] *= 0.5
+    # post[k, i] / pre[k, i]: population k of t node i, trapezoid-weighted,
+    # for the post-pulse row and for the pre-pulse companion, which takes
+    # the populations swapped back and exists at interior pulse nodes only
+    post = w_t * cg.pops[:, :last]
+    pre = np.where(pulse, w_t, 0.0) * cg.pops[::-1, :last]
+    weights = np.zeros((2, n_sub + 1, last), dtype=complex)
+    weights[:, residue, nodes] = post
+    weights[:, n_sub] = pre
+    # running[k, row, j] sums the nodes i < last - j, whose ranges contain
+    # j before their end; a crossing there takes the mean of the two
+    # one-sided limits, which is the stored value elsewhere. The theta
+    # weight is dt, halved at j = 0.
+    running = np.cumsum(weights, axis=2)[:, :, ::-1]
+    mean = 0.5 * (cg.rows[:, :last] + cg.before[:, :last])
+    s = np.zeros((2, last + 1), dtype=complex)
+    s[:, :last] = np.sum(mean * running, axis=1)
+    s[:, 0] *= 0.5
+    s *= dt
+    # the end node j = last - i of each range: half weight, left limit
+    s[:, last - nodes] += 0.5 * dt * (
+        post * cg.before[residue, last - nodes]
+        + pre * cg.before[n_sub, last - nodes])
     phases = np.exp(-1j * np.outer(cg.t_nodes, fg.omegas))
-    raw_p1 = s1 @ phases
-    raw_p2 = s2 @ phases
+    raw_p1 = s[0] @ phases
+    raw_p2 = s[1] @ phases
     scale = 2.0 * p.amp * p.amp
     p1 = scale * raw_p1.real
     p2 = scale * raw_p2.real

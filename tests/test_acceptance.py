@@ -208,13 +208,15 @@ def test_randomized_propagation_invariants():
         assert float(np.max(np.abs(gg.real - analytic))) <= 1e-10
 
         cg = ps.build_correlator_grids(p, g, traj)
-        stride = max(1, (g.n_nodes - 1) // 48)
-        for i in range(0, g.n_nodes - 1, stride):
-            row1, row2 = cg.c1[i], cg.c2[i]
-            for j in range(0, row1.size, stride):
+        last = g.n_nodes - 1
+        stride = max(1, last // 48)
+        for i in range(0, last, stride):
+            row = cg.rows[i % g.substeps_per_interval]
+            for j in range(0, last - i + 1, stride):
                 f = ps.f_analytic(g.times[i], j * g.dt, p)
-                assert abs(row1[j] - f * ee[i]) <= 1e-9
-                assert abs(row2[j] - f * gg[i]) <= 1e-9
+                c1, c2 = cg.pops[:, i] * row[j]
+                assert abs(c1 - f * ee[i]) <= 1e-9
+                assert abs(c2 - f * gg[i]) <= 1e-9
                 if f != 0:
                     assert abs(cmath.phase(f)) <= delta * tau + 1e-9
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pulsespec as ps
+from pulsespec.correlators import _march_ge_row
 from conftest import drive
 
 
@@ -15,38 +16,46 @@ def fig_grid():
     return p, g, traj, ps.build_correlator_grids(p, g, traj)
 
 
-def test_init_rho_prime():
-    rho = ps.DensityMatrix(ee=1.0, eg=0.0, ge=0.0, gg=0.0)
-    aux = ps.init_rho_prime(rho)
-    assert (aux.ee, aux.eg, aux.gg, aux.ge) == (0.0, 0.0, 0.0, 1.0)
-    rho = ps.DensityMatrix(ee=0.3, eg=0.0, ge=0.0, gg=0.7)
-    assert ps.init_rho_prime(rho).ge == 0.3
-    # the physical trajectory has eg = 0, so the gg seed always vanishes
-    assert ps.init_rho_prime(rho).gg == 0.0
-
-
-def test_init_rho_double_prime():
-    rho = ps.DensityMatrix(ee=1.0, eg=0.0, ge=0.0, gg=0.0)
-    aux = ps.init_rho_double_prime(rho)
-    assert (aux.ee, aux.eg, aux.ge, aux.gg) == (0.0, 0.0, 0.0, 0.0)
-    rho = ps.DensityMatrix(ee=0.0, eg=0.0, ge=0.0, gg=1.0)
-    assert ps.init_rho_double_prime(rho).ge == 1.0
-    assert ps.init_rho_double_prime(rho).ee == 0.0
+def correlators(cg, i, values=None):
+    """C1 and C2 of t node i over its theta range, as a 2 x (last-i+1)
+    array; values=cg.before gives the pre-swap limits instead."""
+    rows = cg.rows if values is None else values
+    last = cg.t_nodes.size - 1
+    return cg.pops[:, i, None] * rows[i % cg.substeps_per_interval,
+                                      :last - i + 1]
 
 
 def test_initial_condition_identity(fig_grid):
     p, g, traj, cg = fig_grid
     for i in range(g.n_nodes):
-        assert cg.c1[i][0] == traj[i].ee
-        assert cg.c2[i][0] == traj[i].gg
+        c1, c2 = correlators(cg, i)
+        assert c1[0] == traj[i].ee
+        assert c2[0] == traj[i].gg
 
 
-def test_rows_are_ragged(fig_grid):
+def test_rows_span_the_grid(fig_grid):
     p, g, traj, cg = fig_grid
+    n_sub = g.substeps_per_interval
+    assert cg.rows.shape == cg.before.shape == (n_sub + 1, g.n_nodes)
+    assert cg.pops.shape == (2, g.n_nodes)
+    assert np.all(cg.rows[:, 0] == 1.0)
+
+
+def test_rows_are_periodic_in_the_start_node(fig_grid):
+    p, g, traj, cg = fig_grid
+    n_sub = g.substeps_per_interval
     last = g.n_nodes - 1
+    r_ge = cmath.exp((1j * p.delta - p.gamma / 2) * g.dt)
     for i in range(g.n_nodes):
-        assert cg.c1[i].size == last - i + 1
-        assert cg.c2[i].size == last - i + 1
+        stored, before = _march_ge_row(i, last - i, n_sub, p.n_pulses, r_ge,
+                                       False)
+        assert np.array_equal(stored, cg.rows[i % n_sub, :last - i + 1])
+        assert np.array_equal(before, cg.before[i % n_sub, :last - i + 1])
+        if i % n_sub == 0 and 0 < i < last:
+            stored, before = _march_ge_row(i, last - i, n_sub, p.n_pulses,
+                                           r_ge, True)
+            assert np.array_equal(stored, cg.rows[n_sub, :last - i + 1])
+            assert np.array_equal(before, cg.before[n_sub, :last - i + 1])
 
 
 def test_same_interval_rotation(fig_grid):
@@ -54,38 +63,41 @@ def test_same_interval_rotation(fig_grid):
     # population times the free coherence factor
     p, g, traj, cg = fig_grid
     i = 7          # t = 0.07, interval 0
+    c2 = correlators(cg, i)[1]
     for j in range(12):
         theta = j * g.dt
         expected = traj[i].gg * cmath.exp((1j * p.delta - p.gamma / 2) * theta)
-        assert abs(cg.c2[i][j] - expected) <= 1e-12
+        assert abs(c2[j] - expected) <= 1e-12
 
 
 def test_odd_separation_vanishes(fig_grid):
     p, g, traj, cg = fig_grid
     n_sub = g.substeps_per_interval
     i = 7
+    c1, c2 = correlators(cg, i)
     # t + theta in interval 1: exactly one pulse crossed
     for j in range(n_sub - i + 1, 2 * n_sub - i):
-        assert cg.c2[i][j] == 0.0
-        assert cg.c1[i][j] == 0.0
+        assert c2[j] == 0.0
+        assert c1[j] == 0.0
 
 
 def test_factorization_against_analytic_kernel(fig_grid):
     p, g, traj, cg = fig_grid
     worst = 0.0
     for i in range(0, g.n_nodes - 1, 7):
-        for j in range(0, cg.c1[i].size, 5):
+        c1, c2 = correlators(cg, i)
+        for j in range(0, c1.size, 5):
             f = ps.f_analytic(g.times[i], j * g.dt, p)
             worst = max(worst,
-                        abs(cg.c1[i][j] - f * traj[i].ee),
-                        abs(cg.c2[i][j] - f * traj[i].gg))
+                        abs(c1[j] - f * traj[i].ee),
+                        abs(c2[j] - f * traj[i].gg))
     assert worst <= 1e-9
 
 
 def test_magnitude_decay(fig_grid):
     p, g, traj, cg = fig_grid
     for i in (0, 13, 55):
-        row = cg.c2[i]
+        row = correlators(cg, i)[1]
         ref = abs(row[0])
         for j in range(row.size):
             value = abs(row[j])
@@ -98,8 +110,8 @@ def test_magnitude_decay(fig_grid):
 def test_bounded_by_one(fig_grid):
     p, g, traj, cg = fig_grid
     for i in range(g.n_nodes):
-        assert np.max(np.abs(cg.c1[i])) <= 1.0 + 1e-12
-        assert np.max(np.abs(cg.c2[i])) <= 1.0 + 1e-12
+        assert np.max(np.abs(correlators(cg, i))) <= 1.0 + 1e-12
+        assert np.max(np.abs(correlators(cg, i, cg.before))) <= 1.0 + 1e-12
 
 
 def test_before_values_hold_left_limit(fig_grid):
@@ -108,23 +120,24 @@ def test_before_values_hold_left_limit(fig_grid):
     i = 7
     j = n_sub - i      # theta lands exactly on the first pulse after t
     expected = traj[i].gg * cmath.exp((1j * p.delta - p.gamma / 2) * j * g.dt)
-    assert abs(cg.c2_before[i][j] - expected) <= 1e-12
+    assert abs(correlators(cg, i, cg.before)[1][j] - expected) <= 1e-12
     # stored value at the crossing is post-pulse: the swapped-in component
-    assert cg.c2[i][j] == 0.0
+    assert correlators(cg, i)[1][j] == 0.0
 
 
 def test_pre_rows_cover_interior_pulse_nodes(fig_grid):
     p, g, traj, cg = fig_grid
     n_sub = g.substeps_per_interval
-    expected_keys = {n * n_sub for n in range(1, p.n_pulses)}
-    assert set(cg.pre_c1.keys()) == expected_keys
-    assert set(cg.pre_c2.keys()) == expected_keys
-    for i in expected_keys:
-        stored, before = cg.pre_c2[i]
+    last = g.n_nodes - 1
+    for i in range(n_sub, last, n_sub):
         # the companion row starts from the pre-pulse state: populations
         # of the stored (post-pulse) node swapped back
-        assert stored[0] == traj[i].ee
-        assert stored.size == cg.c2[i].size
+        pre = ps.apply_pi_pulse(traj[i])
+        c2 = pre.gg * cg.rows[n_sub, :last - i + 1]
+        assert c2[0] == traj[i].ee
+        # the swap right after theta = 0 empties the first interval
+        assert np.all(c2[1:n_sub] == 0.0)
+        assert np.all(cg.before[n_sub, 1:n_sub] == 0.0)
 
 
 def test_grid_mismatch_detected(fig_grid):
@@ -139,7 +152,7 @@ def test_no_pulse_rows_follow_free_kernel():
     traj = ps.propagate_trajectory(p, g)
     cg = ps.build_correlator_grids(p, g, traj)
     i = 30
-    row = cg.c1[i]
+    row = correlators(cg, i)[0]
     for j in (0, 11, row.size - 1):
         expected = traj[i].ee * cmath.exp((1j * p.delta - p.gamma / 2)
                                           * j * g.dt)

@@ -20,14 +20,14 @@ def test_free_evolve_populations():
 
 def test_free_evolve_identity_at_zero_dt():
     p = drive(8)
-    m = ps.AuxMatrix(ee=0.3 + 0.1j, eg=0.2 - 0.4j, ge=-0.5j, gg=0.7)
+    m = ps.DensityMatrix(ee=0.3 + 0.1j, eg=0.2 - 0.4j, ge=-0.5j, gg=0.7)
     out = ps.free_evolve(m, 0.0, p)
     assert out == m
 
 
 def test_free_evolve_coherence_rotation():
     p = drive(8)
-    m = ps.AuxMatrix(ee=0.0, eg=0.0, ge=1.0, gg=0.0)
+    m = ps.DensityMatrix(ee=0.0, eg=0.0, ge=1.0, gg=0.0)
     out = ps.free_evolve(m, 0.1, p)
     assert out.ge == pytest.approx(cmath.exp((3j - 1.0) * 0.1), abs=1e-15)
     assert out.ee == 0.0
@@ -38,7 +38,7 @@ def test_free_evolve_coherence_rotation():
 def test_free_evolve_conjugate_pair():
     # eg evolves with the conjugate factor of ge
     p = drive(8)
-    m = ps.AuxMatrix(ee=0.0, eg=1.0, ge=1.0, gg=0.0)
+    m = ps.DensityMatrix(ee=0.0, eg=1.0, ge=1.0, gg=0.0)
     out = ps.free_evolve(m, 0.17, p)
     assert out.eg == pytest.approx(out.ge.conjugate(), abs=1e-15)
 
@@ -50,7 +50,7 @@ def test_free_evolve_rejects_negative_dt():
 
 def test_free_evolve_semigroup():
     p = drive(8)
-    m = ps.AuxMatrix(ee=0.4 + 0.2j, eg=-0.1 + 0.3j, ge=0.6 - 0.2j, gg=0.1j)
+    m = ps.DensityMatrix(ee=0.4 + 0.2j, eg=-0.1 + 0.3j, ge=0.6 - 0.2j, gg=0.1j)
     once = ps.free_evolve(m, 0.07 + 0.11, p)
     twice = ps.free_evolve(ps.free_evolve(m, 0.07, p), 0.11, p)
     for name in ("ee", "eg", "ge", "gg"):
@@ -61,10 +61,10 @@ def test_pi_pulse_swaps_and_involutes():
     m = ps.DensityMatrix(ee=0.7, eg=0.0, ge=0.0, gg=0.3)
     out = ps.apply_pi_pulse(m)
     assert out.ee == 0.3 and out.gg == 0.7
-    aux = ps.AuxMatrix(ee=0.0, eg=2.0 + 1j, ge=-0.5j, gg=0.0)
-    swapped = ps.apply_pi_pulse(aux)
+    m = ps.DensityMatrix(ee=0.0, eg=2.0 + 1j, ge=-0.5j, gg=0.0)
+    swapped = ps.apply_pi_pulse(m)
     assert swapped.eg == -0.5j and swapped.ge == 2.0 + 1j
-    assert ps.apply_pi_pulse(ps.apply_pi_pulse(aux)) == aux
+    assert ps.apply_pi_pulse(ps.apply_pi_pulse(m)) == m
 
 
 def test_trajectory_pulse_node_values():

@@ -1,4 +1,5 @@
-import cmath
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,41 +7,41 @@ import pytest
 import pulsespec as ps
 from conftest import drive, nearest_peak
 
+GOLDEN = Path(__file__).parent / "data" / "numeric_golden.npz"
 
-def test_fourier_constant_row_dc():
-    row = np.ones(11, dtype=complex)
-    assert ps.fourier_over_theta(row, 0.1, 0.0) == pytest.approx(1.0, abs=1e-14)
-
-
-def _const_row_error(n, omega):
-    # quadrature error for a constant row against (1 - e^{-i omega}) / (i omega)
-    row = np.ones(n + 1, dtype=complex)
-    exact = (1.0 - np.exp(-1j * omega)) / (1j * omega)
-    return abs(ps.fourier_over_theta(row, 1.0 / n, omega) - exact)
-
-
-def test_fourier_oscillating_row_second_order():
-    err = _const_row_error(100, 3.0)
-    err_fine = _const_row_error(200, 3.0)
-    assert err <= 2e-4
-    assert err / err_fine >= 3.5      # halving dt gains ~4x
+# (params, substeps) of the numeric spectra frozen in GOLDEN, each on its
+# default frequency window at a tenth of the default resolution.
+GOLDEN_CASES = {
+    "drive8": (drive(8), None),
+    "odd_train": (drive(3, delta=2.2, tau=0.37), 7),
+    "fine_grid": (drive(20), 80),
+    "pulse_free": (drive(0, tau=0.3, free_time=2.0), 7),
+}
 
 
-def test_fourier_decaying_rotating_row():
-    # row sampled from the free correlator kernel itself
-    dt = 0.01
-    theta = np.arange(101) * dt
-    z = 3j - 1.0
-    row = np.exp(z * theta)
-    omega = 2.0
-    exact = (np.exp((z - 1j * omega) * 1.0) - 1.0) / (z - 1j * omega)
-    approx = ps.fourier_over_theta(row, dt, omega)
-    assert abs(approx - exact) <= 2e-5
+def golden_spectrum(name):
+    p, substeps = GOLDEN_CASES[name]
+    fg = ps.make_frequency_grid(p, omega_step=math.pi / (20.0 * p.tau))
+    return ps.numeric_spectrum(p, fg, substeps=substeps)
 
 
-def test_fourier_rejects_short_rows():
-    with pytest.raises(ps.EmptyRow):
-        ps.fourier_over_theta(np.ones(1, dtype=complex), 0.1, 0.0)
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_matches_golden_spectra(name):
+    golden = np.load(GOLDEN)
+    s = golden_spectrum(name)
+    for part in ("raw_p1", "raw_p2"):
+        ref = golden[f"{name}_{part}"]
+        rel = np.max(np.abs(getattr(s, part) - ref)) / np.max(np.abs(ref))
+        assert rel <= 1e-12
+
+
+def test_observed_dt_order_is_two():
+    p = drive(8)
+    fg = ps.make_frequency_grid(p)
+    q10, q20, q40 = (ps.numeric_spectrum(p, fg, substeps=n).q
+                     for n in (10, 20, 40))
+    order = math.log2(np.linalg.norm(q10 - q20) / np.linalg.norm(q20 - q40))
+    assert 1.8 <= order <= 2.2
 
 
 def test_zero_grids_give_zero_spectrum():
@@ -48,20 +49,19 @@ def test_zero_grids_give_zero_spectrum():
     g = ps.make_time_grid(p, 5)
     traj = ps.propagate_trajectory(p, g)
     cg = ps.build_correlator_grids(p, g, traj)
-    zero = [np.zeros_like(r) for r in cg.c1]
-    cg_zero = ps.CorrelatorGrid(
-        t_nodes=cg.t_nodes, c1=zero, c2=zero, c1_before=zero, c2_before=zero,
-        pre_c1={i: (np.zeros_like(s), np.zeros_like(b))
-                for i, (s, b) in cg.pre_c1.items()},
-        pre_c2={i: (np.zeros_like(s), np.zeros_like(b))
-                for i, (s, b) in cg.pre_c2.items()},
-        dt=cg.dt, substeps_per_interval=cg.substeps_per_interval,
-        n_pulses=cg.n_pulses)
     fg = ps.make_frequency_grid(p)
-    s = ps.compute_numeric_spectrum(p, g, cg_zero, fg)
-    assert np.all(s.p1 == 0.0)
-    assert np.all(s.p2 == 0.0)
-    assert np.all(s.q == 0.0)
+    # zero propagator rows with the real populations, and the reverse
+    zero_rows = np.zeros_like(cg.rows)
+    for rows, before, pops in ((zero_rows, zero_rows, cg.pops),
+                               (cg.rows, cg.before, np.zeros_like(cg.pops))):
+        cg_zero = ps.CorrelatorGrid(
+            t_nodes=cg.t_nodes, rows=rows, before=before, pops=pops, dt=cg.dt,
+            substeps_per_interval=cg.substeps_per_interval,
+            n_pulses=cg.n_pulses)
+        s = ps.compute_numeric_spectrum(p, g, cg_zero, fg)
+        assert np.all(s.p1 == 0.0)
+        assert np.all(s.p2 == 0.0)
+        assert np.all(s.q == 0.0)
 
 
 def test_numeric_spectrum_structure(numeric8):
@@ -112,3 +112,14 @@ def test_no_pulse_positive_single_peak(nopulse20):
     assert np.all(s.q > 0.0)
     imax = int(np.argmax(s.q))
     assert s.omegas[imax] == pytest.approx(3.0, abs=0.1)
+
+
+if __name__ == "__main__":
+    # Regenerates GOLDEN from whichever pulsespec is importable.
+    GOLDEN.parent.mkdir(exist_ok=True)
+    arrays = {}
+    for name in GOLDEN_CASES:
+        s = golden_spectrum(name)
+        arrays[f"{name}_raw_p1"] = s.raw_p1
+        arrays[f"{name}_raw_p2"] = s.raw_p2
+    np.savez(GOLDEN, **arrays)
