@@ -7,12 +7,12 @@ two-time correlators, and closed-form long-time expressions. The
 analysis layer compares the two and extracts peak structure.
 """
 from .core import (DEFAULT_AMP, DEFAULT_GAMMA, ConflictingFreeTime,
-                   DriveParams, FrequencyGrid, GridMismatch,
+                   DriveParams, FrequencyGrid, GridMismatch, GridTooLarge,
                    MissingFreeTime, NonFiniteSpectrum, NonPositiveGamma,
                    NonPositiveTau, PulsespecError, Spectrum, TimeGrid,
                    build_meta, default_substeps, make_frequency_grid,
                    make_time_grid, validate_params)
-from .lindblad import (DensityMatrix, NegativeDt, apply_pi_pulse, free_evolve,
+from .lindblad import (NegativeDt, apply_pi_pulse, free_evolve,
                        propagate_trajectory)
 from .correlators import CorrelatorGrid, build_correlator_grids
 from .spectrum_numeric import compute_numeric_spectrum, numeric_spectrum
@@ -21,25 +21,23 @@ from .closed_form import (GammaTriple, NegativeM, NegativeTheta,
                           closed_spectrum, f_analytic, gammas, p1_closed,
                           p3_closed, rho0, rho_gg_analytic)
 from .analysis import (ZeroSpectrum, compare_spectra, find_peaks,
-                       lorentzian_reference, positive_weight_fraction,
-                       shape_l2_diff)
+                       positive_weight_fraction, shape_l2_diff)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_AMP", "DEFAULT_GAMMA", "ConflictingFreeTime", "DriveParams",
-    "FrequencyGrid", "GridMismatch", "MissingFreeTime", "NonFiniteSpectrum",
+    "FrequencyGrid", "GridMismatch", "GridTooLarge", "MissingFreeTime", "NonFiniteSpectrum",
     "NonPositiveGamma", "NonPositiveTau", "PulsespecError", "Spectrum",
     "TimeGrid", "build_meta", "default_substeps", "make_frequency_grid",
     "make_time_grid", "validate_params",
-    "DensityMatrix", "NegativeDt", "apply_pi_pulse", "free_evolve",
-    "propagate_trajectory",
+    "NegativeDt", "apply_pi_pulse", "free_evolve", "propagate_trajectory",
     "CorrelatorGrid", "build_correlator_grids",
     "compute_numeric_spectrum", "numeric_spectrum",
     "GammaTriple", "NegativeM", "NegativeTheta", "OddPulseCount",
     "OutOfRangeT", "TooFewPulses", "closed_spectrum", "f_analytic", "gammas",
     "p1_closed", "p3_closed", "rho0", "rho_gg_analytic",
-    "ZeroSpectrum", "compare_spectra", "find_peaks", "lorentzian_reference",
+    "ZeroSpectrum", "compare_spectra", "find_peaks",
     "positive_weight_fraction", "shape_l2_diff",
     "__version__",
 ]

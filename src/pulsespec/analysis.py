@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DriveParams, GridMismatch, PulsespecError, Spectrum
+from .core import GridMismatch, PulsespecError, Spectrum
 
 
 class ZeroSpectrum(PulsespecError):
@@ -91,12 +91,6 @@ def positive_weight_fraction(s: Spectrum) -> float:
         raise ZeroSpectrum("q vanishes identically")
     positive = float(np.trapezoid(np.maximum(s.q, 0.0), s.omegas))
     return positive / total
-
-
-def lorentzian_reference(omega, p: DriveParams):
-    """Free-emitter line 1/((omega - delta)**2 + 1): unit peak at the
-    detuning, half width one (gamma = 2 units)."""
-    return 1.0 / ((np.asarray(omega, dtype=float) - p.delta) ** 2 + 1.0)
 
 
 def shape_l2_diff(a: Spectrum, b: Spectrum) -> float:

@@ -26,7 +26,7 @@ from .core import (DriveParams, FrequencyGrid, PulsespecError, Spectrum,
                    TimeGrid, make_frequency_grid, make_time_grid,
                    validate_params)
 from .correlators import CorrelatorGrid, build_correlator_grids
-from .lindblad import DensityMatrix, propagate_trajectory
+from .lindblad import propagate_trajectory
 from .spectrum_numeric import compute_numeric_spectrum
 
 
@@ -37,7 +37,6 @@ class ConfigError(Exception):
 _FLOAT_KEYS = {"delta", "gamma", "tau", "free_time",
                "omega_min", "omega_max", "omega_step"}
 _INT_KEYS = {"n_pulses", "substeps"}
-_STR_KEYS = {"engine", "format", "output_dir"}
 _LIST_KEYS = {"n_pulses_list", "tau_list", "delta_list"}
 _ENGINES = ("numeric", "closed_form", "both")
 _FORMATS = ("csv", "json", "both")
@@ -141,9 +140,8 @@ def write_spectrum_csv(path: Path, s: Spectrum) -> None:
     comment header carrying the resolved parameters."""
     lines = [f"# {key} = {_fmt(s.meta[key])}" for key in sorted(s.meta)]
     lines.append("omega,P1,P2,Q")
-    for j in range(s.omegas.size):
-        lines.append(",".join(
-            _fmt(float(v)) for v in (s.omegas[j], s.p1[j], s.p2[j], s.q[j])))
+    lines.extend("%.17g,%.17g,%.17g,%.17g" % tuple(row) for row in
+                 np.column_stack((s.omegas, s.p1, s.p2, s.q)).tolist())
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -265,13 +263,9 @@ def run_sweep(cfg: dict, outdir: Path) -> int:
 
 
 def _invariant_suite(p: DriveParams, g: TimeGrid,
-                     traj: list[DensityMatrix],
-                     cg: CorrelatorGrid) -> dict:
+                     traj: np.ndarray, cg: CorrelatorGrid) -> dict:
     """Node-level checks of the propagation against exact identities."""
-    ee = np.array([m.ee for m in traj])
-    gg = np.array([m.gg for m in traj])
-    eg = np.array([m.eg for m in traj])
-    ge = np.array([m.ge for m in traj])
+    (ee, eg), (ge, gg) = traj.transpose(1, 2, 0)
     trace_dev = float(np.max(np.abs(ee + gg - 1.0)))
     herm_dev = float(np.max(np.abs(ge - np.conj(eg))))
     coherence_dev = float(max(np.max(np.abs(eg)), np.max(np.abs(ge))))

@@ -41,8 +41,15 @@ class NonFiniteSpectrum(PulsespecError):
     pass
 
 
+class GridTooLarge(PulsespecError):
+    pass
+
+
 DEFAULT_GAMMA = 2.0
 DEFAULT_AMP = math.sqrt(0.5)
+# Largest number of cells any array of the numeric engine may have
+# (2**24 complex values take 256 MiB).
+MAX_ARRAY_CELLS = 2**24
 
 
 @dataclass(frozen=True)
@@ -66,14 +73,6 @@ class DriveParams:
     gamma: float = DEFAULT_GAMMA
     amp: float = DEFAULT_AMP
     free_time: float | None = None
-
-    @property
-    def total_time(self) -> float:
-        if self.n_pulses >= 1:
-            return self.n_pulses * self.tau
-        if self.free_time is None:
-            raise MissingFreeTime("n_pulses = 0 requires free_time")
-        return self.free_time
 
 
 def validate_params(p: DriveParams) -> DriveParams:
@@ -133,7 +132,9 @@ def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
 
     For n_pulses >= 1 the grid spans [0, n_pulses*tau]. For the pulse-free
     mode the horizon is rounded up to a whole number of intervals, so the
-    grid covers at least free_time.
+    grid covers at least free_time. Raises GridTooLarge when the numeric
+    engine's largest array, the propagator rows and their pre-swap copies
+    (2*(n_sub + 1)*n_nodes cells), would exceed MAX_ARRAY_CELLS.
     """
     validate_params(p)
     n_sub = default_substeps(p.tau) if substeps is None else int(substeps)
@@ -145,6 +146,11 @@ def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
     else:
         n_intervals = math.ceil(p.free_time / p.tau - 1e-9)
     n_total = n_intervals * n_sub
+    cells = 2 * (n_sub + 1) * (n_total + 1)
+    if cells > MAX_ARRAY_CELLS:
+        raise GridTooLarge(
+            f"{n_sub} substeps x {n_total + 1} nodes need {cells} array "
+            f"cells, above {MAX_ARRAY_CELLS}")
     times = np.arange(n_total + 1) * dt
     return TimeGrid(substeps_per_interval=n_sub, dt=dt,
                     n_intervals=n_intervals, times=times)

@@ -1,17 +1,17 @@
-"""Exact inter-pulse propagation and the instantaneous pulse map.
+"""Exact inter-pulse propagation, the instantaneous pulse map, and the one
+march that both the state and the regression rows run.
 
-Between pulses the 2x2 matrix equations decouple: populations relax at
-rate gamma and coherences rotate at the detuning while decaying at
-gamma/2. The update used here is the exact exponential of that linear
-map, not an Euler or Runge-Kutta step, so the only numerical error in a
-trajectory is floating-point rounding. A pulse is an instantaneous swap
-of the two populations and the two coherences.
+A density matrix is a complex array of shape (..., 2, 2) in the layout
+[[ee, eg], [ge, gg]]; the maps act on any such matrix, physical or not.
+Between pulses populations relax at rate gamma and coherences rotate at
+the detuning while decaying at gamma/2. The update is the exact
+exponential of that linear map, not an Euler or Runge-Kutta step, so the
+only numerical error in a march is floating-point rounding. A pulse is
+an instantaneous swap of the two populations and the two coherences.
 """
 from __future__ import annotations
 
-import cmath
-import math
-from dataclasses import dataclass
+import numpy as np
 
 from .core import DriveParams, PulsespecError, TimeGrid, validate_params
 
@@ -20,60 +20,77 @@ class NegativeDt(PulsespecError):
     pass
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """2x2 matrix in (ee, eg, ge, gg) layout.
-
-    A physical state has trace one, ge the conjugate of eg and real
-    populations; the maps below act on any matrix of this layout.
-    """
-
-    ee: complex
-    eg: complex
-    ge: complex
-    gg: complex
+def _free_map(dt, p: DriveParams) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise factor (dt.shape + (2, 2)) and ee -> gg feed (dt.shape)
+    of the free map over the elapsed times dt."""
+    dt = np.asarray(dt, dtype=float)
+    if np.any(dt < 0):
+        raise NegativeDt(f"dt must be >= 0, got {dt}")
+    decay = np.exp(-p.gamma * dt)
+    rot = np.exp((1j * p.delta - 0.5 * p.gamma) * dt)
+    factor = np.stack([decay, rot.conj(), rot, np.ones_like(decay)], axis=-1)
+    return factor.reshape(dt.shape + (2, 2)), 1.0 - decay
 
 
-def free_evolve(m: DensityMatrix, dt: float, p: DriveParams) -> DensityMatrix:
-    """Propagate m over dt with no pulse.
+def free_evolve(m: np.ndarray, dt, p: DriveParams) -> np.ndarray:
+    """Propagate m over the elapsed times dt (broadcast against the batch
+    axes of m) with no pulse.
 
     ee decays as exp(-gamma*dt) and feeds gg so that ee + gg is conserved
     exactly; ge picks up exp((i*delta - gamma/2)*dt) and eg its conjugate.
     """
-    if dt < 0:
-        raise NegativeDt(f"dt must be >= 0, got {dt}")
-    decay = math.exp(-p.gamma * dt)
-    rot = cmath.exp((1j * p.delta - 0.5 * p.gamma) * dt)
-    return DensityMatrix(
-        ee=m.ee * decay,
-        eg=m.eg * rot.conjugate(),
-        ge=m.ge * rot,
-        gg=m.gg + m.ee * (1.0 - decay),
-    )
+    factor, feed = _free_map(dt, p)
+    out = m * factor
+    out[..., 1, 1] += m[..., 0, 0] * feed
+    return out
 
 
-def apply_pi_pulse(m: DensityMatrix) -> DensityMatrix:
-    """Swap ee with gg and eg with ge; applying it twice is the identity."""
-    return DensityMatrix(ee=m.gg, eg=m.ge, ge=m.eg, gg=m.ee)
+def apply_pi_pulse(m: np.ndarray) -> np.ndarray:
+    """Swap ee with gg and eg with ge (a view of m); applying it twice is
+    the identity."""
+    return m[..., ::-1, ::-1]
 
 
-def propagate_trajectory(p: DriveParams, g: TimeGrid) -> list[DensityMatrix]:
+def march(m, start: int, length: int, p: DriveParams,
+          g: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """March m, the value at grid node `start`, over `length` sub-steps.
+
+    Returns (stored, before), each of shape m.shape[:-2] + (length + 1, 2, 2).
+    A pulse fires at every node n*substeps_per_interval, n = 1..n_pulses,
+    after `start`: stored holds the post-pulse value there and before the
+    pre-swap value; elsewhere the two agree. The free-map factors for
+    elapsed times k*dt, k = 0..n_sub, are computed once, so each
+    inter-pulse segment is one broadcast multiply plus the ee -> gg feed.
+    """
+    n_sub = g.substeps_per_interval
+    factor, feed = _free_map(np.arange(n_sub + 1) * g.dt, p)
+    m = np.asarray(m, dtype=complex)
+    stored = np.empty(m.shape[:-2] + (length + 1, 2, 2), dtype=complex)
+    stored[..., 0, :, :] = m
+    crossings = []
+    j = 0
+    while j < length:
+        end = min(length, (start + j) // n_sub * n_sub + n_sub - start)
+        v = stored[..., j, None, :, :]
+        seg = stored[..., j + 1:end + 1, :, :]
+        seg[...] = v * factor[1:end - j + 1]
+        seg[..., 1, 1] += v[..., 0, 0] * feed[1:end - j + 1]
+        if (start + end) % n_sub == 0 and (start + end) // n_sub <= p.n_pulses:
+            crossings.append(end)
+            stored[..., end, :, :] = apply_pi_pulse(seg[..., -1, :, :]).copy()
+        j = end
+    before = stored.copy()
+    before[..., crossings, :, :] = apply_pi_pulse(stored[..., crossings, :, :])
+    return stored, before
+
+
+def propagate_trajectory(p: DriveParams, g: TimeGrid) -> np.ndarray:
     """March the physical state from ee = 1 across every grid node.
 
-    A pulse fires at every node n*substeps_per_interval for n = 1..n_pulses;
-    the value stored at such a node is the post-pulse matrix (the pre-pulse
-    one is recovered by one more swap). The nominal pulse at the final node
-    is applied too; it carries no weight in any time integral but keeps the
-    node values consistent with the counting of completed pulses. In the
-    pulse-free mode no swaps occur.
+    Returns an (n_nodes, 2, 2) array; nodes at pulse instants store the
+    post-pulse matrix. The nominal pulse at the final node is applied too;
+    it carries no weight in any time integral.
     """
     validate_params(p)
-    n_sub = g.substeps_per_interval
-    rho = DensityMatrix(ee=1.0 + 0.0j, eg=0.0j, ge=0.0j, gg=0.0j)
-    out = [rho]
-    for k in range(1, g.n_nodes):
-        rho = free_evolve(rho, g.dt, p)
-        if p.n_pulses >= 1 and k % n_sub == 0:
-            rho = apply_pi_pulse(rho)
-        out.append(rho)
-    return out
+    rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    return march(rho0, 0, g.n_nodes - 1, p, g)[0]

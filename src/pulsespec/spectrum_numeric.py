@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (DriveParams, FrequencyGrid, GridMismatch, Spectrum,
-                   TimeGrid, build_meta, make_frequency_grid, make_time_grid,
-                   validate_params)
+from .core import (MAX_ARRAY_CELLS, DriveParams, FrequencyGrid, GridMismatch,
+                   GridTooLarge, Spectrum, TimeGrid, build_meta,
+                   make_frequency_grid, make_time_grid, validate_params)
 from .correlators import CorrelatorGrid, build_correlator_grids
 from .lindblad import propagate_trajectory
 
@@ -35,21 +35,26 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, cg: CorrelatorGrid,
     collapsed over t first (S[j] = sum_i of fully weighted samples), so
     the theta phase factors are evaluated once per frequency instead of
     once per row; the reduction order is fixed, making the output
-    reproducible bit for bit.
+    reproducible bit for bit. Raises GridTooLarge when the n_nodes x
+    n_omega phase matrix would exceed MAX_ARRAY_CELLS.
     """
     validate_params(p)
-    if cg.t_nodes.size != g.times.size:
+    n_sub = g.substeps_per_interval
+    if cg.rows.shape != (n_sub + 1, g.n_nodes):
         raise GridMismatch(
-            f"correlator grid has {cg.t_nodes.size} nodes, time grid has "
-            f"{g.times.size}")
-    last = cg.t_nodes.size - 1
-    n_sub = cg.substeps_per_interval
-    dt = cg.dt
+            f"correlator rows have shape {cg.rows.shape}, time grid needs "
+            f"{(n_sub + 1, g.n_nodes)}")
+    if g.n_nodes * fg.omegas.size > MAX_ARRAY_CELLS:
+        raise GridTooLarge(
+            f"{g.n_nodes} time nodes x {fg.omegas.size} frequencies exceed "
+            f"{MAX_ARRAY_CELLS} phase-matrix cells")
+    last = g.n_nodes - 1
+    dt = g.dt
     # t node i < last owns the theta range j = 0..last-i; node `last` has
     # an empty range and a vanishing integral
     nodes = np.arange(last)
     residue = nodes % n_sub
-    pulse = (residue == 0) & (nodes > 0) & (cg.n_pulses >= 1)
+    pulse = (residue == 0) & (nodes > 0) & (p.n_pulses >= 1)
     w_t = np.full(last, dt)
     w_t[0] *= 0.5
     w_t[pulse] *= 0.5
@@ -75,7 +80,7 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, cg: CorrelatorGrid,
     s[:, last - nodes] += 0.5 * dt * (
         post * cg.before[residue, last - nodes]
         + pre * cg.before[n_sub, last - nodes])
-    phases = np.exp(-1j * np.outer(cg.t_nodes, fg.omegas))
+    phases = np.exp(-1j * np.outer(g.times, fg.omegas))
     raw_p1 = s[0] @ phases
     raw_p2 = s[1] @ phases
     scale = 2.0 * p.amp * p.amp

@@ -197,10 +197,7 @@ def test_randomized_propagation_invariants():
         p = drive(n_pulses, delta=delta, tau=tau)
         g = ps.make_time_grid(p)
         traj = ps.propagate_trajectory(p, g)
-        ee = np.array([m.ee for m in traj])
-        gg = np.array([m.gg for m in traj])
-        eg = np.array([m.eg for m in traj])
-        ge = np.array([m.ge for m in traj])
+        (ee, eg), (ge, gg) = traj.transpose(1, 2, 0)
         assert float(np.max(np.abs(ee + gg - 1.0))) <= 1e-12
         assert float(np.max(np.abs(ge - np.conj(eg)))) <= 1e-12
         assert float(np.max(np.abs(eg))) <= 1e-12

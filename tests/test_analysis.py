@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pulsespec as ps
-from conftest import closed_at, drive, grid_step, nearest_peak
+from conftest import closed_at, grid_step, nearest_peak
 
 
 def synthetic(q):
@@ -102,15 +102,6 @@ def test_positive_weight_fraction_scale_invariant(closed8):
                          p2=3.7 * closed8.p2, q=3.7 * closed8.q)
     assert ps.positive_weight_fraction(scaled) == pytest.approx(base, abs=1e-12)
     assert 0.0 < base < 1.0
-
-
-def test_lorentzian_reference_values():
-    p = drive(8)
-    assert ps.lorentzian_reference(3.0, p) == 1.0
-    assert ps.lorentzian_reference(4.0, p) == pytest.approx(0.5, abs=1e-15)
-    assert ps.lorentzian_reference(2.0, p) == pytest.approx(0.5, abs=1e-15)
-    assert ps.lorentzian_reference(0.0, p) == pytest.approx(0.1, abs=1e-15)
-    assert ps.lorentzian_reference(6.0, p) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_shape_diff_ignores_scale(closed8):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -127,6 +128,42 @@ def test_non_finite_spectrum_exits_3_without_output(tmp_path, capsys):
                      "--output-dir", str(out)]) == 3
     assert "NonFiniteSpectrum" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_oversized_numeric_grid_exits_3_without_output(tmp_path, capsys):
+    # 40000 substeps x 320001 nodes: the rows alone would take ~410 GB
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 400\nn_pulses = 8\n"
+                              "engine = numeric\n")
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert cli.main(["spectrum", "--config", cfg,
+                     "--output-dir", str(out)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "GridTooLarge" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_csv_rows_match_per_value_formatting(tmp_path, closed8):
+    # signed zeros, subnormals, the float max and random magnitudes
+    rng = np.random.default_rng(7)
+    special = [0.0, -0.0, 5e-324, -2.5e-310, np.finfo(float).max,
+               -np.finfo(float).max, 1.0 / 3.0, 1e-300]
+    n = 64
+    k = n - len(special)
+    omegas = np.concatenate([special, rng.normal(size=k)
+                             * 10.0 ** rng.integers(-300, 300, k)])
+    p1 = np.concatenate([special[:4] * 2, rng.normal(size=k)])
+    p2 = p1 + rng.normal(size=n)
+    s = ps.Spectrum(omegas=omegas, p1=p1, p2=p2, q=p2 - p1,
+                    meta=closed8.meta)
+    path = tmp_path / "s.csv"
+    cli.write_spectrum_csv(path, s)
+    lines = [f"# {key} = {cli._fmt(s.meta[key])}" for key in sorted(s.meta)]
+    lines.append("omega,P1,P2,Q")
+    for j in range(n):
+        lines.append(",".join(f"{float(v):.17g}"
+                              for v in (omegas[j], p1[j], p2[j], s.q[j])))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_output_dir_from_config(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pulsespec as ps
-from pulsespec.correlators import _march_ge_row
+from pulsespec.lindblad import march
 from conftest import drive
 
 
@@ -20,17 +20,17 @@ def correlators(cg, i, values=None):
     """C1 and C2 of t node i over its theta range, as a 2 x (last-i+1)
     array; values=cg.before gives the pre-swap limits instead."""
     rows = cg.rows if values is None else values
-    last = cg.t_nodes.size - 1
-    return cg.pops[:, i, None] * rows[i % cg.substeps_per_interval,
-                                      :last - i + 1]
+    n_sub = rows.shape[0] - 1
+    last = rows.shape[1] - 1
+    return cg.pops[:, i, None] * rows[i % n_sub, :last - i + 1]
 
 
 def test_initial_condition_identity(fig_grid):
     p, g, traj, cg = fig_grid
     for i in range(g.n_nodes):
         c1, c2 = correlators(cg, i)
-        assert c1[0] == traj[i].ee
-        assert c2[0] == traj[i].gg
+        assert c1[0] == traj[i, 0, 0]
+        assert c2[0] == traj[i, 1, 1]
 
 
 def test_rows_span_the_grid(fig_grid):
@@ -45,17 +45,19 @@ def test_rows_are_periodic_in_the_start_node(fig_grid):
     p, g, traj, cg = fig_grid
     n_sub = g.substeps_per_interval
     last = g.n_nodes - 1
-    r_ge = cmath.exp((1j * p.delta - p.gamma / 2) * g.dt)
+    seed = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     for i in range(g.n_nodes):
-        stored, before = _march_ge_row(i, last - i, n_sub, p.n_pulses, r_ge,
-                                       False)
-        assert np.array_equal(stored, cg.rows[i % n_sub, :last - i + 1])
-        assert np.array_equal(before, cg.before[i % n_sub, :last - i + 1])
+        stored, before = march(seed, i, last - i, p, g)
+        assert np.array_equal(stored[:, 1, 0], cg.rows[i % n_sub, :last - i + 1])
+        assert np.array_equal(before[:, 1, 0],
+                              cg.before[i % n_sub, :last - i + 1])
         if i % n_sub == 0 and 0 < i < last:
-            stored, before = _march_ge_row(i, last - i, n_sub, p.n_pulses,
-                                           r_ge, True)
-            assert np.array_equal(stored, cg.rows[n_sub, :last - i + 1])
-            assert np.array_equal(before, cg.before[n_sub, :last - i + 1])
+            stored, before = march(ps.apply_pi_pulse(seed), i, last - i, p, g)
+            # the companion records its theta = 0 value before the swap
+            stored[0, 1, 0] = before[0, 1, 0] = 1.0
+            assert np.array_equal(stored[:, 1, 0], cg.rows[n_sub, :last - i + 1])
+            assert np.array_equal(before[:, 1, 0],
+                                  cg.before[n_sub, :last - i + 1])
 
 
 def test_same_interval_rotation(fig_grid):
@@ -66,7 +68,7 @@ def test_same_interval_rotation(fig_grid):
     c2 = correlators(cg, i)[1]
     for j in range(12):
         theta = j * g.dt
-        expected = traj[i].gg * cmath.exp((1j * p.delta - p.gamma / 2) * theta)
+        expected = traj[i, 1, 1] * cmath.exp((1j * p.delta - p.gamma / 2) * theta)
         assert abs(c2[j] - expected) <= 1e-12
 
 
@@ -89,8 +91,8 @@ def test_factorization_against_analytic_kernel(fig_grid):
         for j in range(0, c1.size, 5):
             f = ps.f_analytic(g.times[i], j * g.dt, p)
             worst = max(worst,
-                        abs(c1[j] - f * traj[i].ee),
-                        abs(c2[j] - f * traj[i].gg))
+                        abs(c1[j] - f * traj[i, 0, 0]),
+                        abs(c2[j] - f * traj[i, 1, 1]))
     assert worst <= 1e-9
 
 
@@ -119,7 +121,7 @@ def test_before_values_hold_left_limit(fig_grid):
     n_sub = g.substeps_per_interval
     i = 7
     j = n_sub - i      # theta lands exactly on the first pulse after t
-    expected = traj[i].gg * cmath.exp((1j * p.delta - p.gamma / 2) * j * g.dt)
+    expected = traj[i, 1, 1] * cmath.exp((1j * p.delta - p.gamma / 2) * j * g.dt)
     assert abs(correlators(cg, i, cg.before)[1][j] - expected) <= 1e-12
     # stored value at the crossing is post-pulse: the swapped-in component
     assert correlators(cg, i)[1][j] == 0.0
@@ -133,8 +135,8 @@ def test_pre_rows_cover_interior_pulse_nodes(fig_grid):
         # the companion row starts from the pre-pulse state: populations
         # of the stored (post-pulse) node swapped back
         pre = ps.apply_pi_pulse(traj[i])
-        c2 = pre.gg * cg.rows[n_sub, :last - i + 1]
-        assert c2[0] == traj[i].ee
+        c2 = pre[1, 1] * cg.rows[n_sub, :last - i + 1]
+        assert c2[0] == traj[i, 0, 0]
         # the swap right after theta = 0 empties the first interval
         assert np.all(c2[1:n_sub] == 0.0)
         assert np.all(cg.before[n_sub, 1:n_sub] == 0.0)
@@ -154,6 +156,6 @@ def test_no_pulse_rows_follow_free_kernel():
     i = 30
     row = correlators(cg, i)[0]
     for j in (0, 11, row.size - 1):
-        expected = traj[i].ee * cmath.exp((1j * p.delta - p.gamma / 2)
+        expected = traj[i, 0, 0] * cmath.exp((1j * p.delta - p.gamma / 2)
                                           * j * g.dt)
         assert abs(row[j] - expected) <= 1e-12

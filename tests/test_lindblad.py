@@ -5,81 +5,83 @@ import numpy as np
 import pytest
 
 import pulsespec as ps
+from pulsespec.lindblad import march
 from conftest import drive
+
+
+def dm(ee, eg, ge, gg):
+    """Density matrix in the [[ee, eg], [ge, gg]] layout."""
+    return np.array([[ee, eg], [ge, gg]], dtype=complex)
 
 
 def test_free_evolve_populations():
     p = drive(8)
-    rho = ps.DensityMatrix(ee=1.0, eg=0.0, ge=0.0, gg=0.0)
-    out = ps.free_evolve(rho, 0.2, p)
-    assert out.ee == pytest.approx(math.exp(-0.4), abs=1e-15)
-    assert out.gg == pytest.approx(1.0 - math.exp(-0.4), abs=1e-15)
-    assert out.ee.real == pytest.approx(0.670320, abs=1e-6)
-    assert out.gg.real == pytest.approx(0.329680, abs=1e-6)
+    out = ps.free_evolve(dm(1.0, 0.0, 0.0, 0.0), 0.2, p)
+    assert out[0, 0] == pytest.approx(math.exp(-0.4), abs=1e-15)
+    assert out[1, 1] == pytest.approx(1.0 - math.exp(-0.4), abs=1e-15)
+    assert out[0, 0].real == pytest.approx(0.670320, abs=1e-6)
+    assert out[1, 1].real == pytest.approx(0.329680, abs=1e-6)
 
 
 def test_free_evolve_identity_at_zero_dt():
     p = drive(8)
-    m = ps.DensityMatrix(ee=0.3 + 0.1j, eg=0.2 - 0.4j, ge=-0.5j, gg=0.7)
+    m = dm(0.3 + 0.1j, 0.2 - 0.4j, -0.5j, 0.7)
     out = ps.free_evolve(m, 0.0, p)
-    assert out == m
+    assert np.array_equal(out, m)
 
 
 def test_free_evolve_coherence_rotation():
     p = drive(8)
-    m = ps.DensityMatrix(ee=0.0, eg=0.0, ge=1.0, gg=0.0)
-    out = ps.free_evolve(m, 0.1, p)
-    assert out.ge == pytest.approx(cmath.exp((3j - 1.0) * 0.1), abs=1e-15)
-    assert out.ee == 0.0
-    assert out.eg == 0.0
-    assert out.gg == 0.0
+    out = ps.free_evolve(dm(0.0, 0.0, 1.0, 0.0), 0.1, p)
+    assert out[1, 0] == pytest.approx(cmath.exp((3j - 1.0) * 0.1), abs=1e-15)
+    assert out[0, 0] == 0.0
+    assert out[0, 1] == 0.0
+    assert out[1, 1] == 0.0
 
 
 def test_free_evolve_conjugate_pair():
     # eg evolves with the conjugate factor of ge
     p = drive(8)
-    m = ps.DensityMatrix(ee=0.0, eg=1.0, ge=1.0, gg=0.0)
-    out = ps.free_evolve(m, 0.17, p)
-    assert out.eg == pytest.approx(out.ge.conjugate(), abs=1e-15)
+    out = ps.free_evolve(dm(0.0, 1.0, 1.0, 0.0), 0.17, p)
+    assert out[0, 1] == pytest.approx(out[1, 0].conjugate(), abs=1e-15)
 
 
 def test_free_evolve_rejects_negative_dt():
     with pytest.raises(ps.NegativeDt):
-        ps.free_evolve(ps.DensityMatrix(1.0, 0.0, 0.0, 0.0), -0.01, drive(8))
+        ps.free_evolve(dm(1.0, 0.0, 0.0, 0.0), -0.01, drive(8))
 
 
 def test_free_evolve_semigroup():
     p = drive(8)
-    m = ps.DensityMatrix(ee=0.4 + 0.2j, eg=-0.1 + 0.3j, ge=0.6 - 0.2j, gg=0.1j)
+    m = dm(0.4 + 0.2j, -0.1 + 0.3j, 0.6 - 0.2j, 0.1j)
     once = ps.free_evolve(m, 0.07 + 0.11, p)
     twice = ps.free_evolve(ps.free_evolve(m, 0.07, p), 0.11, p)
-    for name in ("ee", "eg", "ge", "gg"):
-        assert abs(getattr(once, name) - getattr(twice, name)) <= 1e-12
+    assert np.max(np.abs(once - twice)) <= 1e-12
 
 
 def test_pi_pulse_swaps_and_involutes():
-    m = ps.DensityMatrix(ee=0.7, eg=0.0, ge=0.0, gg=0.3)
-    out = ps.apply_pi_pulse(m)
-    assert out.ee == 0.3 and out.gg == 0.7
-    m = ps.DensityMatrix(ee=0.0, eg=2.0 + 1j, ge=-0.5j, gg=0.0)
+    out = ps.apply_pi_pulse(dm(0.7, 0.0, 0.0, 0.3))
+    assert out[0, 0] == 0.3 and out[1, 1] == 0.7
+    m = dm(0.0, 2.0 + 1j, -0.5j, 0.0)
     swapped = ps.apply_pi_pulse(m)
-    assert swapped.eg == -0.5j and swapped.ge == 2.0 + 1j
-    assert ps.apply_pi_pulse(ps.apply_pi_pulse(m)) == m
+    assert swapped[0, 1] == -0.5j and swapped[1, 0] == 2.0 + 1j
+    assert np.array_equal(ps.apply_pi_pulse(ps.apply_pi_pulse(m)), m)
 
 
 def test_trajectory_pulse_node_values():
     p = drive(8)
     g = ps.make_time_grid(p)
     traj = ps.propagate_trajectory(p, g)
+    assert traj.shape == (g.n_nodes, 2, 2)
     assert len(traj) == g.n_nodes
     n_sub = g.substeps_per_interval
     # stored value at t = tau is post-pulse: populations just swapped
-    assert traj[n_sub].ee == pytest.approx(1.0 - math.exp(-0.4), abs=1e-12)
+    assert traj[n_sub, 0, 0] == pytest.approx(1.0 - math.exp(-0.4), abs=1e-12)
     # pre-pulse value at t = 2 tau recovered by one inverse swap
     pre = ps.apply_pi_pulse(traj[2 * n_sub])
-    assert pre.ee == pytest.approx((1.0 - math.exp(-0.4)) * math.exp(-0.4),
-                                   abs=1e-12)
-    assert pre.ee.real == pytest.approx(0.220991, abs=1e-6)
+    assert pre[0, 0] == pytest.approx((1.0 - math.exp(-0.4)) * math.exp(-0.4),
+                                      abs=1e-12)
+    assert pre[0, 0].real == pytest.approx(0.220991, abs=1e-6)
 
 
 def test_trajectory_invariants():
@@ -87,11 +89,12 @@ def test_trajectory_invariants():
     g = ps.make_time_grid(p)
     traj = ps.propagate_trajectory(p, g)
     for rho in traj:
-        assert abs(rho.ee + rho.gg - 1.0) <= 1e-12
-        assert abs(rho.ge - rho.eg.conjugate()) <= 1e-12
-        assert rho.eg == 0.0 and rho.ge == 0.0
-        assert -1e-12 <= rho.ee.real <= 1.0 + 1e-12
-        assert abs(rho.ee.imag) <= 1e-12 and abs(rho.gg.imag) <= 1e-12
+        (ee, eg), (ge, gg) = rho
+        assert abs(ee + gg - 1.0) <= 1e-12
+        assert abs(ge - eg.conjugate()) <= 1e-12
+        assert eg == 0.0 and ge == 0.0
+        assert -1e-12 <= ee.real <= 1.0 + 1e-12
+        assert abs(ee.imag) <= 1e-12 and abs(gg.imag) <= 1e-12
 
 
 def test_trajectory_no_pulse_decay():
@@ -99,5 +102,32 @@ def test_trajectory_no_pulse_decay():
     g = ps.make_time_grid(p)
     traj = ps.propagate_trajectory(p, g)
     expected = np.exp(-p.gamma * g.times)
-    worst = max(abs(rho.ee - ref) for rho, ref in zip(traj, expected))
+    worst = max(abs(rho[0, 0] - ref) for rho, ref in zip(traj, expected))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("p, substeps", [
+    (drive(8), None),
+    (drive(3, delta=2.2, tau=0.37), 7),
+    (drive(0, tau=0.3, free_time=2.0), 7),
+    (drive(80), 20),
+], ids=["drive8", "odd_train", "pulse_free", "drive80"])
+def test_march_matches_step_by_step(p, substeps):
+    # reference: one free_evolve per node, a swap at every pulse node
+    g = ps.make_time_grid(p, substeps)
+    n_sub = g.substeps_per_interval
+    last = g.n_nodes - 1
+    ge_seed = dm(0.0, 0.0, 1.0, 0.0)
+    for seed, start in ((dm(1.0, 0.0, 0.0, 0.0), 0), (ge_seed, 0),
+                        (ge_seed, 3)):
+        stored, before = march(seed, start, last, p, g)
+        m = seed
+        for j in range(1, last + 1):
+            m = ps.free_evolve(m, g.dt, p)
+            pre = m
+            if (start + j) % n_sub == 0 and (start + j) // n_sub <= p.n_pulses:
+                m = ps.apply_pi_pulse(m)
+            assert np.max(np.abs(stored[j] - m)) <= 1e-12
+            assert np.max(np.abs(before[j] - pre)) <= 1e-12
+        assert np.array_equal(stored[0], seed)
+        assert np.array_equal(before[0], seed)

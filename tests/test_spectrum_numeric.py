@@ -54,14 +54,21 @@ def test_zero_grids_give_zero_spectrum():
     zero_rows = np.zeros_like(cg.rows)
     for rows, before, pops in ((zero_rows, zero_rows, cg.pops),
                                (cg.rows, cg.before, np.zeros_like(cg.pops))):
-        cg_zero = ps.CorrelatorGrid(
-            t_nodes=cg.t_nodes, rows=rows, before=before, pops=pops, dt=cg.dt,
-            substeps_per_interval=cg.substeps_per_interval,
-            n_pulses=cg.n_pulses)
+        cg_zero = ps.CorrelatorGrid(rows=rows, before=before, pops=pops)
         s = ps.compute_numeric_spectrum(p, g, cg_zero, fg)
         assert np.all(s.p1 == 0.0)
         assert np.all(s.p2 == 0.0)
         assert np.all(s.q == 0.0)
+
+
+def test_phase_matrix_budget():
+    p = drive(80)
+    g = ps.make_time_grid(p, 20)
+    cg = ps.build_correlator_grids(p, g, ps.propagate_trajectory(p, g))
+    fg = ps.make_frequency_grid(p, omega_step=0.008)
+    assert g.n_nodes * fg.omegas.size > ps.core.MAX_ARRAY_CELLS
+    with pytest.raises(ps.GridTooLarge):
+        ps.compute_numeric_spectrum(p, g, cg, fg)
 
 
 def test_numeric_spectrum_structure(numeric8):
