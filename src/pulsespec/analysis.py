@@ -36,26 +36,6 @@ def compare_spectra(a: Spectrum, b: Spectrum) -> dict:
     }
 
 
-def _prominence(y: np.ndarray, j: int) -> float:
-    """Height of peak j above the higher of its two base saddles.
-
-    Each base is the minimum of y between the peak and the nearest point
-    that exceeds it (or the array edge on that side).
-    """
-    peak = y[j]
-    left = j - 1
-    base_left = peak
-    while left >= 0 and y[left] <= peak:
-        base_left = min(base_left, y[left])
-        left -= 1
-    right = j + 1
-    base_right = peak
-    while right < y.size and y[right] <= peak:
-        base_right = min(base_right, y[right])
-        right += 1
-    return peak - max(base_left, base_right)
-
-
 def find_peaks(s: Spectrum, min_prominence: float | None = None
                ) -> list[tuple[float, float, int]]:
     """Local extrema of |q| with prominence above min_prominence.
@@ -71,11 +51,17 @@ def find_peaks(s: Spectrum, min_prominence: float | None = None
     if min_prominence is None:
         min_prominence = 0.02 * float(y.max())
     peaks = []
-    for j in range(1, y.size - 1):
-        if y[j] > y[j - 1] and y[j] > y[j + 1]:
-            if _prominence(y, j) >= min_prominence:
-                qv = float(s.q[j])
-                peaks.append((float(s.omegas[j]), qv, 1 if qv >= 0 else -1))
+    for j in 1 + np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] > y[2:])):
+        # prominence: height above the higher of the two base saddles, each
+        # the minimum of y between the peak and the nearest strictly higher
+        # point (or the array edge) on that side
+        higher = np.flatnonzero(y > y[j])
+        k = np.searchsorted(higher, j)
+        lo = higher[k - 1] + 1 if k > 0 else 0
+        hi = higher[k] if k < higher.size else y.size
+        if y[j] - max(y[lo:j + 1].min(), y[j:hi].min()) >= min_prominence:
+            qv = float(s.q[j])
+            peaks.append((float(s.omegas[j]), qv, 1 if qv >= 0 else -1))
     peaks.sort(key=lambda item: abs(item[0]))
     return peaks
 

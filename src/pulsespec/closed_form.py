@@ -77,35 +77,38 @@ def _require_closed_form_pulses(p: DriveParams) -> None:
             f"closed forms need at least 2 pulses, got {p.n_pulses}")
 
 
-def _interval_index(t: float, tau: float) -> int:
+def _interval_index(t, tau: float):
     # a time exactly at a pulse instant belongs to the later interval
-    return int(math.floor(t / tau + 1e-9))
+    return np.floor(np.asarray(t, dtype=float) / tau + 1e-9).astype(int)
 
 
-def rho0(M: int, p: DriveParams) -> float:
+def rho0(M, p: DriveParams):
     """Excited population right after pulse M (M = 0 is the initial state).
 
     Equals (1 - (-x)**(M+1)) / (1 + x) with x = exp(-gamma*tau); the value
     lies in (0, 1] and tends to 1/(1 + x) for large M.
     """
-    if M < 0:
-        raise NegativeM(f"M must be >= 0, got {M}")
+    M = np.asarray(M)
+    if np.any(M < 0):
+        raise NegativeM(f"M must be >= 0, got {np.min(M)}")
     x = math.exp(-p.gamma * p.tau)
     return (1.0 - (-x) ** (M + 1)) / (1.0 + x)
 
 
-def rho_gg_analytic(t: float, p: DriveParams) -> float:
+def rho_gg_analytic(t, p: DriveParams):
     """Ground population at time t in [0, n_pulses*tau], post-pulse
     convention at the pulse instants."""
+    t = np.asarray(t, dtype=float)
     horizon = p.n_pulses * p.tau
-    if t < 0 or t > horizon + 1e-9 * max(1.0, horizon):
-        raise OutOfRangeT(f"t = {t} outside [0, {horizon}]")
+    outside = (t < 0) | (t > horizon + 1e-9 * max(1.0, horizon))
+    if np.any(outside):
+        raise OutOfRangeT(f"t = {t[outside][0]} outside [0, {horizon}]")
     M = _interval_index(t, p.tau)
     elapsed = t - M * p.tau
-    return 1.0 - rho0(M, p) * math.exp(-p.gamma * elapsed)
+    return 1.0 - rho0(M, p) * np.exp(-p.gamma * elapsed)
 
 
-def f_analytic(t: float, theta: float, p: DriveParams) -> complex:
+def f_analytic(t, theta, p: DriveParams):
     """Propagation kernel of the ge element from t to t + theta.
 
     With m the number of pulses in (t, t + theta] (pulse instants count to
@@ -114,17 +117,17 @@ def f_analytic(t: float, theta: float, p: DriveParams) -> complex:
     exp(-gamma*theta/2) * exp(i*delta*(theta - m*tau)), with the phase
     argument theta - m*tau confined to [-tau, tau].
     """
-    if theta < 0:
-        raise NegativeTheta(f"theta must be >= 0, got {theta}")
-    lo = min(_interval_index(t, p.tau), p.n_pulses)
-    hi = min(_interval_index(t + theta, p.tau), p.n_pulses)
+    theta = np.asarray(theta, dtype=float)
+    if np.any(theta < 0):
+        raise NegativeTheta(f"theta must be >= 0, got {np.min(theta)}")
+    lo = np.minimum(_interval_index(t, p.tau), p.n_pulses)
+    hi = np.minimum(_interval_index(t + theta, p.tau), p.n_pulses)
     m = hi - lo
-    if m == 0:
-        return complex(np.exp((1j * p.delta - 0.5 * p.gamma) * theta))
-    if m % 2 == 1:
-        return 0.0j
-    return complex(np.exp(-0.5 * p.gamma * theta)
-                   * np.exp(1j * p.delta * (theta - m * p.tau)))
+    same = np.exp((1j * p.delta - 0.5 * p.gamma) * theta)
+    paired = (np.exp(-0.5 * p.gamma * theta)
+              * np.exp(1j * p.delta * (theta - m * p.tau)))
+    # [()] turns the 0-d result of scalar inputs into a scalar
+    return np.where(m == 0, same, np.where(m % 2 == 1, 0.0j, paired))[()]
 
 
 def p1_closed(omega, p: DriveParams):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pulsespec as ps
 from conftest import closed_at, grid_step, nearest_peak
@@ -62,6 +63,43 @@ def test_find_peaks_prominence_filter(closed8):
     assert ps.find_peaks(closed8, min_prominence=1.0) == []
     # a looser floor admits more structure than the default
     assert len(ps.find_peaks(closed8, min_prominence=1e-5)) >= 7
+
+
+def _scan_peaks(s, min_prominence):
+    """Element-by-element peak scan, the reference for find_peaks."""
+    y = np.abs(s.q)
+    if y.size < 3:
+        return []
+    if min_prominence is None:
+        min_prominence = 0.02 * float(y.max())
+    peaks = []
+    for j in range(1, y.size - 1):
+        if not (y[j] > y[j - 1] and y[j] > y[j + 1]):
+            continue
+        base_left = base_right = y[j]
+        left = j - 1
+        while left >= 0 and y[left] <= y[j]:
+            base_left = min(base_left, y[left])
+            left -= 1
+        right = j + 1
+        while right < y.size and y[right] <= y[j]:
+            base_right = min(base_right, y[right])
+            right += 1
+        if y[j] - max(base_left, base_right) >= min_prominence:
+            qv = float(s.q[j])
+            peaks.append((float(s.omegas[j]), qv, 1 if qv >= 0 else -1))
+    peaks.sort(key=lambda item: abs(item[0]))
+    return peaks
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=59),
+       st.sampled_from([None, 0.0, 1.0, 2.5]))
+def test_find_peaks_matches_scan(values, min_prominence):
+    # small integers make ties and plateaus common
+    s = synthetic(values)
+    assert (ps.find_peaks(s, min_prominence)
+            == _scan_peaks(s, min_prominence))
 
 
 def test_central_peak_negative(closed8):

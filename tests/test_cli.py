@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pulsespec as ps
+from conftest import drive
 from pulsespec import cli
 
 
@@ -143,6 +144,23 @@ def test_oversized_numeric_grid_exits_3_without_output(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_long_train_beyond_old_phase_budget(tmp_path):
+    # 14001 time nodes x 1201 frequencies: more cells than any one array
+    # may have, but the transform never holds them all at once
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\nn_pulses = 700\n"
+                              "substeps = 20\nengine = both\n")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", cfg,
+                     "--output-dir", str(out)]) == 0
+    for name in ("numeric", "closed_form"):
+        lines = (out / f"spectrum_{name}.csv").read_text().splitlines()
+        rows = np.array([ln.split(",") for ln in lines
+                         if not ln.startswith(("#", "omega"))], dtype=float)
+        assert rows.shape == (1201, 4) and np.all(np.isfinite(rows))
+    report = json.loads((out / "comparison.json").read_text())
+    assert report["metrics"]["l2_rel"] <= 0.05
+
+
 def test_csv_rows_match_per_value_formatting(tmp_path, closed8):
     # signed zeros, subnormals, the float max and random magnitudes
     rng = np.random.default_rng(7)
@@ -164,6 +182,33 @@ def test_csv_rows_match_per_value_formatting(tmp_path, closed8):
         lines.append(",".join(f"{float(v):.17g}"
                               for v in (omegas[j], p1[j], p2[j], s.q[j])))
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_json_matches_per_value_writer(tmp_path, closed8):
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 5e-324, -2.5e-310, np.finfo(float).max, 1e-300]
+    n = 40
+    omegas = np.concatenate([special, rng.normal(size=n - len(special))
+                             * 10.0 ** rng.integers(-300, 300,
+                                                    n - len(special))])
+    p1 = rng.normal(size=n)
+    p2 = omegas[::-1].copy()
+    raw = omegas + 1j * rng.normal(size=n)
+    s = ps.Spectrum(omegas=omegas, p1=p1, p2=p2, q=p2 - p1, raw_p1=raw,
+                    raw_p2=raw[::-1], raw_p3=None, meta=closed8.meta)
+    path = tmp_path / "s.json"
+    cli.write_spectrum_json(path, s)
+    doc = {"meta": s.meta,
+           "omega": [float(v) for v in s.omegas],
+           "p1": [float(v) for v in s.p1],
+           "p2": [float(v) for v in s.p2],
+           "q": [float(v) for v in s.q]}
+    for name in ("raw_p1", "raw_p2"):
+        arr = getattr(s, name)
+        doc[name] = {"real": [float(v) for v in arr.real],
+                     "imag": [float(v) for v in arr.imag]}
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode()
 
 
 def test_output_dir_from_config(tmp_path):
@@ -254,6 +299,19 @@ def test_validate_coarse_grid_fails_with_hint(tmp_path):
     report = json.loads((out / "validation_report.json").read_text())
     assert report["passed"] is False
     assert "substeps" in report["hint"]
+
+
+def test_factorization_check_covers_every_row_value():
+    # at 20 substeps of drive(8) a 1-in-2 stride over (t, theta) nodes
+    # never reaches the rows of odd residue
+    p = drive(8)
+    g = ps.make_time_grid(p, 20)
+    traj = ps.propagate_trajectory(p, g)
+    cg = ps.build_correlator_grids(p, g, traj)
+    check = "correlator_factorization"
+    assert cli._invariant_suite(p, g, traj, cg)[check]["pass"]
+    cg.rows[1, 5] += 1e-6
+    assert not cli._invariant_suite(p, g, traj, cg)[check]["pass"]
 
 
 def test_validate_single_engine_self_comparison(tmp_path):

@@ -126,6 +126,14 @@ def test_closed_forms_vectorize():
     for k, omega in enumerate(omegas):
         assert vec3[k] == pytest.approx(complex(ps.p3_closed(omega, p)),
                                         abs=1e-15)
+    # the populations and the kernel, across pulse instants and the horizon
+    times = np.array([0.0, 0.13, 0.2, 0.4, 0.71, 1.6])
+    thetas = np.array([0.0, 0.1, 0.45, 1.2, 0.2, 0.0])
+    gg = ps.rho_gg_analytic(times, p)
+    kernel = ps.f_analytic(times, thetas, p)
+    for k, (t, theta) in enumerate(zip(times, thetas)):
+        assert gg[k] == ps.rho_gg_analytic(float(t), p)
+        assert kernel[k] == ps.f_analytic(float(t), float(theta), p)
 
 
 def test_degenerate_resonance_is_finite():

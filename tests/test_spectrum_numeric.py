@@ -61,16 +61,6 @@ def test_zero_grids_give_zero_spectrum():
         assert np.all(s.q == 0.0)
 
 
-def test_phase_matrix_budget():
-    p = drive(80)
-    g = ps.make_time_grid(p, 20)
-    cg = ps.build_correlator_grids(p, g, ps.propagate_trajectory(p, g))
-    fg = ps.make_frequency_grid(p, omega_step=0.008)
-    assert g.n_nodes * fg.omegas.size > ps.core.MAX_ARRAY_CELLS
-    with pytest.raises(ps.GridTooLarge):
-        ps.compute_numeric_spectrum(p, g, cg, fg)
-
-
 def test_numeric_spectrum_structure(numeric8):
     s = numeric8
     assert s.meta["engine"] == "numeric"
