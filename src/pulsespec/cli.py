@@ -269,15 +269,33 @@ def _invariant_suite(p: DriveParams, g: TimeGrid,
         population_dev = float(np.max(np.abs(gg.real - analytic)))
     else:
         population_dev = float(np.max(np.abs(ee.real - np.exp(-p.gamma * g.times))))
-    # every t node of residue r shares row r, so checking row r from node r
-    # over its whole theta range covers every stored value
-    last = g.n_nodes - 1
-    factor_dev = 0.0
-    for r in range(g.substeps_per_interval):
-        f = f_analytic(g.times[r], g.times[:last - r + 1], p)
-        c = cg.pops[:, r, None] * cg.rows[r, :last - r + 1]
-        expected = traj[r].diagonal()[:, None] * f
-        factor_dev = max(factor_dev, float(np.max(np.abs(c - expected))))
+    # Every t node of residue r shares row r, so row r marched from node r
+    # covers every stored value; the companion (row n_sub) is the row of
+    # node 0 past the pulse at tau, divided by its first free interval.
+    # Rows start at 1 (the companion before its swap) and `before` holds
+    # the left limits: the kernel one sub-step earlier times the free step.
+    # Rows go in chunks of ceil((n_sub + 1) / 8), as in the build, since
+    # f_analytic's temporaries are several times the rows it evaluates.
+    n_sub, last = g.substeps_per_interval, g.n_nodes - 1
+    free = np.exp((1j * p.delta - 0.5 * p.gamma) * np.array([p.tau, g.dt]))
+    factor_dev = float(np.max(np.abs(cg.pops - np.array([ee, gg]))))
+    chunk = -(-(n_sub + 1) // 8)
+    for first in range(0, n_sub + 1, chunk):
+        rows_here = slice(first, first + chunk)
+        r = np.arange(n_sub + 1)[rows_here, None]
+        companion = r == n_sub
+        kernel = f_analytic(g.times[r % n_sub], g.times + p.tau * companion,
+                            p)
+        kernel /= np.where(companion, free[0], 1.0)
+        left = np.ones_like(kernel)
+        left[:, 1:] = kernel[:, :-1] * free[1]
+        kernel[:, 0] = 1.0
+        # a pulse-free run has no interior pulse and no companion
+        in_range = ((np.arange(g.n_nodes) <= last - r)
+                    & (~companion | (p.n_pulses >= 1)))
+        for values, expected in ((cg.rows, kernel), (cg.before, left)):
+            dev = np.abs(values[rows_here] - expected)[in_range]
+            factor_dev = max(factor_dev, float(np.max(dev, initial=0.0)))
     checks = {
         "trace": (trace_dev, 1e-12),
         "hermiticity": (herm_dev, 1e-12),

@@ -314,6 +314,25 @@ def test_factorization_check_covers_every_row_value():
     assert not cli._invariant_suite(p, g, traj, cg)[check]["pass"]
 
 
+@pytest.mark.parametrize("values, row, col", [
+    ("rows", 20, 23),      # companion, past its first pulse
+    ("before", 7, 13),     # residue 7 at its first crossing
+    ("before", 20, 40),    # companion at its second crossing
+])
+def test_factorization_check_covers_companion_and_left_limits(values, row,
+                                                               col):
+    # the companion row and the pre-swap limits feed every crossing of the
+    # assembly; the check used to cover the post-pulse residue rows only
+    p = drive(8)
+    g = ps.make_time_grid(p, 20)
+    traj = ps.propagate_trajectory(p, g)
+    cg = ps.build_correlator_grids(p, g, traj)
+    check = "correlator_factorization"
+    assert cli._invariant_suite(p, g, traj, cg)[check]["pass"]
+    getattr(cg, values)[row, col] += 1e-6
+    assert not cli._invariant_suite(p, g, traj, cg)[check]["pass"]
+
+
 def test_validate_single_engine_self_comparison(tmp_path):
     cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\nn_pulses = 8\n"
                               "engine = closed_form\n")

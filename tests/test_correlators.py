@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,8 +42,10 @@ def test_rows_span_the_grid(fig_grid):
     assert np.all(cg.rows[:, 0] == 1.0)
 
 
-def test_rows_are_periodic_in_the_start_node(fig_grid):
-    p, g, traj, cg = fig_grid
+def assert_rows_periodic(p, g, cg):
+    """A row marched from any node equals its residue row bit for bit over
+    the node's theta range, companions too; entries past each row's range
+    are finite, since they meet zero weights in the assembly."""
     n_sub = g.substeps_per_interval
     last = g.n_nodes - 1
     seed = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -58,6 +61,30 @@ def test_rows_are_periodic_in_the_start_node(fig_grid):
             assert np.array_equal(stored[:, 1, 0], cg.rows[n_sub, :last - i + 1])
             assert np.array_equal(before[:, 1, 0],
                                   cg.before[n_sub, :last - i + 1])
+    assert np.all(np.isfinite(cg.rows)) and np.all(np.isfinite(cg.before))
+
+
+def test_rows_are_periodic_in_the_start_node(fig_grid):
+    p, g, traj, cg = fig_grid
+    assert_rows_periodic(p, g, cg)
+
+
+# (params, substeps) at the edges of the batched build
+EDGE_GRIDS = {
+    "one_pulse": (drive(1), None),         # the common march has length 0
+    "pulse_free": (drive(0, free_time=1.0), None),
+    "one_substep": (drive(8), 1),          # every node is a pulse node
+    "odd_train": (drive(3, delta=2.2, tau=0.37), 7),
+    "fine_grid": (drive(20), 80),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_GRIDS))
+def test_rows_are_periodic_on_edge_grids(name):
+    p, substeps = EDGE_GRIDS[name]
+    g = ps.make_time_grid(p, substeps)
+    cg = ps.build_correlator_grids(p, g, ps.propagate_trajectory(p, g))
+    assert_rows_periodic(p, g, cg)
 
 
 def test_same_interval_rotation(fig_grid):
@@ -159,3 +186,20 @@ def test_no_pulse_rows_follow_free_kernel():
         expected = traj[i, 0, 0] * cmath.exp((1j * p.delta - p.gamma / 2)
                                           * j * g.dt)
         assert abs(row[j] - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("n_pulses, substeps", [(80, 20), (20, 80)])
+def test_build_peak_memory_is_bounded(n_pulses, substeps):
+    # the march holds whole 2 x 2 matrices, four times the values kept, so
+    # the rows are marched a chunk at a time; the grids are those of the
+    # numeric benchmark workloads
+    p = drive(n_pulses)
+    g = ps.make_time_grid(p, substeps)
+    traj = ps.propagate_trajectory(p, g)
+    tracemalloc.start()
+    try:
+        cg = ps.build_correlator_grids(p, g, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (cg.rows.nbytes + cg.before.nbytes)

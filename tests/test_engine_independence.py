@@ -2,9 +2,12 @@
 
 numeric (lindblad, correlators, spectrum_numeric) and closed_form must
 not import each other, directly or through another package module, or
-their agreement would stop being an independent cross-check.
+their agreement would stop being an independent cross-check. Every
+package module imports only the standard library, numpy and the package
+itself: scipy, mpmath and hypothesis serve the tests alone.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pulsespec
@@ -54,3 +57,25 @@ def test_engines_reach_core():
     # guards the scan itself: every engine module does import core
     for module in NUMERIC | CLOSED:
         assert "core" in package_imports(module), module
+
+
+def top_level_imports(path):
+    """Top-level names of the absolute imports in one source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_runtime_imports_are_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "pulsespec"}
+    seen = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = top_level_imports(path)
+        assert names <= allowed, (path.name, names - allowed)
+        seen |= names
+    # guards the scan itself
+    assert {"numpy", "json"} <= seen

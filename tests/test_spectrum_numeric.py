@@ -6,6 +6,7 @@ import pytest
 
 import pulsespec as ps
 from conftest import drive, nearest_peak
+from pulsespec.spectrum_numeric import theta_transform
 
 GOLDEN = Path(__file__).parent / "data" / "numeric_golden.npz"
 
@@ -33,6 +34,42 @@ def test_matches_golden_spectra(name):
         ref = golden[f"{name}_{part}"]
         rel = np.max(np.abs(getattr(s, part) - ref)) / np.max(np.abs(ref))
         assert rel <= 1e-12
+
+
+def direct_transform(s, dt, omegas, block=1024):
+    """s @ exp(-1j*dt*outer(arange(N), omegas)), a block of nodes at a time."""
+    out = np.zeros((s.shape[0], omegas.size), dtype=complex)
+    for first in range(0, s.shape[1], block):
+        j = np.arange(first, min(first + block, s.shape[1]))
+        out += s[:, j] @ np.exp(-1j * dt * np.outer(j, omegas))
+    return out
+
+
+def default_omegas(n_pulses):
+    return ps.make_frequency_grid(drive(n_pulses)).omegas
+
+
+# (nodes N, dt, omegas): the blocks of ceil(sqrt(N)) nodes fit N exactly,
+# overhang by one node, fall one short; the smallest grid (one pulse, one
+# substep); a single frequency; the 700-pulse grid of the CLI tests.
+TRANSFORM_CASES = {
+    "square": (121, 0.01, default_omegas(8)),
+    "block_plus_one": (133, 0.01, default_omegas(8)),
+    "block_minus_one": (131, 0.01, default_omegas(8)),
+    "two_nodes": (2, 0.2, default_omegas(1)),
+    "one_omega": (161, 0.01, np.array([3.0])),
+    "long_train": (14001, 0.01, default_omegas(700)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_CASES))
+def test_blocked_transform_matches_direct_sum(name):
+    n, dt, omegas = TRANSFORM_CASES[name]
+    rng = np.random.default_rng(n)
+    s = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    ref = direct_transform(s, dt, omegas)
+    got = theta_transform(s, dt, omegas)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_observed_dt_order_is_two():
