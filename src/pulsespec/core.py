@@ -133,8 +133,10 @@ def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
     For n_pulses >= 1 the grid spans [0, n_pulses*tau]. For the pulse-free
     mode the horizon is rounded up to a whole number of intervals, so the
     grid covers at least free_time. Raises GridTooLarge when the numeric
-    engine's largest array, the propagator rows and their pre-swap copies
-    (2*(n_sub + 1)*n_nodes cells), would exceed MAX_ARRAY_CELLS.
+    engine's largest array would exceed MAX_ARRAY_CELLS. That is either
+    the march of the propagator rows over one pulse pair, 2 x 2 matrices
+    for n_sub + 1 rows over at most min(n_nodes, 2*n_sub + 1) nodes, or
+    the trajectory, 2 x 2 matrices over n_nodes.
     """
     validate_params(p)
     n_sub = default_substeps(p.tau) if substeps is None else int(substeps)
@@ -146,12 +148,13 @@ def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
     else:
         n_intervals = math.ceil(p.free_time / p.tau - 1e-9)
     n_total = n_intervals * n_sub
-    cells = 2 * (n_sub + 1) * (n_total + 1)
+    n_nodes = n_total + 1
+    cells = 4 * max((n_sub + 1) * min(n_nodes, 2 * n_sub + 1), n_nodes)
     if cells > MAX_ARRAY_CELLS:
         raise GridTooLarge(
-            f"{n_sub} substeps x {n_total + 1} nodes need {cells} array "
+            f"{n_sub} substeps x {n_nodes} nodes need {cells} array "
             f"cells, above {MAX_ARRAY_CELLS}")
-    times = np.arange(n_total + 1) * dt
+    times = np.arange(n_nodes) * dt
     return TimeGrid(substeps_per_interval=n_sub, dt=dt,
                     n_intervals=n_intervals, times=times)
 

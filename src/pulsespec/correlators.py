@@ -1,4 +1,5 @@
-"""Two-time correlators as populations times periodic propagator rows.
+"""Two-time correlators as populations times one pulse pair of periodic
+propagator rows.
 
 For every grid time t the two correlators
 
@@ -16,24 +17,31 @@ therefore a population times one ge-propagator K_i(theta), the march of
 the seed ge = 1 from node i.
 
 Pulses sit on every n_sub-th node and every crossing before T counts, so
-K_i depends on i only through i mod n_sub. The grid stores n_sub + 1
-rows over the node range:
+K_i depends on i only through i mod n_sub. There are n_sub + 1 rows:
 
- * rows[r] for r < n_sub is the residue-r propagator, marched from node r.
-   C1[i][j] = ee_i * rows[i % n_sub][j] and C2[i][j] = gg_i * rows[...][j]
-   for theta_j = j*dt, j = 0..n_nodes-1-i; entries past the range of
-   node r lie beyond the final node, carry no quadrature weight and are
-   zero.
- * rows[n_sub] is the residue-0 pre-pulse companion: at an interior pulse
+ * row r < n_sub is the residue-r propagator, marched from node r.
+   C1[i](theta) = ee_i * K_{i % n_sub}(theta), C2 likewise with gg_i.
+ * row n_sub is the residue-0 pre-pulse companion: at an interior pulse
    time t = n*tau the correlators also have a row started from the
    pre-pulse state, whose theta = 0 entry is recorded before the swap and
    which is swapped right after. It is the march of the swapped seed
-   from the first pulse node n_sub, with its theta = 0 entry set to 1,
-   over the range of that node. Its populations are those of the stored
-   (post-pulse) node swapped back.
+   from the first pulse node n_sub, with its theta = 0 entry set to 1.
+   Its populations are those of the stored (post-pulse) node swapped back.
 
-Every row reaches node n_sub within its first interval, so from there all
-rows march as one batch; no row is marched on its own.
+One pulse pair, P = 2*n_sub sub-steps, is the Floquet period of the ge
+element: two swaps return it to its place, so every row obeys
+K(theta + P*dt) = factor * K(theta) for theta > 0, where factor is
+exp(-gamma*tau) with pulses and the free factor over 2*tau without. The
+grid therefore stores the rows over one pair only, as an
+(n_sub + 1) x P block in the periodic convention: the value at
+theta_j = j*dt, j >= 1, is factor**(j // P) * block[:, j % P]. Column 0
+holds the periodic value, the one at theta = P*dt divided by factor:
+1, except 0 for the companion, which is swapped away at theta = P*dt,
+and 0 for row 0's left limit with pulses, as row 0 is swapped back in
+there (without pulses the companion's left limit, as it is 0 past
+theta = 0). At theta = 0 every row is exactly 1, which the assembly
+adds on its own. factor is row 0's value at theta = P*dt, taken from the
+march; it is 0 on a one-pulse train, whose grid ends before 2*tau.
 
 Stored values follow the post-pulse convention: when t + theta lands
 exactly on a pulse instant the recorded value is the one immediately
@@ -55,47 +63,40 @@ from .lindblad import apply_pi_pulse, free_evolve, march
 
 @dataclass
 class CorrelatorGrid:
-    """Periodic propagator rows plus the trajectory populations.
+    """One pulse pair of periodic propagator rows plus the populations.
 
-    rows and before are (n_sub + 1) x n_nodes: the post-pulse and pre-swap
-    values of the residue rows and of the pre-pulse companion (see the
-    module docstring). pops is 2 x n_nodes: the ee and gg populations of
-    the trajectory.
+    rows and before are (n_sub + 1) x 2*n_sub blocks of the post-pulse and
+    pre-swap values of the residue rows and of the pre-pulse companion, in
+    the periodic convention of the module docstring; factor is the change
+    of every row over one pulse pair. pops is 2 x n_nodes: the ee and gg
+    populations of the trajectory.
     """
 
     rows: np.ndarray
     before: np.ndarray
+    factor: complex
     pops: np.ndarray
-
-
-def _tails(a: np.ndarray, n_sub: int) -> np.ndarray:
-    """View of the (n_sub + 1) x n_nodes C-contiguous a whose row r starts
-    at column n_sub - r and holds n_nodes - n_sub entries: in the
-    flattened array these starts lie n_nodes - 1 apart."""
-    width = a.shape[1] - 1
-    flat = a.reshape(-1)[n_sub:n_sub + (n_sub + 1) * width]
-    return flat.reshape(n_sub + 1, width)[:, :width + 1 - n_sub]
 
 
 def build_correlator_grids(p: DriveParams, g: TimeGrid,
                            traj: np.ndarray) -> CorrelatorGrid:
-    """March the propagator rows over the grid and take the populations
-    of traj, the propagate_trajectory output on the same grid.
+    """March the propagator rows over one pulse pair and take the
+    populations of traj, the propagate_trajectory output on the same grid.
 
     Row r (the companion is r = n_sub) starts from the seed ge = 1 at node
     r, and its n_sub - r sub-steps to node n_sub are the seed times the
     free map over those elapsed times. There the rows are swapped (the
     companion even without pulses, as it is defined by the swap) and march
-    on together over the same last - n_sub sub-steps, in chunks of
-    ceil((n_sub + 1) / 8) rows: the march holds whole 2 x 2 matrices,
-    eight cells per node against the two kept, so a chunk's transient
-    stays at the size of rows plus before.
+    on together until row 0 has reached theta = P*dt, and the companion
+    too where the grid is that long, so the march holds at most
+    (n_sub + 1) x min(n_nodes, P + 1) matrices.
     """
     validate_params(p)
     n_nodes, n_sub = g.n_nodes, g.substeps_per_interval
     if len(traj) != n_nodes:
         raise GridMismatch(
             f"trajectory has {len(traj)} nodes, grid has {n_nodes}")
+    pair = 2 * n_sub
     seed = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     head = free_evolve(seed, np.arange(n_sub + 1) * g.dt, p)
     # row r holds head[n_sub - r] at node n_sub, before the swap there
@@ -103,20 +104,26 @@ def build_correlator_grids(p: DriveParams, g: TimeGrid,
     r = np.arange(n_sub + 1)
     swap = (r == n_sub) | (p.n_pulses >= 1)
     post = np.where(swap[:, None, None], apply_pi_pulse(at_pulse), at_pulse)
-    rows = np.zeros((n_sub + 1, n_nodes), dtype=complex)
-    before = np.zeros(rows.shape, dtype=complex)
-    in_head = np.arange(n_sub) < (n_sub - r)[:, None]
-    for a in (rows, before):
-        np.copyto(a[:, :n_sub], head[:n_sub, 1, 0], where=in_head)
-    rows_tail, before_tail = _tails(rows, n_sub), _tails(before, n_sub)
-    chunk = -(-(n_sub + 1) // 8)
-    for first in range(0, n_sub + 1, chunk):
-        rows_here = slice(first, first + chunk)
-        stored, pre = march(post[rows_here], n_sub, n_nodes - 1 - n_sub, p, g)
-        pre[:, 0] = at_pulse[rows_here]
-        rows_tail[rows_here] = stored[:, :, 1, 0]
-        before_tail[rows_here] = pre[:, :, 1, 0]
-    # the companion records its theta = 0 value before the swap
-    rows[n_sub, 0] = 1.0
-    return CorrelatorGrid(rows=rows, before=before,
-                          pops=np.array([traj[:, 0, 0], traj[:, 1, 1]]))
+    # row 0 reaches theta = P*dt n_sub sub-steps past node n_sub, the
+    # companion 2*n_sub, if the grid is that long
+    length = min(max(n_nodes - 1, pair), 3 * n_sub) - n_sub
+    stored, crossings = march(post, n_sub, length, p, g)
+    # the left limit at a crossing is the ge element before the swap, which
+    # the swap moved to eg
+    marched = np.stack([stored[:, :, 1, 0], stored[:, :, 1, 0]])
+    marched[1][:, crossings] = stored[:, crossings, 0, 1]
+    marched[1][:, 0] = at_pulse[:, 1, 0]
+    block = np.zeros((2, n_sub + 1, pair), dtype=complex)
+    np.copyto(block[:, :, :n_sub], head[:n_sub, 1, 0],
+              where=np.arange(n_sub) < (n_sub - r)[:, None])
+    theta = (n_sub - r)[:, None] + np.arange(length + 1)
+    in_pair = theta < pair
+    block[:, np.broadcast_to(r[:, None], theta.shape)[in_pair],
+          theta[in_pair]] = marched[:, in_pair]
+    # column 0 in the periodic convention (see the module docstring)
+    block[:, :, 0] = 1.0
+    block[0, n_sub, 0] = 0.0
+    block[1, 0 if p.n_pulses >= 1 else n_sub, 0] = 0.0
+    return CorrelatorGrid(rows=block[0], before=block[1],
+                          factor=complex(stored[0, n_sub, 1, 0]),
+                          pops=traj.diagonal(axis1=1, axis2=2).T)

@@ -52,15 +52,16 @@ def apply_pi_pulse(m: np.ndarray) -> np.ndarray:
 
 
 def march(m, start: int, length: int, p: DriveParams,
-          g: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+          g: TimeGrid) -> tuple[np.ndarray, list[int]]:
     """March m, the value at grid node `start`, over `length` sub-steps.
 
-    Returns (stored, before), each of shape m.shape[:-2] + (length + 1, 2, 2).
-    A pulse fires at every node n*substeps_per_interval, n = 1..n_pulses,
-    after `start`: stored holds the post-pulse value there and before the
-    pre-swap value; elsewhere the two agree. The free-map factors for
-    elapsed times k*dt, k = 0..n_sub, are computed once, so each
-    inter-pulse segment is one broadcast multiply plus the ee -> gg feed.
+    Returns (stored, crossings). stored has shape
+    m.shape[:-2] + (length + 1, 2, 2); crossings lists the sub-steps k at
+    which a pulse fires, at every node start + k = n*substeps_per_interval,
+    n = 1..n_pulses. stored holds the post-pulse value there; the pre-swap
+    value is apply_pi_pulse of it. The free-map factors for elapsed times
+    k*dt, k = 0..n_sub, are computed once, so each inter-pulse segment is
+    one broadcast multiply plus the ee -> gg feed.
     """
     n_sub = g.substeps_per_interval
     factor, feed = _free_map(np.arange(n_sub + 1) * g.dt, p)
@@ -79,9 +80,7 @@ def march(m, start: int, length: int, p: DriveParams,
             crossings.append(end)
             stored[..., end, :, :] = apply_pi_pulse(seg[..., -1, :, :]).copy()
         j = end
-    before = stored.copy()
-    before[..., crossings, :, :] = apply_pi_pulse(stored[..., crossings, :, :])
-    return stored, before
+    return stored, crossings
 
 
 def propagate_trajectory(p: DriveParams, g: TimeGrid) -> np.ndarray:

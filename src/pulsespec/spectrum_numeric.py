@@ -14,7 +14,15 @@ propagator rows, so the sum over t at fixed theta_j groups by row: each
 propagator row is multiplied by the running sum of the weighted
 populations of the t nodes whose theta range reaches past j. The final
 node of each range carries a half weight and the left limit, which adds
-one term per t node.
+one term per t node. The rows are stored over one pulse pair of
+P = 2*n_sub nodes and repeat with a factor per pair, so with j = q*P + l
+
+    S[q*P + l] = factor**q * sum_r mean[r, l] * running[r, m(q, l, r)],
+
+with mean the average of the block's two one-sided limits and m the
+number of t nodes of row r whose range passes j. m takes one of three
+values per q, and each is one matrix product over the rows, so nothing
+of size (n_sub + 1) x N is formed.
 
 On the uniform grid theta_j = j*dt the transform to omega is the
 polynomial sum_j S[j] z**j at z = exp(-i*omega*dt). For N nodes and M
@@ -44,14 +52,16 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, cg: CorrelatorGrid,
     collapsed over t first (S[j] = sum_i of fully weighted samples), so
     the theta transform runs once, blocked in z = exp(-i*omega*dt),
     instead of once per row; the reduction order is fixed, making the
-    output reproducible bit for bit.
+    output reproducible bit for bit at a fixed BLAS thread count.
     """
     validate_params(p)
-    n_sub = g.substeps_per_interval
-    if cg.rows.shape != (n_sub + 1, g.n_nodes):
+    n_sub, n_int = g.substeps_per_interval, g.n_intervals
+    pair = 2 * n_sub
+    if cg.rows.shape != (n_sub + 1, pair) or cg.pops.shape != (2, g.n_nodes):
         raise GridMismatch(
-            f"correlator rows have shape {cg.rows.shape}, time grid needs "
-            f"{(n_sub + 1, g.n_nodes)}")
+            f"correlator rows have shape {cg.rows.shape} and populations "
+            f"{cg.pops.shape}, time grid needs {(n_sub + 1, pair)} and "
+            f"{(2, g.n_nodes)}")
     last = g.n_nodes - 1
     dt = g.dt
     # t node i < last owns the theta range j = 0..last-i; node `last` has
@@ -68,24 +78,41 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, cg: CorrelatorGrid,
     # populations are real, so the weights are too
     post = w_t * cg.pops[:, :last].real
     pre = np.where(pulse, w_t, 0.0) * cg.pops[::-1, :last].real
-    weights = np.zeros((2, n_sub + 1, last))
-    weights[:, residue, nodes] = post
-    weights[:, n_sub] = pre
-    # running[k, row, j] sums the nodes i < last - j, whose ranges contain
-    # j before their end; a crossing there takes the mean of the two
-    # one-sided limits, which is the stored value elsewhere. The theta
-    # weight is dt, halved at j = 0.
-    running = np.cumsum(weights, axis=2, out=weights)[:, :, ::-1]
-    mean = cg.rows[:, :last] + cg.before[:, :last]
-    mean *= 0.5
-    s = np.zeros((2, last + 1), dtype=complex)
-    s[:, :last] = np.einsum("rj,krj->kj", mean, running)
-    s[:, 0] *= 0.5
+    # running[k, r, m] sums the first m nodes i = m'*n_sub + r of row r
+    # (the companion's nodes are the pulse nodes, r = 0)
+    running = np.zeros((2, n_sub + 1, n_int + 1))
+    running[:, :n_sub, 1:] = post.reshape(2, n_int, n_sub).transpose(0, 2, 1)
+    running[:, n_sub, 1:] = pre[:, ::n_sub]
+    np.cumsum(running, axis=2, out=running)
+    # S[j] sums mean[r, j] * running[r, m] over the nodes i < last - j, whose
+    # ranges contain j before their end; a crossing there takes the mean of
+    # the two one-sided limits, which is the stored value elsewhere. With
+    # j = q*P + l and row r starting at offset r (the companion at 0) there
+    # are m = n_int - 2q - (l + offset) // n_sub such nodes, and the row
+    # value is factor**q times the block, so each of the three values of
+    # the floor is one product over the rows; running is real, so each is a
+    # real product with the block's real and imaginary parts interleaved.
+    n_q = last // pair + 1
+    q = np.arange(n_q)
+    offset = np.append(np.arange(n_sub), 0)
+    shift = (np.arange(pair) + offset[:, None]) // n_sub
+    mean = (cg.rows + cg.before) * 0.5
+    s = np.zeros((2, n_q, 2 * pair))
+    for k in range(3):
+        count = np.maximum(n_int - 2 * q - k, 0)
+        s += (running[:, :, count].transpose(0, 2, 1)
+              @ np.where(shift == k, mean, 0.0).view(float))
+    s = s.view(complex)
+    power = cg.factor ** q
+    s *= power[:, None]
+    s = s.reshape(2, n_q * pair)[:, :last + 1]
+    # the theta weight is dt, halved at j = 0, where every row is 1
+    s[:, 0] = 0.5 * running[:, :, n_int].sum(axis=1)
     s *= dt
     # the end node j = last - i of each range: half weight, left limit
-    s[:, last - nodes] += 0.5 * dt * (
-        post * cg.before[residue, last - nodes]
-        + pre * cg.before[n_sub, last - nodes])
+    ends, col = np.divmod(last - nodes, pair)
+    s[:, last - nodes] += 0.5 * dt * power[ends] * (
+        post * cg.before[residue, col] + pre * cg.before[n_sub, col])
     raw = theta_transform(s, dt, fg.omegas)
     raw_p1, raw_p2 = raw
     scale = 2.0 * p.amp * p.amp

@@ -10,6 +10,18 @@ def drive(n_pulses, delta=3.0, tau=0.2, free_time=None):
                                              free_time=free_time))
 
 
+def unfold(cg, row, count, values=None):
+    """Row `row` of the correlator grid over theta_j = j*dt, j < count,
+    unfolded from its one-pair block: 1 at j = 0, factor**(j // P) times
+    the block's column j % P after. values=cg.before gives the left
+    limits instead."""
+    block = cg.rows if values is None else values
+    j = np.arange(count)
+    out = cg.factor ** (j // block.shape[1]) * block[row, j % block.shape[1]]
+    out[0] = 1.0
+    return out
+
+
 def closed_at(n_pulses, delta=3.0, tau=0.2):
     p = drive(n_pulses, delta=delta, tau=tau)
     return ps.closed_spectrum(p, ps.make_frequency_grid(p))

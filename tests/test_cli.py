@@ -161,6 +161,23 @@ def test_long_train_beyond_old_phase_budget(tmp_path):
     assert report["metrics"]["l2_rel"] <= 0.05
 
 
+def test_long_train_beyond_old_row_budget(tmp_path):
+    # 100001 time nodes at 100 substeps: rows over the whole grid would
+    # take 20200202 cells, above the cap; one pulse pair takes 81204
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 1\nn_pulses = 1000\n"
+                              "engine = both\n")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", cfg,
+                     "--output-dir", str(out)]) == 0
+    for name in ("numeric", "closed_form"):
+        lines = (out / f"spectrum_{name}.csv").read_text().splitlines()
+        rows = np.array([ln.split(",") for ln in lines
+                         if not ln.startswith(("#", "omega"))], dtype=float)
+        assert rows.shape == (1201, 4) and np.all(np.isfinite(rows))
+    report = json.loads((out / "comparison.json").read_text())
+    assert report["metrics"]["l2_rel"] <= 0.05
+
+
 def test_csv_rows_match_per_value_formatting(tmp_path, closed8):
     # signed zeros, subnormals, the float max and random magnitudes
     rng = np.random.default_rng(7)
@@ -322,14 +339,27 @@ def test_factorization_check_covers_every_row_value():
 def test_factorization_check_covers_companion_and_left_limits(values, row,
                                                                col):
     # the companion row and the pre-swap limits feed every crossing of the
-    # assembly; the check used to cover the post-pulse residue rows only
+    # assembly; the check used to cover the post-pulse residue rows only.
+    # theta = col*dt is column col % P of the one-pair block (P = 40).
     p = drive(8)
     g = ps.make_time_grid(p, 20)
     traj = ps.propagate_trajectory(p, g)
     cg = ps.build_correlator_grids(p, g, traj)
     check = "correlator_factorization"
     assert cli._invariant_suite(p, g, traj, cg)[check]["pass"]
-    getattr(cg, values)[row, col] += 1e-6
+    getattr(cg, values)[row, col % cg.rows.shape[1]] += 1e-6
+    assert not cli._invariant_suite(p, g, traj, cg)[check]["pass"]
+
+
+def test_factorization_check_covers_the_pair_factor():
+    # factor carries every row past its first pulse pair
+    p = drive(8)
+    g = ps.make_time_grid(p, 20)
+    traj = ps.propagate_trajectory(p, g)
+    cg = ps.build_correlator_grids(p, g, traj)
+    check = "correlator_factorization"
+    assert cli._invariant_suite(p, g, traj, cg)[check]["pass"]
+    cg.factor += 1e-6
     assert not cli._invariant_suite(p, g, traj, cg)[check]["pass"]
 
 

@@ -83,11 +83,22 @@ def test_time_grid_substeps_override():
 
 
 def test_time_grid_cell_budget():
-    # the numeric engine's rows take 2*(n_sub + 1)*n_nodes cells
-    assert 2 * 1001 * 8001 <= ps.core.MAX_ARRAY_CELLS < 2 * 1001 * 9001
-    assert ps.make_time_grid(drive(8), 1000).n_nodes == 8001
+    # the march of one pulse pair takes 4*(n_sub + 1)*min(n_nodes,
+    # 2*n_sub + 1) cells, the trajectory 4*n_nodes
+    budget = ps.core.MAX_ARRAY_CELLS
+    assert 4 * 1448 * 2895 <= budget < 4 * 1449 * 2897
+    assert ps.make_time_grid(drive(8), 1447).n_nodes == 8 * 1447 + 1
     with pytest.raises(ps.GridTooLarge):
-        ps.make_time_grid(drive(9), 1000)
+        ps.make_time_grid(drive(8), 1448)
+    # a one-interval grid marches no further than its own nodes
+    assert 4 * 2001 * 2001 <= budget < 4 * 2001 * 4001
+    assert ps.make_time_grid(drive(1), 2000).n_nodes == 2001
+    with pytest.raises(ps.GridTooLarge):
+        ps.make_time_grid(drive(2), 2000)
+    assert 4 * 4194301 <= budget < 4 * 4194321
+    assert ps.make_time_grid(drive(209715), 20).n_nodes == 4194301
+    with pytest.raises(ps.GridTooLarge):
+        ps.make_time_grid(drive(209716), 20)
 
 
 def test_frequency_grid_defaults():

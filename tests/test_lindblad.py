@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,14 +121,31 @@ def test_march_matches_step_by_step(p, substeps):
     ge_seed = dm(0.0, 0.0, 1.0, 0.0)
     for seed, start in ((dm(1.0, 0.0, 0.0, 0.0), 0), (ge_seed, 0),
                         (ge_seed, 3)):
-        stored, before = march(seed, start, last, p, g)
+        stored, crossings = march(seed, start, last, p, g)
         m = seed
+        swapped = []
         for j in range(1, last + 1):
             m = ps.free_evolve(m, g.dt, p)
             pre = m
             if (start + j) % n_sub == 0 and (start + j) // n_sub <= p.n_pulses:
                 m = ps.apply_pi_pulse(m)
+                swapped.append(j)
             assert np.max(np.abs(stored[j] - m)) <= 1e-12
-            assert np.max(np.abs(before[j] - pre)) <= 1e-12
+            before = ps.apply_pi_pulse(stored[j]) if j in crossings else stored[j]
+            assert np.max(np.abs(before - pre)) <= 1e-12
+        assert crossings == swapped
         assert np.array_equal(stored[0], seed)
-        assert np.array_equal(before[0], seed)
+
+
+@pytest.mark.parametrize("n_pulses", [80, 5000])
+def test_trajectory_peak_memory_is_its_result(n_pulses):
+    # the march keeps no second copy of what it stores
+    p = drive(n_pulses)
+    g = ps.make_time_grid(p, 20)
+    tracemalloc.start()
+    try:
+        traj = ps.propagate_trajectory(p, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * traj.nbytes

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pulsespec as ps
 from conftest import drive, nearest_peak
+from pulsespec.lindblad import march
 from pulsespec.spectrum_numeric import theta_transform
 
 GOLDEN = Path(__file__).parent / "data" / "numeric_golden.npz"
@@ -87,15 +89,82 @@ def test_zero_grids_give_zero_spectrum():
     traj = ps.propagate_trajectory(p, g)
     cg = ps.build_correlator_grids(p, g, traj)
     fg = ps.make_frequency_grid(p)
-    # zero propagator rows with the real populations, and the reverse
+    # zero populations with the real rows give zero
+    cg_zero = ps.CorrelatorGrid(rows=cg.rows, before=cg.before,
+                                factor=cg.factor, pops=np.zeros_like(cg.pops))
+    s = ps.compute_numeric_spectrum(p, g, cg_zero, fg)
+    assert np.all(s.p1 == 0.0)
+    assert np.all(s.p2 == 0.0)
+    assert np.all(s.q == 0.0)
+    # zero rows past theta = 0 with the real populations leave the theta = 0
+    # term alone, where every row is 1: a flat spectrum
     zero_rows = np.zeros_like(cg.rows)
-    for rows, before, pops in ((zero_rows, zero_rows, cg.pops),
-                               (cg.rows, cg.before, np.zeros_like(cg.pops))):
-        cg_zero = ps.CorrelatorGrid(rows=rows, before=before, pops=pops)
-        s = ps.compute_numeric_spectrum(p, g, cg_zero, fg)
-        assert np.all(s.p1 == 0.0)
-        assert np.all(s.p2 == 0.0)
-        assert np.all(s.q == 0.0)
+    cg_zero = ps.CorrelatorGrid(rows=zero_rows, before=zero_rows, factor=0j,
+                                pops=cg.pops)
+    s = ps.compute_numeric_spectrum(p, g, cg_zero, fg)
+    for part in (s.p1, s.p2):
+        assert part[0] > 0.0 and np.all(part == part[0])
+
+
+def reference_raw(p, g, fg):
+    """raw_p1/raw_p2 the long way: rows over the whole grid marched with
+    `march` from each residue node and for the companion, a running sum
+    of the weighted populations per row and node, and the direct
+    transform."""
+    n_sub, last = g.substeps_per_interval, g.n_nodes - 1
+    traj = ps.propagate_trajectory(p, g)
+    pops = np.array([traj[:, 0, 0], traj[:, 1, 1]])
+    seed = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    rows = np.zeros((n_sub + 1, g.n_nodes), dtype=complex)
+    before = np.zeros_like(rows)
+    for r in range(n_sub + 1):
+        # the companion is the swapped seed from the first pulse node
+        start, m = (r, seed) if r < n_sub else (n_sub, ps.apply_pi_pulse(seed))
+        stored, crossings = march(m, start, last - start, p, g)
+        pre = stored.copy()
+        pre[crossings] = ps.apply_pi_pulse(stored[crossings])
+        rows[r, :last - start + 1] = stored[:, 1, 0]
+        before[r, :last - start + 1] = pre[:, 1, 0]
+    rows[n_sub, 0] = before[n_sub, 0] = 1.0
+    dt = g.dt
+    nodes = np.arange(last)
+    residue = nodes % n_sub
+    pulse = (residue == 0) & (nodes > 0) & (p.n_pulses >= 1)
+    w_t = np.full(last, dt)
+    w_t[0] *= 0.5
+    w_t[pulse] *= 0.5
+    post = w_t * pops[:, :last].real
+    pre = np.where(pulse, w_t, 0.0) * pops[::-1, :last].real
+    weights = np.zeros((2, n_sub + 1, last))
+    weights[:, residue, nodes] = post
+    weights[:, n_sub] = pre
+    running = np.cumsum(weights, axis=2)[:, :, ::-1]
+    mean = 0.5 * (rows[:, :last] + before[:, :last])
+    s = np.zeros((2, last + 1), dtype=complex)
+    s[:, :last] = np.einsum("rj,krj->kj", mean, running)
+    s[:, 0] *= 0.5
+    s *= dt
+    s[:, last - nodes] += 0.5 * dt * (
+        post * before[residue, last - nodes] + pre * before[n_sub, last - nodes])
+    return direct_transform(s, dt, fg.omegas)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(st.sampled_from([0, 1, 2]),
+                 st.integers(0, 14).map(lambda k: 2 * k + 1),
+                 st.integers(0, 30)),
+       st.integers(1, 30), st.floats(-6.0, 6.0), st.floats(0.05, 1.0),
+       st.integers(1, 30))
+def test_pair_block_matches_full_rows(n_pulses, substeps, delta, tau,
+                                      free_intervals):
+    free_time = free_intervals * tau if n_pulses == 0 else None
+    p = drive(n_pulses, delta=delta, tau=tau, free_time=free_time)
+    g = ps.make_time_grid(p, substeps)
+    fg = ps.make_frequency_grid(p, omega_step=math.pi / (20.0 * tau))
+    s = ps.numeric_spectrum(p, fg, substeps=substeps)
+    for got, ref in zip((s.raw_p1, s.raw_p2), reference_raw(p, g, fg)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref),
+                                                            initial=1e-300)
 
 
 def test_numeric_spectrum_structure(numeric8):
