@@ -23,8 +23,7 @@ import numpy as np
 from .analysis import compare_spectra, find_peaks, positive_weight_fraction
 from .closed_form import closed_spectrum, f_analytic, rho_gg_analytic
 from .core import (DriveParams, FrequencyGrid, PulsespecError, Spectrum,
-                   TimeGrid, make_frequency_grid, make_time_grid,
-                   validate_params)
+                   TimeGrid, make_frequency_grid, make_time_grid)
 from .correlators import CorrelatorGrid, build_correlator_grids
 from .lindblad import propagate_trajectory
 from .spectrum_numeric import compute_numeric_spectrum
@@ -105,7 +104,7 @@ def _params_from(cfg: dict, **overrides) -> DriveParams:
         kwargs["gamma"] = merged["gamma"]
     if merged.get("free_time") is not None:
         kwargs["free_time"] = merged["free_time"]
-    return validate_params(DriveParams(**kwargs))
+    return DriveParams(**kwargs)
 
 
 def _freq_grid(cfg: dict, p: DriveParams) -> FrequencyGrid:
@@ -273,8 +272,7 @@ def _invariant_suite(p: DriveParams, g: TimeGrid,
     # covers every stored value; the companion (row n_sub) is the row of
     # node 0 past the pulse at tau, divided by its first free interval.
     # `before` holds the left limits: the kernel one sub-step earlier times
-    # the free step. Block column l stands for theta = l*dt, and column 0
-    # for theta = P*dt divided by factor, itself row 0's kernel there.
+    # the free step. Block column c stands for theta = (c + 1)*dt.
     n_sub, last = g.substeps_per_interval, g.n_nodes - 1
     pair = 2 * n_sub
     free = np.exp((1j * p.delta - 0.5 * p.gamma) * np.array([p.tau, g.dt]))
@@ -283,16 +281,14 @@ def _invariant_suite(p: DriveParams, g: TimeGrid,
     kernel = f_analytic(g.times[r % n_sub],
                         np.arange(pair + 1) * g.dt + p.tau * companion, p)
     kernel /= np.where(companion, free[0], 1.0)
-    theta = np.append(pair, np.arange(1, pair))
+    theta = np.arange(1, pair + 1)
     # a value counts where a t node's range reaches it; a pulse-free run
     # has no interior pulse and no companion
     in_range = (theta <= last - r) & (~companion | (p.n_pulses >= 1))
-    scale = np.where(theta == pair, cg.factor, 1.0)
-    factor_dev = float(max(np.max(np.abs(cg.pops - np.array([ee, gg]))),
-                           abs(cg.factor - kernel[0, pair])))
-    for values, expected in ((cg.rows, kernel[:, theta]),
-                             (cg.before, kernel[:, theta - 1] * free[1])):
-        dev = np.abs(values * scale - expected)[in_range]
+    factor_dev = float(np.max(np.abs(cg.pops - np.array([ee, gg]))))
+    for values, expected in ((cg.rows, kernel[:, 1:]),
+                             (cg.before, kernel[:, :-1] * free[1])):
+        dev = np.abs(values - expected)[in_range]
         factor_dev = max(factor_dev, float(np.max(dev, initial=0.0)))
     checks = {
         "trace": (trace_dev, 1e-12),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DriveParams, FrequencyGrid, PulsespecError, Spectrum,
-                   build_meta, validate_params)
+                   build_meta)
 
 
 class NegativeM(PulsespecError):
@@ -137,7 +137,6 @@ def p1_closed(omega, p: DriveParams):
     g1 (real part gamma/2 > 0) or the factor exp(2*g1*tau) - 1 whose
     magnitude is bounded below by exp(gamma*tau) - 1.
     """
-    validate_params(p)
     _require_closed_form_pulses(p)
     tau, n = p.tau, p.n_pulses
     tr = gammas(omega, p)
@@ -159,7 +158,6 @@ def p3_closed(omega, p: DriveParams):
     The leading behaviour at large |omega| is n_pulses*tau/g0; the
     remaining terms carry an extra 1/g0 suppression.
     """
-    validate_params(p)
     _require_closed_form_pulses(p)
     tau, n = p.tau, p.n_pulses
     tr = gammas(omega, p)
@@ -179,7 +177,6 @@ def closed_spectrum(p: DriveParams, fg: FrequencyGrid) -> Spectrum:
     p1 = 2*amp**2 * Re{P1}, p2 = 2*amp**2 * Re{P3 - P1}, and the net
     absorption q = p2 - p1 = 2*amp**2 * Re{P3 - 2*P1}.
     """
-    validate_params(p)
     _require_closed_form_pulses(p)
     raw_p1 = np.asarray(p1_closed(fg.omegas, p), dtype=complex)
     raw_p3 = np.asarray(p3_closed(fg.omegas, p), dtype=complex)

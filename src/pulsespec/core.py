@@ -74,12 +74,16 @@ class DriveParams:
     amp: float = DEFAULT_AMP
     free_time: float | None = None
 
+    def __post_init__(self):
+        validate_params(self)
+
 
 def validate_params(p: DriveParams) -> DriveParams:
     """Check the DriveParams invariants and return p unchanged.
 
-    Defaults (gamma, amp) are filled by the dataclass itself; this only
-    rejects inconsistent combinations.
+    Every DriveParams runs this when it is made. Defaults (gamma, amp) are
+    filled by the dataclass itself; this only rejects inconsistent or
+    non-finite values.
     """
     if not p.tau > 0:
         raise NonPositiveTau(f"tau must be positive, got {p.tau}")
@@ -87,6 +91,10 @@ def validate_params(p: DriveParams) -> DriveParams:
         raise NonPositiveGamma(f"gamma must be positive, got {p.gamma}")
     if not p.amp > 0:
         raise PulsespecError(f"amp must be positive, got {p.amp}")
+    for name in ("delta", "tau", "gamma", "amp", "free_time"):
+        value = getattr(p, name)
+        if value is not None and not math.isfinite(value):
+            raise PulsespecError(f"{name} must be finite, got {value}")
     if p.n_pulses < 0:
         raise PulsespecError(f"n_pulses must be >= 0, got {p.n_pulses}")
     if p.n_pulses == 0:
@@ -138,7 +146,6 @@ def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
     for n_sub + 1 rows over at most min(n_nodes, 2*n_sub + 1) nodes, or
     the trajectory, 2 x 2 matrices over n_nodes.
     """
-    validate_params(p)
     n_sub = default_substeps(p.tau) if substeps is None else int(substeps)
     if n_sub < 1:
         raise PulsespecError(f"substeps must be >= 1, got {n_sub}")
@@ -177,7 +184,8 @@ def make_frequency_grid(p: DriveParams | None = None,
     with step pi/(200*tau).
 
     The default window covers the central feature plus at least two
-    satellite orders of the pulsed spectrum.
+    satellite orders of the pulsed spectrum. Raises GridTooLarge when the
+    grid would have more than MAX_ARRAY_CELLS nodes.
     """
     if omega_min is None or omega_max is None or omega_step is None:
         if p is None:
@@ -195,7 +203,11 @@ def make_frequency_grid(p: DriveParams | None = None,
             f"omega_min must be below omega_max, got [{omega_min}, {omega_max}]")
     if not omega_step > 0:
         raise PulsespecError(f"omega_step must be positive, got {omega_step}")
-    n_steps = int(math.floor((omega_max - omega_min) / omega_step + 1e-9))
+    steps = (omega_max - omega_min) / omega_step + 1e-9
+    if not steps < MAX_ARRAY_CELLS:
+        raise GridTooLarge(f"frequency grid of step {omega_step} needs "
+                           f"more than {MAX_ARRAY_CELLS} nodes")
+    n_steps = int(math.floor(steps))
     omegas = omega_min + omega_step * np.arange(n_steps + 1)
     if omegas.size < 3:
         raise PulsespecError(

@@ -32,16 +32,12 @@ One pulse pair, P = 2*n_sub sub-steps, is the Floquet period of the ge
 element: two swaps return it to its place, so every row obeys
 K(theta + P*dt) = factor * K(theta) for theta > 0, where factor is
 exp(-gamma*tau) with pulses and the free factor over 2*tau without. The
-grid therefore stores the rows over one pair only, as an
-(n_sub + 1) x P block in the periodic convention: the value at
-theta_j = j*dt, j >= 1, is factor**(j // P) * block[:, j % P]. Column 0
-holds the periodic value, the one at theta = P*dt divided by factor:
-1, except 0 for the companion, which is swapped away at theta = P*dt,
-and 0 for row 0's left limit with pulses, as row 0 is swapped back in
-there (without pulses the companion's left limit, as it is 0 past
-theta = 0). At theta = 0 every row is exactly 1, which the assembly
-adds on its own. factor is row 0's value at theta = P*dt, taken from the
-march; it is 0 on a one-pulse train, whose grid ends before 2*tau.
+grid therefore stores the marched rows over one pair only, as an
+(n_sub + 1) x P block whose column c is theta = (c + 1)*dt: the value at
+theta_j = j*dt, j >= 1, is factor**((j - 1) // P) * block[:, (j - 1) % P].
+factor is row 0 at theta = P*dt, rows[0, -1]; it is 0 on a one-pulse
+train, whose grid ends before 2*tau. Entries past the grid are 0. At
+theta = 0 every row is exactly 1, which the assembly adds on its own.
 
 Stored values follow the post-pulse convention: when t + theta lands
 exactly on a pulse instant the recorded value is the one immediately
@@ -57,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DriveParams, GridMismatch, TimeGrid, validate_params
+from .core import DriveParams, GridMismatch, TimeGrid
 from .lindblad import apply_pi_pulse, free_evolve, march
 
 
@@ -66,15 +62,13 @@ class CorrelatorGrid:
     """One pulse pair of periodic propagator rows plus the populations.
 
     rows and before are (n_sub + 1) x 2*n_sub blocks of the post-pulse and
-    pre-swap values of the residue rows and of the pre-pulse companion, in
-    the periodic convention of the module docstring; factor is the change
-    of every row over one pulse pair. pops is 2 x n_nodes: the ee and gg
-    populations of the trajectory.
+    pre-swap values of the residue rows and of the pre-pulse companion over
+    theta = dt..2*tau, as in the module docstring. pops is 2 x n_nodes:
+    the ee and gg populations of the trajectory.
     """
 
     rows: np.ndarray
     before: np.ndarray
-    factor: complex
     pops: np.ndarray
 
 
@@ -91,7 +85,6 @@ def build_correlator_grids(p: DriveParams, g: TimeGrid,
     too where the grid is that long, so the march holds at most
     (n_sub + 1) x min(n_nodes, P + 1) matrices.
     """
-    validate_params(p)
     n_nodes, n_sub = g.n_nodes, g.substeps_per_interval
     if len(traj) != n_nodes:
         raise GridMismatch(
@@ -113,17 +106,13 @@ def build_correlator_grids(p: DriveParams, g: TimeGrid,
     marched = np.stack([stored[:, :, 1, 0], stored[:, :, 1, 0]])
     marched[1][:, crossings] = stored[:, crossings, 0, 1]
     marched[1][:, 0] = at_pulse[:, 1, 0]
+    # column c is theta = (c + 1)*dt, so the companion's theta = 0 is left out
     block = np.zeros((2, n_sub + 1, pair), dtype=complex)
-    np.copyto(block[:, :, :n_sub], head[:n_sub, 1, 0],
-              where=np.arange(n_sub) < (n_sub - r)[:, None])
+    np.copyto(block[:, :, :n_sub - 1], head[1:n_sub, 1, 0],
+              where=np.arange(1, n_sub) < (n_sub - r)[:, None])
     theta = (n_sub - r)[:, None] + np.arange(length + 1)
-    in_pair = theta < pair
+    in_pair = (theta >= 1) & (theta <= pair)
     block[:, np.broadcast_to(r[:, None], theta.shape)[in_pair],
-          theta[in_pair]] = marched[:, in_pair]
-    # column 0 in the periodic convention (see the module docstring)
-    block[:, :, 0] = 1.0
-    block[0, n_sub, 0] = 0.0
-    block[1, 0 if p.n_pulses >= 1 else n_sub, 0] = 0.0
+          theta[in_pair] - 1] = marched[:, in_pair]
     return CorrelatorGrid(rows=block[0], before=block[1],
-                          factor=complex(stored[0, n_sub, 1, 0]),
                           pops=traj.diagonal(axis1=1, axis2=2).T)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DriveParams, PulsespecError, TimeGrid, validate_params
+from .core import DriveParams, PulsespecError, TimeGrid
 
 
 class NegativeDt(PulsespecError):
@@ -90,6 +90,5 @@ def propagate_trajectory(p: DriveParams, g: TimeGrid) -> np.ndarray:
     post-pulse matrix. The nominal pulse at the final node is applied too;
     it carries no weight in any time integral.
     """
-    validate_params(p)
     rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     return march(rho0, 0, g.n_nodes - 1, p, g)[0]

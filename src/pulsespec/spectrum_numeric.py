@@ -15,9 +15,10 @@ propagator row is multiplied by the running sum of the weighted
 populations of the t nodes whose theta range reaches past j. The final
 node of each range carries a half weight and the left limit, which adds
 one term per t node. The rows are stored over one pulse pair of
-P = 2*n_sub nodes and repeat with a factor per pair, so with j = q*P + l
+P = 2*n_sub nodes, theta = dt..P*dt, and repeat with a factor per pair,
+so with j = 1 + q*P + c
 
-    S[q*P + l] = factor**q * sum_r mean[r, l] * running[r, m(q, l, r)],
+    S[1 + q*P + c] = factor**q * sum_r mean[r, c] * running[r, m(q, c, r)],
 
 with mean the average of the block's two one-sided limits and m the
 number of t nodes of row r whose range passes j. m takes one of three
@@ -37,9 +38,9 @@ import math
 
 import numpy as np
 
-from .core import (DriveParams, FrequencyGrid, GridMismatch, Spectrum,
-                   TimeGrid, build_meta, make_frequency_grid, make_time_grid,
-                   validate_params)
+from .core import (MAX_ARRAY_CELLS, DriveParams, FrequencyGrid, GridMismatch,
+                   GridTooLarge, Spectrum, TimeGrid, build_meta,
+                   make_frequency_grid, make_time_grid)
 from .correlators import CorrelatorGrid, build_correlator_grids
 from .lindblad import propagate_trajectory
 
@@ -54,7 +55,6 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, cg: CorrelatorGrid,
     instead of once per row; the reduction order is fixed, making the
     output reproducible bit for bit at a fixed BLAS thread count.
     """
-    validate_params(p)
     n_sub, n_int = g.substeps_per_interval, g.n_intervals
     pair = 2 * n_sub
     if cg.rows.shape != (n_sub + 1, pair) or cg.pops.shape != (2, g.n_nodes):
@@ -87,15 +87,15 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, cg: CorrelatorGrid,
     # S[j] sums mean[r, j] * running[r, m] over the nodes i < last - j, whose
     # ranges contain j before their end; a crossing there takes the mean of
     # the two one-sided limits, which is the stored value elsewhere. With
-    # j = q*P + l and row r starting at offset r (the companion at 0) there
-    # are m = n_int - 2q - (l + offset) // n_sub such nodes, and the row
-    # value is factor**q times the block, so each of the three values of
-    # the floor is one product over the rows; running is real, so each is a
-    # real product with the block's real and imaginary parts interleaved.
-    n_q = last // pair + 1
+    # j = 1 + q*P + c and row r starting at offset r (the companion at 0)
+    # there are m = n_int - 2q - (1 + c + offset) // n_sub such nodes, and
+    # the row value is factor**q times the block, so each of the three values
+    # of the floor is one product over the rows; running is real, so each is
+    # a real product with the block's real and imaginary parts interleaved.
+    n_q = (last - 1) // pair + 1
     q = np.arange(n_q)
     offset = np.append(np.arange(n_sub), 0)
-    shift = (np.arange(pair) + offset[:, None]) // n_sub
+    shift = (np.arange(1, pair + 1) + offset[:, None]) // n_sub
     mean = (cg.rows + cg.before) * 0.5
     s = np.zeros((2, n_q, 2 * pair))
     for k in range(3):
@@ -103,14 +103,14 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, cg: CorrelatorGrid,
         s += (running[:, :, count].transpose(0, 2, 1)
               @ np.where(shift == k, mean, 0.0).view(float))
     s = s.view(complex)
-    power = cg.factor ** q
+    power = cg.rows[0, -1] ** q
     s *= power[:, None]
-    s = s.reshape(2, n_q * pair)[:, :last + 1]
     # the theta weight is dt, halved at j = 0, where every row is 1
-    s[:, 0] = 0.5 * running[:, :, n_int].sum(axis=1)
+    s = np.concatenate((0.5 * running[:, :, n_int].sum(axis=1)[:, None],
+                        s.reshape(2, n_q * pair)[:, :last]), axis=1)
     s *= dt
     # the end node j = last - i of each range: half weight, left limit
-    ends, col = np.divmod(last - nodes, pair)
+    ends, col = np.divmod(last - 1 - nodes, pair)
     s[:, last - nodes] += 0.5 * dt * power[ends] * (
         post * cg.before[residue, col] + pre * cg.before[n_sub, col])
     raw = theta_transform(s, dt, fg.omegas)
@@ -130,9 +130,14 @@ def theta_transform(s: np.ndarray, dt: float,
     Baby-step/giant-step: with b = ceil(sqrt(N)) and node j = q*b + l,
     each block q of b nodes is one product with the (b, M) table of z**l,
     and Horner's rule in z**b runs over the ceil(N/b) blocks, last first.
+    Raises GridTooLarge before forming a table above MAX_ARRAY_CELLS.
     """
     n = s.shape[1]
     b = math.isqrt(n - 1) + 1
+    if b * omegas.size > MAX_ARRAY_CELLS:
+        raise GridTooLarge(
+            f"{b} x {omegas.size} table of z powers needs more than "
+            f"{MAX_ARRAY_CELLS} array cells")
     zpow = np.exp(-1j * dt * np.outer(np.arange(b), omegas))
     zb = np.exp(-1j * dt * b * omegas)
     first = (n - 1) // b * b

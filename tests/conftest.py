@@ -5,21 +5,20 @@ import pulsespec as ps
 
 
 def drive(n_pulses, delta=3.0, tau=0.2, free_time=None):
-    return ps.validate_params(ps.DriveParams(delta=delta, tau=tau,
-                                             n_pulses=n_pulses,
-                                             free_time=free_time))
+    return ps.DriveParams(delta=delta, tau=tau, n_pulses=n_pulses,
+                          free_time=free_time)
 
 
 def unfold(cg, row, count, values=None):
     """Row `row` of the correlator grid over theta_j = j*dt, j < count,
-    unfolded from its one-pair block: 1 at j = 0, factor**(j // P) times
-    the block's column j % P after. values=cg.before gives the left
-    limits instead."""
+    unfolded from its one-pair block over theta = dt..P*dt: 1 at j = 0,
+    then factor**((j - 1) // P) times the block's column (j - 1) % P, with
+    factor = cg.rows[0, -1], row 0 at theta = P*dt. values=cg.before gives
+    the left limits instead."""
     block = cg.rows if values is None else values
-    j = np.arange(count)
-    out = cg.factor ** (j // block.shape[1]) * block[row, j % block.shape[1]]
-    out[0] = 1.0
-    return out
+    c = np.arange(count - 1)
+    pair = block.shape[1]
+    return np.append(1.0, cg.rows[0, -1] ** (c // pair) * block[row, c % pair])
 
 
 def closed_at(n_pulses, delta=3.0, tau=0.2):

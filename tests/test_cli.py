@@ -144,6 +144,37 @@ def test_oversized_numeric_grid_exits_3_without_output(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("text, name", [
+    ("n_pulses = 0\nfree_time = inf\n", "free_time"),
+    ("n_pulses = 8\nomega_min = -10\nomega_max = 10\nomega_step = 0.1\n",
+     "tau"),
+])
+def test_non_finite_parameter_exits_3_without_output(tmp_path, capsys, text,
+                                                     name):
+    # both used to end in an OverflowError from math.ceil
+    tau = "inf" if name == "tau" else "0.2"
+    cfg = write_cfg(tmp_path, f"delta = 3\ntau = {tau}\n{text}"
+                              "engine = numeric\n")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", cfg,
+                     "--output-dir", str(out)]) == 3
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_oversized_frequency_grid_exits_3_without_output(tmp_path, capsys):
+    # about 9.4e10 frequencies, ~700 GiB for the grid alone
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\nn_pulses = 8\n"
+                              "omega_step = 1e-9\n")
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert cli.main(["spectrum", "--config", cfg,
+                     "--output-dir", str(out)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "GridTooLarge" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_long_train_beyond_old_phase_budget(tmp_path):
     # 14001 time nodes x 1201 frequencies: more cells than any one array
     # may have, but the transform never holds them all at once
@@ -327,39 +358,40 @@ def test_factorization_check_covers_every_row_value():
     cg = ps.build_correlator_grids(p, g, traj)
     check = "correlator_factorization"
     assert cli._invariant_suite(p, g, traj, cg)[check]["pass"]
-    cg.rows[1, 5] += 1e-6
+    cg.rows[1, 5 - 1] += 1e-6       # theta = 5*dt
     assert not cli._invariant_suite(p, g, traj, cg)[check]["pass"]
 
 
-@pytest.mark.parametrize("values, row, col", [
+@pytest.mark.parametrize("values, row, theta", [
     ("rows", 20, 23),      # companion, past its first pulse
     ("before", 7, 13),     # residue 7 at its first crossing
     ("before", 20, 40),    # companion at its second crossing
 ])
 def test_factorization_check_covers_companion_and_left_limits(values, row,
-                                                               col):
+                                                               theta):
     # the companion row and the pre-swap limits feed every crossing of the
     # assembly; the check used to cover the post-pulse residue rows only.
-    # theta = col*dt is column col % P of the one-pair block (P = 40).
+    # theta*dt is column theta - 1 of the one-pair block (P = 40).
     p = drive(8)
     g = ps.make_time_grid(p, 20)
     traj = ps.propagate_trajectory(p, g)
     cg = ps.build_correlator_grids(p, g, traj)
     check = "correlator_factorization"
     assert cli._invariant_suite(p, g, traj, cg)[check]["pass"]
-    getattr(cg, values)[row, col % cg.rows.shape[1]] += 1e-6
+    getattr(cg, values)[row, theta - 1] += 1e-6
     assert not cli._invariant_suite(p, g, traj, cg)[check]["pass"]
 
 
 def test_factorization_check_covers_the_pair_factor():
-    # factor carries every row past its first pulse pair
+    # row 0 at theta = P*dt is the factor that carries every row past its
+    # first pulse pair
     p = drive(8)
     g = ps.make_time_grid(p, 20)
     traj = ps.propagate_trajectory(p, g)
     cg = ps.build_correlator_grids(p, g, traj)
     check = "correlator_factorization"
     assert cli._invariant_suite(p, g, traj, cg)[check]["pass"]
-    cg.factor += 1e-6
+    cg.rows[0, -1] += 1e-6
     assert not cli._invariant_suite(p, g, traj, cg)[check]["pass"]
 
 

@@ -31,6 +31,23 @@ def test_validate_rejections():
                                           amp=0.0))
 
 
+def test_params_are_checked_when_made():
+    with pytest.raises(ps.NonPositiveTau):
+        ps.DriveParams(delta=3.0, tau=-0.2, n_pulses=8)
+    with pytest.raises(ps.MissingFreeTime):
+        ps.DriveParams(delta=3.0, tau=0.2, n_pulses=0)
+
+
+@pytest.mark.parametrize("field", ["delta", "tau", "gamma", "amp",
+                                   "free_time"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_params_are_rejected(field, value):
+    kwargs = {"delta": 3.0, "tau": 0.2, "n_pulses": 0, "free_time": 2.0,
+              field: value}
+    with pytest.raises(ps.PulsespecError):
+        ps.DriveParams(**kwargs)
+
+
 @pytest.mark.parametrize("tau,expected", [
     (0.2, 20),     # 0.2/0.01 evaluates to 20.000000000000004
     (0.1, 20),
@@ -123,6 +140,17 @@ def test_frequency_grid_explicit_and_errors():
         ps.make_frequency_grid(omega_min=0.0, omega_max=1.0, omega_step=1.0)
     with pytest.raises(ps.PulsespecError):
         ps.make_frequency_grid()
+
+
+def test_frequency_grid_cell_budget(monkeypatch):
+    with pytest.raises(ps.GridTooLarge):
+        ps.make_frequency_grid(drive(8), omega_step=1e-9)
+    # the count is checked before any node is made
+    monkeypatch.setattr(ps.core, "MAX_ARRAY_CELLS", 10)
+    fg = ps.make_frequency_grid(omega_min=0.0, omega_max=9.0, omega_step=1.0)
+    assert fg.omegas.size == 10
+    with pytest.raises(ps.GridTooLarge):
+        ps.make_frequency_grid(omega_min=0.0, omega_max=10.0, omega_step=1.0)
 
 
 def test_spectrum_container_invariants():

@@ -38,11 +38,14 @@ def test_rows_span_one_pulse_pair(fig_grid):
     n_sub = g.substeps_per_interval
     assert cg.rows.shape == cg.before.shape == (n_sub + 1, 2 * n_sub)
     assert cg.pops.shape == (2, g.n_nodes)
-    # column 0 is theta = P*dt over factor: the pulse there swaps the
-    # companion away and row 0 back in
-    assert np.array_equal(cg.rows[:, 0], [1.0] * n_sub + [0.0])
-    assert np.array_equal(cg.before[:, 0], [0.0] + [1.0] * n_sub)
-    assert cg.factor == pytest.approx(np.exp(-p.gamma * p.tau), abs=1e-15)
+    # the last column is theta = P*dt: the pulse there swaps the companion
+    # away and row 0 back in, and every other value is the pair factor,
+    # row 0's post-pulse value
+    factor = cg.rows[0, -1]
+    assert cg.rows[n_sub, -1] == 0.0 and cg.before[0, -1] == 0.0
+    assert np.max(np.abs(cg.rows[:n_sub, -1] - factor)) <= 1e-15
+    assert np.max(np.abs(cg.before[1:, -1] - factor)) <= 1e-15
+    assert factor == pytest.approx(np.exp(-p.gamma * p.tau), abs=1e-15)
 
 
 def ge_march(m, start, length, p, g):
@@ -56,10 +59,10 @@ def ge_march(m, start, length, p, g):
 
 def assert_rows_periodic(p, g, cg):
     """A row marched from any node equals its residue row, companions too:
-    bit for bit over its first pulse pair, and within rounding of factor
-    times the pair before over the rest of its theta range. The block and
-    factor are finite, since a non-finite value would poison the sums even
-    where its weight is zero."""
+    bit for bit over its first pulse pair, theta <= P*dt, and within
+    rounding of factor times the pair before over the rest of its theta
+    range. The block is finite, since a non-finite value would poison the
+    sums even where its weight is zero."""
     n_sub = g.substeps_per_interval
     pair = 2 * n_sub
     last = g.n_nodes - 1
@@ -76,10 +79,9 @@ def assert_rows_periodic(p, g, cg):
                     # the companion records its theta = 0 value before the swap
                     got[0] = 1.0
                 expected = unfold(cg, row, last - i + 1, values)
-                assert np.array_equal(got[:pair], expected[:pair])
+                assert np.array_equal(got[:pair + 1], expected[:pair + 1])
                 assert np.max(np.abs(got - expected)) <= tol
     assert np.all(np.isfinite(cg.rows)) and np.all(np.isfinite(cg.before))
-    assert np.isfinite(cg.factor)
 
 
 def test_rows_are_periodic_in_the_start_node(fig_grid):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import pulsespec as ps
 from conftest import drive, nearest_peak
+from pulsespec import spectrum_numeric
 from pulsespec.lindblad import march
 from pulsespec.spectrum_numeric import theta_transform
 
@@ -74,6 +75,25 @@ def test_blocked_transform_matches_direct_sum(name):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_transform_table_budget(monkeypatch):
+    # 2 nodes make blocks of b = 2; the (b, M) table of z powers would
+    # exceed the budget, and zero-stride inputs show it is never formed
+    budget = ps.core.MAX_ARRAY_CELLS
+    s = np.broadcast_to(0j, (2, 2))
+    with pytest.raises(ps.GridTooLarge):
+        theta_transform(s, 0.1, np.broadcast_to(0.0, (budget // 2 + 1,)))
+    # at the boundary itself: 121 nodes make blocks of 11
+    n, dt, omegas = TRANSFORM_CASES["square"]
+    s = np.random.default_rng(0).normal(size=(2, n)) + 0j
+    monkeypatch.setattr(spectrum_numeric, "MAX_ARRAY_CELLS",
+                        11 * omegas.size)
+    ref = direct_transform(s, dt, omegas)
+    assert np.max(np.abs(theta_transform(s, dt, omegas) - ref)) <= (
+        1e-12 * np.max(np.abs(ref)))
+    with pytest.raises(ps.GridTooLarge):
+        theta_transform(s, dt, np.append(omegas, 0.0))
+
+
 def test_observed_dt_order_is_two():
     p = drive(8)
     fg = ps.make_frequency_grid(p)
@@ -91,7 +111,7 @@ def test_zero_grids_give_zero_spectrum():
     fg = ps.make_frequency_grid(p)
     # zero populations with the real rows give zero
     cg_zero = ps.CorrelatorGrid(rows=cg.rows, before=cg.before,
-                                factor=cg.factor, pops=np.zeros_like(cg.pops))
+                                pops=np.zeros_like(cg.pops))
     s = ps.compute_numeric_spectrum(p, g, cg_zero, fg)
     assert np.all(s.p1 == 0.0)
     assert np.all(s.p2 == 0.0)
@@ -99,7 +119,7 @@ def test_zero_grids_give_zero_spectrum():
     # zero rows past theta = 0 with the real populations leave the theta = 0
     # term alone, where every row is 1: a flat spectrum
     zero_rows = np.zeros_like(cg.rows)
-    cg_zero = ps.CorrelatorGrid(rows=zero_rows, before=zero_rows, factor=0j,
+    cg_zero = ps.CorrelatorGrid(rows=zero_rows, before=zero_rows,
                                 pops=cg.pops)
     s = ps.compute_numeric_spectrum(p, g, cg_zero, fg)
     for part in (s.p1, s.p2):
