@@ -14,7 +14,7 @@ from .core import (DEFAULT_AMP, DEFAULT_GAMMA, ConflictingFreeTime,
                    make_time_grid, validate_params)
 from .lindblad import (NegativeDt, apply_pi_pulse, free_evolve,
                        propagate_trajectory)
-from .correlators import CorrelatorGrid, build_correlator_grids
+from .correlators import build_correlator_grids
 from .spectrum_numeric import compute_numeric_spectrum, numeric_spectrum
 from .closed_form import (GammaTriple, NegativeM, NegativeTheta,
                           OddPulseCount, OutOfRangeT, TooFewPulses,
@@ -32,7 +32,7 @@ __all__ = [
     "TimeGrid", "build_meta", "default_substeps", "make_frequency_grid",
     "make_time_grid", "validate_params",
     "NegativeDt", "apply_pi_pulse", "free_evolve", "propagate_trajectory",
-    "CorrelatorGrid", "build_correlator_grids",
+    "build_correlator_grids",
     "compute_numeric_spectrum", "numeric_spectrum",
     "GammaTriple", "NegativeM", "NegativeTheta", "OddPulseCount",
     "OutOfRangeT", "TooFewPulses", "closed_spectrum", "f_analytic", "gammas",

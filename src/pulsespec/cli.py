@@ -24,7 +24,7 @@ from .analysis import compare_spectra, find_peaks, positive_weight_fraction
 from .closed_form import closed_spectrum, f_analytic, rho_gg_analytic
 from .core import (DriveParams, FrequencyGrid, PulsespecError, Spectrum,
                    TimeGrid, make_frequency_grid, make_time_grid)
-from .correlators import CorrelatorGrid, build_correlator_grids
+from .correlators import build_correlator_grids
 from .lindblad import propagate_trajectory
 from .spectrum_numeric import compute_numeric_spectrum
 
@@ -117,8 +117,8 @@ def _freq_grid(cfg: dict, p: DriveParams) -> FrequencyGrid:
 def _numeric_spectrum(p: DriveParams, cfg: dict, fg: FrequencyGrid) -> Spectrum:
     g = make_time_grid(p, cfg.get("substeps"))
     traj = propagate_trajectory(p, g)
-    cg = build_correlator_grids(p, g, traj)
-    return compute_numeric_spectrum(p, g, cg, fg)
+    block = build_correlator_grids(p, g)
+    return compute_numeric_spectrum(p, g, traj, block, fg)
 
 
 def _spectrum_for(engine: str, p: DriveParams, cfg: dict) -> Spectrum:
@@ -208,7 +208,9 @@ def run_sweep(cfg: dict, outdir: Path) -> int:
     Sweeps run a single engine per invocation so every output file has an
     unambiguous provenance; the default is the closed-form engine. Files
     are written in point order, the manifest last; on any failure the
-    files written so far are removed.
+    files written so far are removed. File names keep 6 significant
+    digits of delta and tau, so points whose names coincide are rejected
+    before any point runs.
     """
     engine = cfg.get("engine", "closed_form")
     if engine == "both":
@@ -230,15 +232,21 @@ def run_sweep(cfg: dict, outdir: Path) -> int:
     deltas = axis("delta_list", "delta")
     taus = axis("tau_list", "tau")
     pulse_counts = axis("n_pulses_list", "n_pulses")
-    points = [(d, t, n) for d in deltas for t in taus for n in pulse_counts]
+    points: dict[str, tuple] = {}
+    for point in ((d, t, n) for d in deltas for t in taus
+                  for n in pulse_counts):
+        stem = "spectrum_delta{:g}_tau{:g}_np{}".format(*point)
+        if stem in points:
+            raise PulsespecError(
+                f"sweep points {points[stem]} and {point} both write {stem}")
+        points[stem] = point
 
     written: list[Path] = []
     try:
         manifest_points = []
-        for d, t, n in points:
+        for stem, (d, t, n) in points.items():
             p = _params_from(cfg, delta=d, tau=t, n_pulses=n)
             s = _spectrum_for(engine, p, cfg)
-            stem = f"spectrum_delta{d:g}_tau{t:g}_np{n}"
             files = _write_outputs(outdir, stem, s, fmt)
             written.extend(files)
             manifest_points.append({
@@ -257,7 +265,7 @@ def run_sweep(cfg: dict, outdir: Path) -> int:
 
 
 def _invariant_suite(p: DriveParams, g: TimeGrid,
-                     traj: np.ndarray, cg: CorrelatorGrid) -> dict:
+                     traj: np.ndarray, block: np.ndarray) -> dict:
     """Node-level checks of the propagation against exact identities."""
     (ee, eg), (ge, gg) = traj.transpose(1, 2, 0)
     trace_dev = float(np.max(np.abs(ee + gg - 1.0)))
@@ -271,7 +279,7 @@ def _invariant_suite(p: DriveParams, g: TimeGrid,
     # Every t node of residue r shares row r, so row r marched from node r
     # covers every stored value; the companion (row n_sub) is the row of
     # node 0 past the pulse at tau, divided by its first free interval.
-    # `before` holds the left limits: the kernel one sub-step earlier times
+    # block[1] holds the left limits: the kernel one sub-step earlier times
     # the free step. Block column c stands for theta = (c + 1)*dt.
     n_sub, last = g.substeps_per_interval, g.n_nodes - 1
     pair = 2 * n_sub
@@ -285,9 +293,9 @@ def _invariant_suite(p: DriveParams, g: TimeGrid,
     # a value counts where a t node's range reaches it; a pulse-free run
     # has no interior pulse and no companion
     in_range = (theta <= last - r) & (~companion | (p.n_pulses >= 1))
-    factor_dev = float(np.max(np.abs(cg.pops - np.array([ee, gg]))))
-    for values, expected in ((cg.rows, kernel[:, 1:]),
-                             (cg.before, kernel[:, :-1] * free[1])):
+    factor_dev = 0.0
+    for values, expected in zip(block, (kernel[:, 1:],
+                                        kernel[:, :-1] * free[1])):
         dev = np.abs(values - expected)[in_range]
         factor_dev = max(factor_dev, float(np.max(dev, initial=0.0)))
     checks = {
@@ -314,11 +322,11 @@ def run_validate(cfg: dict, outdir: Path) -> int:
     fg = _freq_grid(cfg, p)
     g = make_time_grid(p, cfg.get("substeps"))
     traj = propagate_trajectory(p, g)
-    cg = build_correlator_grids(p, g, traj)
-    invariants = _invariant_suite(p, g, traj, cg)
+    block = build_correlator_grids(p, g)
+    invariants = _invariant_suite(p, g, traj, block)
     sum_rule_rel = None
     if engine == "both":
-        s_num = compute_numeric_spectrum(p, g, cg, fg)
+        s_num = compute_numeric_spectrum(p, g, traj, block, fg)
         s_closed = closed_spectrum(p, fg)
         metrics = compare_spectra(s_num, s_closed)
         total_closed = s_closed.raw_p3.real
@@ -327,8 +335,8 @@ def run_validate(cfg: dict, outdir: Path) -> int:
                              / np.linalg.norm(total_closed))
         peak_source = s_closed
     else:
-        s = (compute_numeric_spectrum(p, g, cg, fg) if engine == "numeric"
-             else closed_spectrum(p, fg))
+        s = (closed_spectrum(p, fg) if engine == "closed_form"
+             else compute_numeric_spectrum(p, g, traj, block, fg))
         metrics = compare_spectra(s, s)
         peak_source = s
     comparison_pass = metrics["l2_rel"] <= L2_REL_TOLERANCE

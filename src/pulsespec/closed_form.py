@@ -184,6 +184,6 @@ def closed_spectrum(p: DriveParams, fg: FrequencyGrid) -> Spectrum:
     scale = 2.0 * p.amp * p.amp
     p1 = scale * raw_p1.real
     p2 = scale * raw_p2.real
-    return Spectrum(omegas=fg.omegas.copy(), p1=p1, p2=p2, q=p2 - p1,
+    return Spectrum(omegas=fg.omegas.copy(), p1=p1, p2=p2,
                     raw_p1=raw_p1, raw_p2=raw_p2, raw_p3=raw_p3,
                     meta=build_meta(p, fg, "closed_form"))

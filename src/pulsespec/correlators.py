@@ -32,10 +32,13 @@ One pulse pair, P = 2*n_sub sub-steps, is the Floquet period of the ge
 element: two swaps return it to its place, so every row obeys
 K(theta + P*dt) = factor * K(theta) for theta > 0, where factor is
 exp(-gamma*tau) with pulses and the free factor over 2*tau without. The
-grid therefore stores the marched rows over one pair only, as an
-(n_sub + 1) x P block whose column c is theta = (c + 1)*dt: the value at
-theta_j = j*dt, j >= 1, is factor**((j - 1) // P) * block[:, (j - 1) % P].
-factor is row 0 at theta = P*dt, rows[0, -1]; it is 0 on a one-pulse
+rows depend on the grid alone, not on the state, and every train of three
+or more pulses at the same delta, tau and substeps has the same rows
+(shorter trains end before the march does). They are stored over one pair
+only, as an (n_sub + 1) x P block whose column c is theta = (c + 1)*dt:
+the value at theta_j = j*dt, j >= 1, is
+factor**((j - 1) // P) * block[:, (j - 1) % P]. factor is row 0 at
+theta = P*dt, [0, 0, -1] of the stored block; it is 0 on a one-pulse
 train, whose grid ends before 2*tau. Entries past the grid are 0. At
 theta = 0 every row is exactly 1, which the assembly adds on its own.
 
@@ -49,46 +52,27 @@ one-sided limits at every jump.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import DriveParams, GridMismatch, TimeGrid
+from .core import DriveParams, TimeGrid
 from .lindblad import apply_pi_pulse, free_evolve, march
 
 
-@dataclass
-class CorrelatorGrid:
-    """One pulse pair of periodic propagator rows plus the populations.
+def build_correlator_grids(p: DriveParams, g: TimeGrid) -> np.ndarray:
+    """March the propagator rows over one pulse pair.
 
-    rows and before are (n_sub + 1) x 2*n_sub blocks of the post-pulse and
-    pre-swap values of the residue rows and of the pre-pulse companion over
-    theta = dt..2*tau, as in the module docstring. pops is 2 x n_nodes:
-    the ee and gg populations of the trajectory.
-    """
-
-    rows: np.ndarray
-    before: np.ndarray
-    pops: np.ndarray
-
-
-def build_correlator_grids(p: DriveParams, g: TimeGrid,
-                           traj: np.ndarray) -> CorrelatorGrid:
-    """March the propagator rows over one pulse pair and take the
-    populations of traj, the propagate_trajectory output on the same grid.
-
-    Row r (the companion is r = n_sub) starts from the seed ge = 1 at node
-    r, and its n_sub - r sub-steps to node n_sub are the seed times the
-    free map over those elapsed times. There the rows are swapped (the
-    companion even without pulses, as it is defined by the swap) and march
-    on together until row 0 has reached theta = P*dt, and the companion
-    too where the grid is that long, so the march holds at most
-    (n_sub + 1) x min(n_nodes, P + 1) matrices.
+    Returns the (2, n_sub + 1, 2*n_sub) complex block of the residue rows
+    and the pre-pulse companion over theta = dt..2*tau, as in the module
+    docstring: [0] holds the post-pulse values and [1] the pre-swap left
+    limits. Row r (the companion is r = n_sub) starts from the seed ge = 1
+    at node r, and its n_sub - r sub-steps to node n_sub are the seed
+    times the free map over those elapsed times. There the rows are
+    swapped (the companion even without pulses, as it is defined by the
+    swap) and march on together until row 0 has reached theta = P*dt, and
+    the companion too where the grid is that long, so the march holds at
+    most (n_sub + 1) x min(n_nodes, P + 1) matrices.
     """
     n_nodes, n_sub = g.n_nodes, g.substeps_per_interval
-    if len(traj) != n_nodes:
-        raise GridMismatch(
-            f"trajectory has {len(traj)} nodes, grid has {n_nodes}")
     pair = 2 * n_sub
     seed = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     head = free_evolve(seed, np.arange(n_sub + 1) * g.dt, p)
@@ -114,5 +98,4 @@ def build_correlator_grids(p: DriveParams, g: TimeGrid,
     in_pair = (theta >= 1) & (theta <= pair)
     block[:, np.broadcast_to(r[:, None], theta.shape)[in_pair],
           theta[in_pair] - 1] = marched[:, in_pair]
-    return CorrelatorGrid(rows=block[0], before=block[1],
-                          pops=traj.diagonal(axis1=1, axis2=2).T)
+    return block

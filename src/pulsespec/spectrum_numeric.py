@@ -3,15 +3,16 @@
 The double integral over (t, theta) is a trapezoidal rule on both axes
 honoring the ragged theta ranges [0, T - t_i]. At pulse crossings the
 integrands are discontinuous; every interior crossing node takes the
-average of the two one-sided limits carried by the correlator grid, the
+average of the two one-sided limits carried by the pair block, the
 final theta node of a row takes the left limit, and every interior pulse
 time combines the post-pulse row with its pre-pulse companion at half
 weight each. This keeps the composite rule second order in dt; sampling
 a single side of each jump degrades it to first order.
 
-Every correlator row is a population times one of the n_sub + 1
-propagator rows, so the sum over t at fixed theta_j groups by row: each
-propagator row is multiplied by the running sum of the weighted
+Every correlator row is a population from the trajectory's diagonal
+times one of the n_sub + 1 propagator rows of the pair block, which
+depends on the grid alone, so the sum over t at fixed theta_j groups by
+row: each propagator row is multiplied by the running sum of the weighted
 populations of the t nodes whose theta range reaches past j. The final
 node of each range carries a half weight and the left limit, which adds
 one term per t node. The rows are stored over one pulse pair of
@@ -41,27 +42,31 @@ import numpy as np
 from .core import (MAX_ARRAY_CELLS, DriveParams, FrequencyGrid, GridMismatch,
                    GridTooLarge, Spectrum, TimeGrid, build_meta,
                    make_frequency_grid, make_time_grid)
-from .correlators import CorrelatorGrid, build_correlator_grids
+from .correlators import build_correlator_grids
 from .lindblad import propagate_trajectory
 
 
-def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, cg: CorrelatorGrid,
-                             fg: FrequencyGrid) -> Spectrum:
-    """Assemble the numeric spectrum from prebuilt correlator grids.
+def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
+                             block: np.ndarray, fg: FrequencyGrid) -> Spectrum:
+    """Assemble the numeric spectrum from the trajectory and the pair block.
 
-    Trapezoid over t of the per-row theta transforms. The summation is
-    collapsed over t first (S[j] = sum_i of fully weighted samples), so
-    the theta transform runs once, blocked in z = exp(-i*omega*dt),
-    instead of once per row; the reduction order is fixed, making the
-    output reproducible bit for bit at a fixed BLAS thread count.
+    traj is the propagate_trajectory output on g, block the
+    build_correlator_grids output. Trapezoid over t of the per-row theta
+    transforms. The summation is collapsed over t first (S[j] = sum_i of
+    fully weighted samples), so the theta transform runs once, blocked in
+    z = exp(-i*omega*dt), instead of once per row; the reduction order is
+    fixed, making the output reproducible bit for bit at a fixed BLAS
+    thread count.
     """
     n_sub, n_int = g.substeps_per_interval, g.n_intervals
     pair = 2 * n_sub
-    if cg.rows.shape != (n_sub + 1, pair) or cg.pops.shape != (2, g.n_nodes):
+    if block.shape != (2, n_sub + 1, pair) or traj.shape != (g.n_nodes, 2, 2):
         raise GridMismatch(
-            f"correlator rows have shape {cg.rows.shape} and populations "
-            f"{cg.pops.shape}, time grid needs {(n_sub + 1, pair)} and "
-            f"{(2, g.n_nodes)}")
+            f"pair block has shape {block.shape} and trajectory "
+            f"{traj.shape}, time grid needs {(2, n_sub + 1, pair)} and "
+            f"{(g.n_nodes, 2, 2)}")
+    rows, before = block
+    pops = traj.diagonal(axis1=1, axis2=2).T
     last = g.n_nodes - 1
     dt = g.dt
     # t node i < last owns the theta range j = 0..last-i; node `last` has
@@ -76,8 +81,8 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, cg: CorrelatorGrid,
     # for the post-pulse row and for the pre-pulse companion, which takes
     # the populations swapped back and exists at interior pulse nodes only;
     # populations are real, so the weights are too
-    post = w_t * cg.pops[:, :last].real
-    pre = np.where(pulse, w_t, 0.0) * cg.pops[::-1, :last].real
+    post = w_t * pops[:, :last].real
+    pre = np.where(pulse, w_t, 0.0) * pops[::-1, :last].real
     # running[k, r, m] sums the first m nodes i = m'*n_sub + r of row r
     # (the companion's nodes are the pulse nodes, r = 0)
     running = np.zeros((2, n_sub + 1, n_int + 1))
@@ -96,14 +101,14 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, cg: CorrelatorGrid,
     q = np.arange(n_q)
     offset = np.append(np.arange(n_sub), 0)
     shift = (np.arange(1, pair + 1) + offset[:, None]) // n_sub
-    mean = (cg.rows + cg.before) * 0.5
+    mean = (rows + before) * 0.5
     s = np.zeros((2, n_q, 2 * pair))
     for k in range(3):
         count = np.maximum(n_int - 2 * q - k, 0)
         s += (running[:, :, count].transpose(0, 2, 1)
               @ np.where(shift == k, mean, 0.0).view(float))
     s = s.view(complex)
-    power = cg.rows[0, -1] ** q
+    power = rows[0, -1] ** q
     s *= power[:, None]
     # the theta weight is dt, halved at j = 0, where every row is 1
     s = np.concatenate((0.5 * running[:, :, n_int].sum(axis=1)[:, None],
@@ -112,13 +117,13 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, cg: CorrelatorGrid,
     # the end node j = last - i of each range: half weight, left limit
     ends, col = np.divmod(last - 1 - nodes, pair)
     s[:, last - nodes] += 0.5 * dt * power[ends] * (
-        post * cg.before[residue, col] + pre * cg.before[n_sub, col])
+        post * before[residue, col] + pre * before[n_sub, col])
     raw = theta_transform(s, dt, fg.omegas)
     raw_p1, raw_p2 = raw
     scale = 2.0 * p.amp * p.amp
     p1 = scale * raw_p1.real
     p2 = scale * raw_p2.real
-    return Spectrum(omegas=fg.omegas.copy(), p1=p1, p2=p2, q=p2 - p1,
+    return Spectrum(omegas=fg.omegas.copy(), p1=p1, p2=p2,
                     raw_p1=raw_p1, raw_p2=raw_p2, raw_p3=None,
                     meta=build_meta(p, fg, "numeric", grid=g))
 
@@ -150,10 +155,10 @@ def theta_transform(s: np.ndarray, dt: float,
 
 def numeric_spectrum(p: DriveParams, fg: FrequencyGrid | None = None,
                      substeps: int | None = None) -> Spectrum:
-    """Convenience pipeline: trajectory, correlator grids, then assembly."""
+    """Convenience pipeline: trajectory, pair block, then assembly."""
     g = make_time_grid(p, substeps)
     traj = propagate_trajectory(p, g)
-    cg = build_correlator_grids(p, g, traj)
+    block = build_correlator_grids(p, g)
     if fg is None:
         fg = make_frequency_grid(p)
-    return compute_numeric_spectrum(p, g, cg, fg)
+    return compute_numeric_spectrum(p, g, traj, block, fg)

@@ -9,16 +9,16 @@ def drive(n_pulses, delta=3.0, tau=0.2, free_time=None):
                           free_time=free_time)
 
 
-def unfold(cg, row, count, values=None):
-    """Row `row` of the correlator grid over theta_j = j*dt, j < count,
-    unfolded from its one-pair block over theta = dt..P*dt: 1 at j = 0,
-    then factor**((j - 1) // P) times the block's column (j - 1) % P, with
-    factor = cg.rows[0, -1], row 0 at theta = P*dt. values=cg.before gives
-    the left limits instead."""
-    block = cg.rows if values is None else values
+def unfold(block, row, count, side=0):
+    """Row `row` of the pair block over theta_j = j*dt, j < count,
+    unfolded from its one pair over theta = dt..P*dt: 1 at j = 0, then
+    factor**((j - 1) // P) times column (j - 1) % P of block[side], with
+    factor = block[0, 0, -1], row 0 at theta = P*dt. side=1 gives the left
+    limits instead of the post-pulse values."""
     c = np.arange(count - 1)
-    pair = block.shape[1]
-    return np.append(1.0, cg.rows[0, -1] ** (c // pair) * block[row, c % pair])
+    pair = block.shape[2]
+    return np.append(1.0, block[0, 0, -1] ** (c // pair)
+                     * block[side, row, c % pair])
 
 
 def closed_at(n_pulses, delta=3.0, tau=0.2):

@@ -11,7 +11,7 @@ from conftest import closed_at, grid_step, nearest_peak
 def synthetic(q):
     q = np.asarray(q, dtype=float)
     om = np.linspace(-1.0, 1.0, q.size)
-    return ps.Spectrum(omegas=om, p1=np.zeros_like(q), p2=q, q=q)
+    return ps.Spectrum(omegas=om, p1=np.zeros_like(q), p2=q)
 
 
 def test_compare_identity_is_zero(closed8):
@@ -137,16 +137,16 @@ def test_positive_weight_fraction_limits():
 def test_positive_weight_fraction_scale_invariant(closed8):
     base = ps.positive_weight_fraction(closed8)
     scaled = ps.Spectrum(omegas=closed8.omegas, p1=3.7 * closed8.p1,
-                         p2=3.7 * closed8.p2, q=3.7 * closed8.q)
+                         p2=3.7 * closed8.p2)
     assert ps.positive_weight_fraction(scaled) == pytest.approx(base, abs=1e-12)
     assert 0.0 < base < 1.0
 
 
 def test_shape_diff_ignores_scale(closed8):
     scaled = ps.Spectrum(omegas=closed8.omegas, p1=2.5 * closed8.p1,
-                         p2=2.5 * closed8.p2, q=2.5 * closed8.q)
+                         p2=2.5 * closed8.p2)
     assert ps.shape_l2_diff(closed8, scaled) <= 1e-12
     flat = np.zeros_like(closed8.q)
-    zero = ps.Spectrum(omegas=closed8.omegas, p1=flat, p2=flat, q=flat)
+    zero = ps.Spectrum(omegas=closed8.omegas, p1=flat, p2=flat)
     with pytest.raises(ps.ZeroSpectrum):
         ps.shape_l2_diff(closed8, zero)

@@ -220,8 +220,7 @@ def test_csv_rows_match_per_value_formatting(tmp_path, closed8):
                              * 10.0 ** rng.integers(-300, 300, k)])
     p1 = np.concatenate([special[:4] * 2, rng.normal(size=k)])
     p2 = p1 + rng.normal(size=n)
-    s = ps.Spectrum(omegas=omegas, p1=p1, p2=p2, q=p2 - p1,
-                    meta=closed8.meta)
+    s = ps.Spectrum(omegas=omegas, p1=p1, p2=p2, meta=closed8.meta)
     path = tmp_path / "s.csv"
     cli.write_spectrum_csv(path, s)
     lines = [f"# {key} = {cli._fmt(s.meta[key])}" for key in sorted(s.meta)]
@@ -242,7 +241,7 @@ def test_json_matches_per_value_writer(tmp_path, closed8):
     p1 = rng.normal(size=n)
     p2 = omegas[::-1].copy()
     raw = omegas + 1j * rng.normal(size=n)
-    s = ps.Spectrum(omegas=omegas, p1=p1, p2=p2, q=p2 - p1, raw_p1=raw,
+    s = ps.Spectrum(omegas=omegas, p1=p1, p2=p2, raw_p1=raw,
                     raw_p2=raw[::-1], raw_p3=None, meta=closed8.meta)
     path = tmp_path / "s.json"
     cli.write_spectrum_json(path, s)
@@ -324,6 +323,20 @@ def test_sweep_cleans_partial_outputs(tmp_path):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("delta_list", ["1.0000001, 1.0000002", "3, 3"])
+def test_sweep_rejects_points_sharing_a_file_name(tmp_path, capsys,
+                                                  delta_list):
+    # file names keep 6 significant digits of delta, so both points would
+    # write one file and the second would overwrite the first
+    cfg = write_cfg(tmp_path, f"delta_list = {delta_list}\ntau = 0.2\n"
+                              "n_pulses = 8\nengine = closed_form\n")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", cfg, "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "spectrum_delta" in err and "both write" in err
+    assert list(out.iterdir()) == []
+
+
 def test_validate_pass_and_report(tmp_path):
     cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\nn_pulses = 20\n")
     out = tmp_path / "val"
@@ -355,11 +368,11 @@ def test_factorization_check_covers_every_row_value():
     p = drive(8)
     g = ps.make_time_grid(p, 20)
     traj = ps.propagate_trajectory(p, g)
-    cg = ps.build_correlator_grids(p, g, traj)
+    block = ps.build_correlator_grids(p, g)
     check = "correlator_factorization"
-    assert cli._invariant_suite(p, g, traj, cg)[check]["pass"]
-    cg.rows[1, 5 - 1] += 1e-6       # theta = 5*dt
-    assert not cli._invariant_suite(p, g, traj, cg)[check]["pass"]
+    assert cli._invariant_suite(p, g, traj, block)[check]["pass"]
+    block[0, 1, 5 - 1] += 1e-6      # theta = 5*dt
+    assert not cli._invariant_suite(p, g, traj, block)[check]["pass"]
 
 
 @pytest.mark.parametrize("values, row, theta", [
@@ -371,15 +384,16 @@ def test_factorization_check_covers_companion_and_left_limits(values, row,
                                                                theta):
     # the companion row and the pre-swap limits feed every crossing of the
     # assembly; the check used to cover the post-pulse residue rows only.
-    # theta*dt is column theta - 1 of the one-pair block (P = 40).
+    # theta*dt is column theta - 1 of the one-pair block (P = 40), whose
+    # [0] holds the post-pulse rows and [1] the left limits.
     p = drive(8)
     g = ps.make_time_grid(p, 20)
     traj = ps.propagate_trajectory(p, g)
-    cg = ps.build_correlator_grids(p, g, traj)
+    block = ps.build_correlator_grids(p, g)
     check = "correlator_factorization"
-    assert cli._invariant_suite(p, g, traj, cg)[check]["pass"]
-    getattr(cg, values)[row, theta - 1] += 1e-6
-    assert not cli._invariant_suite(p, g, traj, cg)[check]["pass"]
+    assert cli._invariant_suite(p, g, traj, block)[check]["pass"]
+    block[("rows", "before").index(values), row, theta - 1] += 1e-6
+    assert not cli._invariant_suite(p, g, traj, block)[check]["pass"]
 
 
 def test_factorization_check_covers_the_pair_factor():
@@ -388,11 +402,11 @@ def test_factorization_check_covers_the_pair_factor():
     p = drive(8)
     g = ps.make_time_grid(p, 20)
     traj = ps.propagate_trajectory(p, g)
-    cg = ps.build_correlator_grids(p, g, traj)
+    block = ps.build_correlator_grids(p, g)
     check = "correlator_factorization"
-    assert cli._invariant_suite(p, g, traj, cg)[check]["pass"]
-    cg.rows[0, -1] += 1e-6
-    assert not cli._invariant_suite(p, g, traj, cg)[check]["pass"]
+    assert cli._invariant_suite(p, g, traj, block)[check]["pass"]
+    block[0, 0, -1] += 1e-6
+    assert not cli._invariant_suite(p, g, traj, block)[check]["pass"]
 
 
 def test_validate_single_engine_self_comparison(tmp_path):

@@ -107,21 +107,16 @@ def test_zero_grids_give_zero_spectrum():
     p = drive(2)
     g = ps.make_time_grid(p, 5)
     traj = ps.propagate_trajectory(p, g)
-    cg = ps.build_correlator_grids(p, g, traj)
+    block = ps.build_correlator_grids(p, g)
     fg = ps.make_frequency_grid(p)
     # zero populations with the real rows give zero
-    cg_zero = ps.CorrelatorGrid(rows=cg.rows, before=cg.before,
-                                pops=np.zeros_like(cg.pops))
-    s = ps.compute_numeric_spectrum(p, g, cg_zero, fg)
+    s = ps.compute_numeric_spectrum(p, g, np.zeros_like(traj), block, fg)
     assert np.all(s.p1 == 0.0)
     assert np.all(s.p2 == 0.0)
     assert np.all(s.q == 0.0)
     # zero rows past theta = 0 with the real populations leave the theta = 0
     # term alone, where every row is 1: a flat spectrum
-    zero_rows = np.zeros_like(cg.rows)
-    cg_zero = ps.CorrelatorGrid(rows=zero_rows, before=zero_rows,
-                                pops=cg.pops)
-    s = ps.compute_numeric_spectrum(p, g, cg_zero, fg)
+    s = ps.compute_numeric_spectrum(p, g, traj, np.zeros_like(block), fg)
     for part in (s.p1, s.p2):
         assert part[0] > 0.0 and np.all(part == part[0])
 
@@ -205,14 +200,26 @@ def test_numeric_spectrum_peak_layout(numeric8):
     assert any(12.0 < abs(pk[0]) < 18.0 for pk in peaks)
 
 
+def test_grid_mismatch_detected():
+    # the trajectory must cover the time grid
+    p = drive(8)
+    g = ps.make_time_grid(p)
+    traj = ps.propagate_trajectory(p, g)
+    block = ps.build_correlator_grids(p, g)
+    with pytest.raises(ps.GridMismatch):
+        ps.compute_numeric_spectrum(p, g, traj[:-1], block,
+                                    ps.make_frequency_grid(p))
+
+
 def test_grid_mismatch_between_grids():
+    # the pair block must be the one of the time grid
     p = drive(2)
     g = ps.make_time_grid(p, 5)
     traj = ps.propagate_trajectory(p, g)
-    cg = ps.build_correlator_grids(p, g, traj)
-    g_other = ps.make_time_grid(p, 6)
+    block = ps.build_correlator_grids(p, ps.make_time_grid(p, 6))
     with pytest.raises(ps.GridMismatch):
-        ps.compute_numeric_spectrum(p, g_other, cg, ps.make_frequency_grid(p))
+        ps.compute_numeric_spectrum(p, g, traj, block,
+                                    ps.make_frequency_grid(p))
 
 
 def test_refinement_changes_little(numeric20):
