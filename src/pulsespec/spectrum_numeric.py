@@ -19,19 +19,25 @@ one term per t node. The rows are stored over one pulse pair of
 P = 2*n_sub nodes, theta = dt..P*dt, and repeat with a factor per pair,
 so with j = 1 + q*P + c
 
-    S[1 + q*P + c] = factor**q * sum_r mean[r, c] * running[r, m(q, c, r)],
+    S[1 + q*P + c] = factor**q * sum_r mean[r, c] * running[m(q, c, r), r],
 
 with mean the average of the block's two one-sided limits and m the
 number of t nodes of row r whose range passes j. m takes one of three
-values per q, and each is one matrix product over the rows, so nothing
-of size (n_sub + 1) x N is formed.
+values per q, so S is one matrix product of the running sums at those
+three counts with the block split three ways, and nothing of size
+(n_sub + 1) x N is formed.
 
 On the uniform grid theta_j = j*dt the transform to omega is the
-polynomial sum_j S[j] z**j at z = exp(-i*omega*dt). For N nodes and M
-frequencies it is evaluated in blocks of b = ceil(sqrt(N)) nodes: one
-matrix product per block with the table of z**l, l < b, and Horner's rule
-in z**b over the blocks. That takes O(sqrt(N) * M) memory and about
-sqrt(N) vector steps, against N steps for Horner's rule over the nodes.
+polynomial sum_j S[j] z**j at z = exp(-i*omega_k*dt), at the nodes
+omega_k = omega_min + k*omega_step of the frequency grid. For N nodes and
+M frequencies it is Bluestein's chirp-z transform (Rabiner, Schafer &
+Rader 1969): k*j = (k**2 + j**2 - (k - j)**2) / 2 makes the sum a
+convolution, which FFTs of a fixed length of at least N + M - 1 evaluate
+in O((N + M) log(N + M)) time and O(N + M) memory. The chirp phases
+alpha*n**2/2 reach about 1e7 rad at N = 2e5, where forming them in plain
+floating point costs up to 3e-9 of relative accuracy; they are
+error-free products (Dekker 1971) of the double-double phase steps with
+exact integers, reduced by whole turns before they round.
 """
 from __future__ import annotations
 
@@ -39,9 +45,8 @@ import math
 
 import numpy as np
 
-from .core import (MAX_ARRAY_CELLS, DriveParams, FrequencyGrid, GridMismatch,
-                   GridTooLarge, Spectrum, TimeGrid, build_meta,
-                   make_frequency_grid, make_time_grid)
+from .core import (DriveParams, FrequencyGrid, GridMismatch, Spectrum,
+                   TimeGrid, build_meta, make_frequency_grid, make_time_grid)
 from .correlators import build_correlator_grids
 from .lindblad import propagate_trajectory
 
@@ -53,18 +58,33 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
     traj is the propagate_trajectory output on g, block the
     build_correlator_grids output. Trapezoid over t of the per-row theta
     transforms. The summation is collapsed over t first (S[j] = sum_i of
-    fully weighted samples), so the theta transform runs once, blocked in
-    z = exp(-i*omega*dt), instead of once per row; the reduction order is
-    fixed, making the output reproducible bit for bit at a fixed BLAS
-    thread count.
+    fully weighted samples), so the theta transform runs once, by chirp-z,
+    instead of once per row; the reduction order is fixed, making the
+    output reproducible bit for bit.
     """
-    n_sub, n_int = g.substeps_per_interval, g.n_intervals
-    pair = 2 * n_sub
-    if block.shape != (2, n_sub + 1, pair) or traj.shape != (g.n_nodes, 2, 2):
+    n_sub = g.substeps_per_interval
+    if (block.shape != (2, n_sub + 1, 2 * n_sub)
+            or traj.shape != (g.n_nodes, 2, 2)):
         raise GridMismatch(
             f"pair block has shape {block.shape} and trajectory "
-            f"{traj.shape}, time grid needs {(2, n_sub + 1, pair)} and "
-            f"{(g.n_nodes, 2, 2)}")
+            f"{traj.shape}, time grid needs {(2, n_sub + 1, 2 * n_sub)} "
+            f"and {(g.n_nodes, 2, 2)}")
+    raw_p1, raw_p2 = theta_transform(theta_sums(p, g, traj, block), g.dt, fg)
+    scale = 2.0 * p.amp * p.amp
+    p1 = scale * raw_p1.real
+    p2 = scale * raw_p2.real
+    return Spectrum(omegas=fg.omegas.copy(), p1=p1, p2=p2,
+                    raw_p1=raw_p1, raw_p2=raw_p2, raw_p3=None,
+                    meta=build_meta(p, fg, "numeric", grid=g))
+
+
+def theta_sums(p: DriveParams, g: TimeGrid, traj: np.ndarray,
+               block: np.ndarray) -> np.ndarray:
+    """S[k, j], j = 0..N-1: the trapezoid over t and theta of the
+    correlators of population k at theta_j = j*dt, from the trajectory
+    and the pair block of matching shapes."""
+    n_sub, n_int = g.substeps_per_interval, g.n_intervals
+    pair = 2 * n_sub
     rows, before = block
     pops = traj.diagonal(axis1=1, axis2=2).T
     last = g.n_nodes - 1
@@ -72,8 +92,7 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
     # t node i < last owns the theta range j = 0..last-i; node `last` has
     # an empty range and a vanishing integral
     nodes = np.arange(last)
-    residue = nodes % n_sub
-    pulse = (residue == 0) & (nodes > 0) & (p.n_pulses >= 1)
+    pulse = (nodes % n_sub == 0) & (nodes > 0) & (p.n_pulses >= 1)
     w_t = np.full(last, dt)
     w_t[0] *= 0.5
     w_t[pulse] *= 0.5
@@ -83,73 +102,162 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
     # populations are real, so the weights are too
     post = w_t * pops[:, :last].real
     pre = np.where(pulse, w_t, 0.0) * pops[::-1, :last].real
-    # running[k, r, m] sums the first m nodes i = m'*n_sub + r of row r
+    # running[k, m, r] sums the first m nodes i = m'*n_sub + r of row r
     # (the companion's nodes are the pulse nodes, r = 0)
-    running = np.zeros((2, n_sub + 1, n_int + 1))
-    running[:, :n_sub, 1:] = post.reshape(2, n_int, n_sub).transpose(0, 2, 1)
-    running[:, n_sub, 1:] = pre[:, ::n_sub]
-    np.cumsum(running, axis=2, out=running)
-    # S[j] sums mean[r, j] * running[r, m] over the nodes i < last - j, whose
+    running = np.zeros((2, n_int + 1, n_sub + 1))
+    running[:, 1:, :n_sub] = post.reshape(2, n_int, n_sub)
+    running[:, 1:, n_sub] = pre[:, ::n_sub]
+    np.cumsum(running, axis=1, out=running)
+    # S[j] sums mean[r, j] * running[m, r] over the nodes i < last - j, whose
     # ranges contain j before their end; a crossing there takes the mean of
     # the two one-sided limits, which is the stored value elsewhere. With
     # j = 1 + q*P + c and row r starting at offset r (the companion at 0)
     # there are m = n_int - 2q - (1 + c + offset) // n_sub such nodes, and
-    # the row value is factor**q times the block, so each of the three values
-    # of the floor is one product over the rows; running is real, so each is
-    # a real product with the block's real and imaginary parts interleaved.
+    # the row value is factor**q times the block. The floor takes three
+    # values, so S is one product of the running sums at the three counts
+    # per q with the block split by floor; running is real, so it is a real
+    # product with the block's real and imaginary parts interleaved.
     n_q = (last - 1) // pair + 1
     q = np.arange(n_q)
     offset = np.append(np.arange(n_sub), 0)
     shift = (np.arange(1, pair + 1) + offset[:, None]) // n_sub
-    mean = (rows + before) * 0.5
-    s = np.zeros((2, n_q, 2 * pair))
-    for k in range(3):
-        count = np.maximum(n_int - 2 * q - k, 0)
-        s += (running[:, :, count].transpose(0, 2, 1)
-              @ np.where(shift == k, mean, 0.0).view(float))
-    s = s.view(complex)
-    power = rows[0, -1] ** q
-    s *= power[:, None]
+    split = np.where(shift == np.arange(3)[:, None, None],
+                     (rows + before) * 0.5, 0.0)
+    count = np.maximum(n_int - 2 * q[:, None] - np.arange(3), 0)
+    # body[k, q, c] is s[k, 1 + q*P + c]; past j = last it pads with zeros
+    s = np.empty((2, 1 + n_q * pair), dtype=complex)
+    body = s[:, 1:].reshape(2, n_q, pair)
+    np.matmul(np.take(running, count, axis=1).reshape(2, n_q, -1),
+              split.view(float).reshape(-1, 2 * pair), out=body.view(float))
+    # the end node j = last - i of each range: half weight, left limit.
+    # Node i = last - 1 - (q*P + c) ends in column c of row (-1 - c) % n_sub,
+    # and of the companion for its swapped populations; reversed, the
+    # weights line up with body
+    c = np.arange(pair)
+    ends = (post, before[(-1 - c) % n_sub, c]), (pre, before[n_sub])
+    weight = np.zeros(n_q * pair)
+    for k in range(2):
+        for w, row in ends:
+            np.multiply(0.5, w[k, ::-1], out=weight[:last])
+            body[k] += weight.reshape(n_q, pair) * row
+    body *= (rows[0, -1] ** q)[:, None]
     # the theta weight is dt, halved at j = 0, where every row is 1
-    s = np.concatenate((0.5 * running[:, :, n_int].sum(axis=1)[:, None],
-                        s.reshape(2, n_q * pair)[:, :last]), axis=1)
+    s[:, 0] = 0.5 * running[:, n_int].sum(axis=1)
     s *= dt
-    # the end node j = last - i of each range: half weight, left limit
-    ends, col = np.divmod(last - 1 - nodes, pair)
-    s[:, last - nodes] += 0.5 * dt * power[ends] * (
-        post * before[residue, col] + pre * before[n_sub, col])
-    raw = theta_transform(s, dt, fg.omegas)
-    raw_p1, raw_p2 = raw
-    scale = 2.0 * p.amp * p.amp
-    p1 = scale * raw_p1.real
-    p2 = scale * raw_p2.real
-    return Spectrum(omegas=fg.omegas.copy(), p1=p1, p2=p2,
-                    raw_p1=raw_p1, raw_p2=raw_p2, raw_p3=None,
-                    meta=build_meta(p, fg, "numeric", grid=g))
+    return s[:, :last + 1]
+
+
+def fft_length(n: int, m: int) -> int:
+    """FFT length of the chirp-z transform of n nodes to m frequencies.
+
+    The smallest 5-smooth number (2**a * 3**b * 5**c) of at least
+    n + m - 1, so the circular convolution does not wrap. It depends on
+    (n, m) alone, which keeps the output reproducible bit for bit, and is
+    at most the next power of two.
+    """
+    need = n + m - 1
+    best = 1 << (need - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            best = min(best, odd << (-(-need // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
+# Veltkamp's splitter 2**27 + 1, and 2*pi as a double-double
+_SPLITTER = 134217729.0
+_TWO_PI = (6.283185307179586, 2.4492935982947064e-16)
+
+
+def _split(x):
+    """x = hi + lo exactly, each half short enough for exact products."""
+    hi = x * _SPLITTER
+    hi = hi - (hi - x)
+    return hi, x - hi
+
+
+def _two_prod(a, b):
+    """Dekker's error-free product: a*b == p + e exactly, elementwise."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    e = a_hi * b_hi
+    e -= p
+    e += a_hi * b_lo
+    e += a_lo * b_hi
+    e += a_lo * b_lo
+    return p, e
+
+
+def _turns(rate, x):
+    """rate*x modulo whole turns, in about [-1/2, 1/2], for the rate
+    (hi, lo) in turns as a double-double and integers x < 2**53 held as
+    doubles. hi*x is an error-free product, so whole turns drop out
+    exactly and only the final sum rounds."""
+    hi, lo = rate
+    hi -= round(hi)
+    p, e = _two_prod(hi, x)
+    e += lo * x
+    p -= np.rint(p)
+    p += e
+    return p
+
+
+def _rate(omega, dt):
+    """omega*dt / (2*pi) as a double-double: the phase step in turns."""
+    p, e = _two_prod(omega, dt)
+    hi = p / _TWO_PI[0]
+    q, r = _two_prod(hi, _TWO_PI[0])
+    return hi, ((p - q) - r + e - hi * _TWO_PI[1]) / _TWO_PI[0]
+
+
+def _cis(turns):
+    """exp(-2*pi*i*turns), one cosine and one sine per value."""
+    angle = turns * (-2.0 * math.pi)
+    out = np.empty(turns.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
 
 
 def theta_transform(s: np.ndarray, dt: float,
-                    omegas: np.ndarray) -> np.ndarray:
-    """sum_j s[:, j] * z**j at z = exp(-i*omega*dt) for every omega.
+                    fg: FrequencyGrid) -> np.ndarray:
+    """sum_j s[:, j] * exp(-i*omega_k*j*dt) at the nodes
+    omega_k = omega_min + k*omega_step of fg, k < M.
 
-    Baby-step/giant-step: with b = ceil(sqrt(N)) and node j = q*b + l,
-    each block q of b nodes is one product with the (b, M) table of z**l,
-    and Horner's rule in z**b runs over the ceil(N/b) blocks, last first.
-    Raises GridTooLarge before forming a table above MAX_ARRAY_CELLS.
+    Bluestein's chirp-z transform: with alpha = omega_step*dt, the sum
+    over j >= 1 is the chirp exp(-i*alpha*k**2/2) times the convolution
+    of s[:, j] * exp(-i*(omega_min*dt*j + alpha*j**2/2)) with
+    exp(i*alpha*d**2/2), one FFT product of length fft_length(N, M).
+    Every phase is alpha/2 or omega_min*dt, held in turns as a
+    double-double, times an exact integer d**2 or j (N, M <= 2**26): an
+    error-free product whose whole turns drop out before it rounds. The
+    theta = 0 term s[:, 0] is added outside the FFT with its exact
+    factor 1. numpy.fft is only looked up here: numpy loads it on first
+    use, and importing it costs more than a small transform.
     """
-    n = s.shape[1]
-    b = math.isqrt(n - 1) + 1
-    if b * omegas.size > MAX_ARRAY_CELLS:
-        raise GridTooLarge(
-            f"{b} x {omegas.size} table of z powers needs more than "
-            f"{MAX_ARRAY_CELLS} array cells")
-    zpow = np.exp(-1j * dt * np.outer(np.arange(b), omegas))
-    zb = np.exp(-1j * dt * b * omegas)
-    first = (n - 1) // b * b
-    raw = s[:, first:] @ zpow[:n - first]
-    for q in range(first - b, -1, -b):
-        raw *= zb
-        raw += s[:, q:q + b] @ zpow
+    n, m = s.shape[1], fg.omegas.size
+    length = fft_length(n, m)
+    hi, lo = _rate(fg.omega_step, dt)
+    j = np.arange(max(n, m), dtype=float)
+    turns = _turns((0.5 * hi, 0.5 * lo), j * j)
+    chirp = _cis(turns)
+    turns = turns[1:n]
+    turns += _turns(_rate(fg.omega_min, dt), j[1:n])
+    conv = np.zeros((len(s), length), dtype=complex)
+    np.multiply(s[:, 1:], _cis(turns), out=conv[:, 1:n])
+    kernel = np.zeros(length, dtype=complex)
+    np.conjugate(chirp[:m], out=kernel[:m])
+    np.conjugate(chirp[1:n], out=kernel[:length - n:-1])
+    np.fft.fft(conv, axis=1, out=conv)
+    np.fft.fft(kernel, out=kernel)
+    conv *= kernel
+    np.fft.ifft(conv, axis=1, out=conv)
+    raw = chirp[:m] * conv[:, :m]
+    raw += s[:, :1]
     return raw
 
 

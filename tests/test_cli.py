@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +210,35 @@ def test_long_train_beyond_old_row_budget(tmp_path):
                          if not ln.startswith(("#", "omega"))], dtype=float)
         assert rows.shape == (1201, 4) and np.all(np.isfinite(rows))
     report = json.loads((out / "comparison.json").read_text())
+    assert report["metrics"]["l2_rel"] <= 0.05
+
+
+def test_numeric_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 100001 time nodes: large enough that a transform built on threaded
+    # matrix products rounds differently on one BLAS thread and on two
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 1\nn_pulses = 1000\n"
+                              "engine = numeric\n")
+    src = str(Path(ps.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "pulsespec.cli", "spectrum",
+                        "--config", cfg, "--output-dir", str(out)],
+                       env=env, check=True)
+        outputs.append((out / "spectrum_numeric.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_validate_engines_agree_at_ten_thousand_pulses(tmp_path):
+    # 200001 time nodes, the long-train target size
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\nn_pulses = 10000\n"
+                              "engine = both\n")
+    out = tmp_path / "val"
+    assert cli.main(["validate", "--config", cfg,
+                     "--output-dir", str(out)]) == 0
+    report = json.loads((out / "validation_report.json").read_text())
     assert report["metrics"]["l2_rel"] <= 0.05
 
 

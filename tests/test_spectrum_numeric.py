@@ -1,15 +1,16 @@
 import math
+import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pulsespec as ps
 from conftest import drive, nearest_peak
-from pulsespec import spectrum_numeric
 from pulsespec.lindblad import march
-from pulsespec.spectrum_numeric import theta_transform
+from pulsespec.spectrum_numeric import fft_length, theta_transform
 
 GOLDEN = Path(__file__).parent / "data" / "numeric_golden.npz"
 
@@ -48,50 +49,101 @@ def direct_transform(s, dt, omegas, block=1024):
     return out
 
 
-def default_omegas(n_pulses):
-    return ps.make_frequency_grid(drive(n_pulses)).omegas
+def default_grid(n_pulses):
+    return ps.make_frequency_grid(drive(n_pulses))
 
 
-# (nodes N, dt, omegas): the blocks of ceil(sqrt(N)) nodes fit N exactly,
-# overhang by one node, fall one short; the smallest grid (one pulse, one
-# substep); a single frequency; the 700-pulse grid of the CLI tests.
+# (nodes N, dt, frequency grid): three short sums of 121 to 133 nodes; the
+# smallest grid (one pulse, one substep), far fewer nodes than
+# frequencies; a single frequency; the 700-pulse grid of the CLI tests.
 TRANSFORM_CASES = {
-    "square": (121, 0.01, default_omegas(8)),
-    "block_plus_one": (133, 0.01, default_omegas(8)),
-    "block_minus_one": (131, 0.01, default_omegas(8)),
-    "two_nodes": (2, 0.2, default_omegas(1)),
-    "one_omega": (161, 0.01, np.array([3.0])),
-    "long_train": (14001, 0.01, default_omegas(700)),
+    "square": (121, 0.01, default_grid(8)),
+    "block_plus_one": (133, 0.01, default_grid(8)),
+    "block_minus_one": (131, 0.01, default_grid(8)),
+    "two_nodes": (2, 0.2, default_grid(1)),
+    "one_omega": (161, 0.01,
+                  ps.FrequencyGrid(3.0, 3.0, 0.1, np.array([3.0]))),
+    "long_train": (14001, 0.01, default_grid(700)),
 }
+
+
+def transform_case(name):
+    n, dt, fg = TRANSFORM_CASES[name]
+    rng = np.random.default_rng(n)
+    return rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n)), dt, fg
 
 
 @pytest.mark.parametrize("name", sorted(TRANSFORM_CASES))
 def test_blocked_transform_matches_direct_sum(name):
-    n, dt, omegas = TRANSFORM_CASES[name]
-    rng = np.random.default_rng(n)
-    s = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-    ref = direct_transform(s, dt, omegas)
-    got = theta_transform(s, dt, omegas)
+    # the chirp-z transform against the sum over blocks of nodes
+    s, dt, fg = transform_case(name)
+    ref = direct_transform(s, dt, fg.omegas)
+    got = theta_transform(s, dt, fg)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_transform_table_budget(monkeypatch):
-    # 2 nodes make blocks of b = 2; the (b, M) table of z powers would
-    # exceed the budget, and zero-stride inputs show it is never formed
-    budget = ps.core.MAX_ARRAY_CELLS
-    s = np.broadcast_to(0j, (2, 2))
-    with pytest.raises(ps.GridTooLarge):
-        theta_transform(s, 0.1, np.broadcast_to(0.0, (budget // 2 + 1,)))
-    # at the boundary itself: 121 nodes make blocks of 11
-    n, dt, omegas = TRANSFORM_CASES["square"]
-    s = np.random.default_rng(0).normal(size=(2, n)) + 0j
-    monkeypatch.setattr(spectrum_numeric, "MAX_ARRAY_CELLS",
-                        11 * omegas.size)
-    ref = direct_transform(s, dt, omegas)
-    assert np.max(np.abs(theta_transform(s, dt, omegas) - ref)) <= (
-        1e-12 * np.max(np.abs(ref)))
-    with pytest.raises(ps.GridTooLarge):
-        theta_transform(s, dt, np.append(omegas, 0.0))
+def exact_transform(s, dt, fg, k):
+    """sum_j s[:, j] * z**j at the node omega_min + k*omega_step itself,
+    by Horner's rule in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        omega = mpmath.mpf(fg.omega_min) + k * mpmath.mpf(fg.omega_step)
+        z = mpmath.expj(-omega * mpmath.mpf(dt))
+        out = []
+        for row in s:
+            acc = mpmath.mpc(0)
+            for value in row[::-1]:
+                acc = acc * z + mpmath.mpc(value.real, value.imag)
+            out.append(complex(acc))
+    return np.array(out)
+
+
+def test_transform_matches_exact_nodes():
+    # the direct sum rounds the nodes omega_k and its phases and is off by
+    # up to 4e-13 of max|X| here; the chirp-z transform read 3.2e-16
+    s, dt, fg = transform_case("long_train")
+    got = theta_transform(s, dt, fg)
+    m = fg.omegas.size
+    for k in (0, m // 2, m - 1):
+        err = np.max(np.abs(got[:, k] - exact_transform(s, dt, fg, k)))
+        assert err <= 1e-15 * np.max(np.abs(got))
+
+
+def five_smooth(n):
+    for factor in (2, 3, 5):
+        while n % factor == 0:
+            n //= factor
+    return n == 1
+
+
+def test_fft_length_rule():
+    # the smallest 5-smooth length holding the linear convolution, however
+    # N + M - 1 splits into nodes and frequencies
+    smooth = [n for n in range(1, 3000) if five_smooth(n)]
+    for need in range(1, 2900):
+        expected = next(n for n in smooth if n >= need)
+        assert fft_length(need, 1) == fft_length(1, need) == expected
+    assert fft_length(1601, 1201) == 2880
+    # the largest grids make_time_grid and make_frequency_grid accept: both
+    # populations of the convolution stay within the cell budget
+    assert 2 * fft_length(2**22, 2**17) <= ps.core.MAX_ARRAY_CELLS
+
+
+def test_long_train_peak_memory():
+    # 10,000 pulses x 20 substeps: 200001 time nodes, 1201 frequencies;
+    # measured 28.0 MB above the inputs
+    p = drive(10_000)
+    g = ps.make_time_grid(p)
+    traj = ps.propagate_trajectory(p, g)
+    block = ps.build_correlator_grids(p, g)
+    fg = ps.make_frequency_grid(p)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ps.compute_numeric_spectrum(p, g, traj, block, fg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30e6
 
 
 def test_observed_dt_order_is_two():
