@@ -6,9 +6,10 @@ omega_min, omega_max, omega_step, engine, output_dir, format. Sweep keys
 n_pulses_list, tau_list, delta_list take comma-separated values.
 
 Exit codes: 0 success, 1 validation tolerance failure, 2 config parse
-error, 3 parameter error. CSV output is byte-identical for identical
-configs: summation order and float formatting are fixed, and every file
-starts with a header embedding the full resolved parameter set.
+error, 3 parameter error. CSV and JSON spectrum files are byte-identical
+for identical configs: summation order and float formatting are fixed,
+and every file carries the full resolved parameter set (the CSV header,
+the JSON `meta`).
 """
 from __future__ import annotations
 
@@ -136,28 +137,56 @@ def _fmt(value) -> str:
 
 def write_spectrum_csv(path: Path, s: Spectrum) -> None:
     """Emit `omega,P1,P2,Q` rows with 17 significant digits after a
-    comment header carrying the resolved parameters."""
-    lines = [f"# {key} = {_fmt(s.meta[key])}" for key in sorted(s.meta)]
-    lines.append("omega,P1,P2,Q")
-    lines.extend("%.17g,%.17g,%.17g,%.17g" % tuple(row) for row in
-                 np.column_stack((s.omegas, s.p1, s.p2, s.q)).tolist())
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    comment header carrying the resolved parameters. All rows come from
+    one % format call over the flattened table."""
+    header = "".join(f"# {key} = {_fmt(s.meta[key])}\n"
+                     for key in sorted(s.meta))
+    table = np.column_stack((s.omegas, s.p1, s.p2, s.q))
+    rows = ("%.17g,%.17g,%.17g,%.17g\n" * len(table)
+            % tuple(table.ravel().tolist()))
+    path.write_text(header + "omega,P1,P2,Q\n" + rows, encoding="utf-8")
+
+
+def _json_list(values: np.ndarray, indent: str) -> str:
+    """`values` as json.dumps(indent=2) lays out a list at depth `indent`.
+
+    repr of a list of floats calls float.__repr__ on every element, which
+    is what json writes for a finite float (Spectrum admits no other).
+    """
+    if values.size == 0:
+        return "[]"
+    inner = "\n" + indent + "  "
+    body = repr(values.tolist()).replace(", ", "," + inner)
+    return "[" + inner + body[1:-1] + "\n" + indent + "]"
 
 
 def write_spectrum_json(path: Path, s: Spectrum) -> None:
-    doc = {
-        "meta": s.meta,
-        "omega": s.omegas.tolist(),
-        "p1": s.p1.tolist(),
-        "p2": s.p2.tolist(),
-        "q": s.q.tolist(),
-    }
-    for name in ("raw_p1", "raw_p2", "raw_p3"):
-        arr = getattr(s, name)
-        if arr is not None:
-            doc[name] = {"real": arr.real.tolist(), "imag": arr.imag.tolist()}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    """Write `s` as json.dumps(doc, indent=2, sort_keys=True) would, byte
+    for byte.
+
+    json.dumps with an indent runs the pure-Python encoder, one chunk per
+    float, so only `meta` goes through it. Each float array is formatted
+    by one C-level list repr, laid out by one str.replace and written
+    before the next is formatted, so only one array's text is held. Keys
+    go out in sorted order: meta, omega, p1, p2, q, then raw_p1, raw_p2,
+    raw_p3 as present, each with imag before real.
+    """
+    meta = json.dumps(s.meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+    with path.open("w", encoding="utf-8") as f:
+        f.write('{\n  "meta": ' + meta)
+        for key, arr in (("omega", s.omegas), ("p1", s.p1), ("p2", s.p2),
+                         ("q", s.q)):
+            f.write(f',\n  "{key}": ')
+            f.write(_json_list(arr, "  "))
+        for key in ("raw_p1", "raw_p2", "raw_p3"):
+            arr = getattr(s, key)
+            if arr is not None:
+                f.write(f',\n  "{key}": {{\n    "imag": ')
+                f.write(_json_list(arr.imag, "    "))
+                f.write(',\n    "real": ')
+                f.write(_json_list(arr.real, "    "))
+                f.write("\n  }")
+        f.write("\n}\n")
 
 
 def _write_outputs(outdir: Path, stem: str, s: Spectrum, fmt: str) -> list[Path]:

@@ -50,8 +50,9 @@ DEFAULT_AMP = math.sqrt(0.5)
 # Largest number of cells any array of the numeric engine may have
 # (2**24 complex values take 256 MiB).
 MAX_ARRAY_CELLS = 2**24
-# Largest frequency grid: a spectrum run with JSON output peaks at about
-# 1.5 kB per frequency node, so 131072 nodes stay near 200 MB.
+# Largest frequency grid: a closed-form spectrum run with JSON output peaks
+# at about 0.26 kB per frequency node above the interpreter's ~30 MB, so
+# 131072 nodes stay near 65 MB.
 MAX_FREQUENCY_NODES = MAX_ARRAY_CELLS // 128
 
 
@@ -246,8 +247,11 @@ class Spectrum:
             if size != n:
                 raise GridMismatch(f"{name} has {size} values for {n} nodes")
         self.q = self.p2 - self.p1
-        for name in ("p1", "p2", "q"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        # the writers format every one of these floats, and JSON has no
+        # token for a non-finite one
+        for name in ("omegas", "p1", "p2", "q", "raw_p1", "raw_p2", "raw_p3"):
+            values = getattr(self, name)
+            if values is not None and not np.all(np.isfinite(values)):
                 raise NonFiniteSpectrum(f"{name} has non-finite values")
 
 

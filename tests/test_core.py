@@ -165,6 +165,28 @@ def test_spectrum_container_invariants():
         ps.Spectrum(omegas=om, p1=p1[:-1], p2=p2)
 
 
+@pytest.mark.parametrize("name", ["omegas", "p1", "p2", "q", "raw_p1",
+                                  "raw_p2", "raw_p3"])
+def test_spectrum_rejects_non_finite_values(name):
+    # JSON has no token for a non-finite float, so every array a writer
+    # formats must be finite; q overflows from finite p1 and p2
+    big = np.finfo(float).max
+    arrays = {"omegas": np.linspace(-1, 1, 5), "p1": np.zeros(5),
+              "p2": np.ones(5), "raw_p1": np.ones(5, dtype=complex),
+              "raw_p2": np.ones(5, dtype=complex),
+              "raw_p3": np.ones(5, dtype=complex)}
+    ps.Spectrum(**arrays)
+    if name == "q":
+        arrays["p1"][2], arrays["p2"][2] = -big, big
+    elif name.startswith("raw"):
+        arrays[name][2] = complex(1.0, np.nan)
+    else:
+        arrays[name][2] = np.inf
+    with np.errstate(over="ignore"), pytest.raises(ps.NonFiniteSpectrum,
+                                                   match=name):
+        ps.Spectrum(**arrays)
+
+
 def test_build_meta_contents():
     p = drive(8)
     fg = ps.make_frequency_grid(p)
