@@ -16,10 +16,9 @@ from .lindblad import (NegativeDt, apply_pi_pulse, free_evolve,
                        propagate_trajectory)
 from .correlators import build_correlator_grids
 from .spectrum_numeric import compute_numeric_spectrum, numeric_spectrum
-from .closed_form import (GammaTriple, NegativeM, NegativeTheta,
-                          OddPulseCount, OutOfRangeT, TooFewPulses,
-                          closed_spectrum, f_analytic, gammas, p1_closed,
-                          p3_closed, rho0, rho_gg_analytic)
+from .closed_form import (NegativeM, NegativeTheta, OddPulseCount,
+                          OutOfRangeT, TooFewPulses, closed_blocks,
+                          closed_spectrum, f_analytic, rho0, rho_gg_analytic)
 from .analysis import (ZeroSpectrum, compare_spectra, find_peaks,
                        positive_weight_fraction, shape_l2_diff)
 
@@ -34,9 +33,9 @@ __all__ = [
     "NegativeDt", "apply_pi_pulse", "free_evolve", "propagate_trajectory",
     "build_correlator_grids",
     "compute_numeric_spectrum", "numeric_spectrum",
-    "GammaTriple", "NegativeM", "NegativeTheta", "OddPulseCount",
-    "OutOfRangeT", "TooFewPulses", "closed_spectrum", "f_analytic", "gammas",
-    "p1_closed", "p3_closed", "rho0", "rho_gg_analytic",
+    "NegativeM", "NegativeTheta", "OddPulseCount", "OutOfRangeT",
+    "TooFewPulses", "closed_blocks", "closed_spectrum", "f_analytic", "rho0",
+    "rho_gg_analytic",
     "ZeroSpectrum", "compare_spectra", "find_peaks",
     "positive_weight_fraction", "shape_l2_diff",
     "__version__",

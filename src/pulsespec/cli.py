@@ -315,7 +315,7 @@ def _invariant_suite(p: DriveParams, g: TimeGrid,
     free = np.exp((1j * p.delta - 0.5 * p.gamma) * np.array([p.tau, g.dt]))
     r = np.arange(n_sub + 1)[:, None]
     companion = r == n_sub
-    kernel = f_analytic(g.times[r % n_sub],
+    kernel = f_analytic((r % n_sub) * g.dt,
                         np.arange(pair + 1) * g.dt + p.tau * companion, p)
     kernel /= np.where(companion, free[0], 1.0)
     theta = np.arange(1, pair + 1)

@@ -5,11 +5,10 @@ relaxes exactly between pulses and is swapped by each pulse, which gives
 a closed expression for the populations at any time; the correlator
 kernel f(t, theta) propagating the ge element across pulse boundaries is
 piecewise exponential with a phase confined to [-delta*tau, delta*tau];
-and the double Fourier integrals then collapse into geometric sums. The
-spectral building blocks are evaluated per frequency from three
-gamma-parameters; each formula computes its exponentials once per
-frequency and reuses them across terms, which avoids cancellation drift
-between the sum pieces.
+and the double Fourier integrals then collapse into geometric sums. One
+function evaluates both spectral building blocks per frequency from a
+single set of exponentials shared across their terms, and none of those
+exponentials grows with tau, so the closed forms hold at any tau.
 
 The closed forms require an even pulse count of at least two: the
 geometric resummation pairs consecutive intervals. The numeric engine
@@ -20,7 +19,6 @@ All operations accept a scalar frequency or an array (elementwise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,35 +44,6 @@ class OddPulseCount(PulsespecError):
 
 class TooFewPulses(PulsespecError):
     pass
-
-
-@dataclass(frozen=True)
-class GammaTriple:
-    """The three complex rates entering every closed form.
-
-    g0 = i*(omega - delta) + gamma/2
-    g1 = i*omega + gamma/2
-    g2 = g0 - gamma (the identity g2 - g0 + gamma = 0 holds exactly)
-    """
-
-    g0: complex
-    g1: complex
-    g2: complex
-
-
-def gammas(omega, p: DriveParams) -> GammaTriple:
-    g0 = 1j * (np.asarray(omega, dtype=float) - p.delta) + 0.5 * p.gamma
-    g1 = 1j * np.asarray(omega, dtype=float) + 0.5 * p.gamma
-    return GammaTriple(g0=g0, g1=g1, g2=g0 - p.gamma)
-
-
-def _require_closed_form_pulses(p: DriveParams) -> None:
-    if p.n_pulses % 2 != 0:
-        raise OddPulseCount(
-            f"closed forms need an even pulse count, got {p.n_pulses}")
-    if p.n_pulses < 2:
-        raise TooFewPulses(
-            f"closed forms need at least 2 pulses, got {p.n_pulses}")
 
 
 def _interval_index(t, tau: float):
@@ -130,45 +99,53 @@ def f_analytic(t, theta, p: DriveParams):
     return np.where(m == 0, same, np.where(m % 2 == 1, 0.0j, paired))[()]
 
 
-def p1_closed(omega, p: DriveParams):
-    """Long-time emission-side building block P1(omega).
+def closed_blocks(omega, p: DriveParams):
+    """Long-time building blocks (P1, P3) at omega: P1 is the emission
+    side, P3 = P1 + P2 the total.
 
-    Finite for every real frequency: all denominators contain either g0,
-    g1 (real part gamma/2 > 0) or the factor exp(2*g1*tau) - 1 whose
-    magnitude is bounded below by exp(gamma*tau) - 1.
+    With g0 = i*(omega - delta) + gamma/2, g1 = i*omega + gamma/2,
+    g2 = g0 - gamma and x = exp(-gamma*tau), the exponentials are
+    expm1(-g0*tau), e1 = exp(-2*g1*tau), the phase u = exp(2i*omega*tau),
+    exp((g0 - 2*g1)*tau), exp(-n_pulses*g1*tau) and expm1(g2*tau). No
+    exponent has a positive real part, so nothing overflows at large tau.
+    Every denominator is g0 (real part gamma/2), 1 - e1 or 1 - x*u, and
+    the last two are at least 1 - x in magnitude, so both blocks are
+    finite at every real frequency. P3 behaves as n_pulses*tau/g0 at
+    large |omega|; its other terms carry an extra 1/g0.
     """
-    _require_closed_form_pulses(p)
+    if p.n_pulses % 2 != 0:
+        raise OddPulseCount(
+            f"closed forms need an even pulse count, got {p.n_pulses}")
+    if p.n_pulses < 2:
+        raise TooFewPulses(
+            f"closed forms need at least 2 pulses, got {p.n_pulses}")
     tau, n = p.tau, p.n_pulses
-    tr = gammas(omega, p)
+    omega = np.asarray(omega, dtype=float)
+    g0 = 1j * (omega - p.delta) + 0.5 * p.gamma
+    g1 = 1j * omega + 0.5 * p.gamma
+    g2 = g0 - p.gamma
     x = math.exp(-p.gamma * tau)
-    e_g0 = np.exp(-tr.g0 * tau)
-    e_2g1 = np.exp(2.0 * tr.g1 * tau)
-    e_ng1 = np.exp(-n * tr.g1 * tau)
-    growth = (np.exp(tr.g2 * tau) - 1.0) / tr.g2
-    h = growth * (1.0 - e_g0) / (e_2g1 - 1.0)
-    g = (1.0 - x) / p.gamma - e_g0 * growth + h
-    r = (2.0 * (e_ng1 - 1.0) / (1.0 / e_2g1 - 1.0)
-         + (x - x * x) * e_ng1 / (1.0 / e_2g1 - x * x))
-    return (g * (n + x / (1.0 + x)) - h * r) / ((1.0 + x) * tr.g0)
-
-
-def p3_closed(omega, p: DriveParams):
-    """Long-time total building block P3(omega) = P1 + P2.
-
-    The leading behaviour at large |omega| is n_pulses*tau/g0; the
-    remaining terms carry an extra 1/g0 suppression.
-    """
-    _require_closed_form_pulses(p)
-    tau, n = p.tau, p.n_pulses
-    tr = gammas(omega, p)
-    e_g0 = np.exp(-tr.g0 * tau)
-    e_2g1 = np.exp(2.0 * tr.g1 * tau)
-    e_ng1 = np.exp(-n * tr.g1 * tau)
-    bracket = n - 2.0 * (1.0 - e_ng1) / (1.0 - 1.0 / e_2g1)
-    return (n * tau / tr.g0
-            - n / tr.g0 ** 2 * (1.0 - e_g0)
-            + (np.exp(tr.g0 * tau) + e_g0 - 2.0)
-            / (tr.g0 ** 2 * (e_2g1 - 1.0)) * bracket)
+    # 1 - x and 1 - exp(-g0*tau) from expm1, which keeps their digits as
+    # tau -> 0
+    x_gap = -math.expm1(-p.gamma * tau)
+    e0_gap = -np.expm1(-g0 * tau)
+    e1 = np.exp(-2.0 * g1 * tau)
+    u = np.exp(2j * omega * tau)
+    growth = np.expm1(g2 * tau) / g2
+    en = np.exp(-n * g1 * tau)
+    # the geometric sum over pulse pairs, common to both blocks
+    pairs = (1.0 - en) / (1.0 - e1)
+    h = growth * e0_gap * e1 / (1.0 - e1)
+    g = x_gap / p.gamma - (1.0 - e0_gap) * growth + h
+    r = 2.0 * pairs + x_gap * u * en / (1.0 - x * u)
+    p1 = (g * (n + x / (1.0 + x)) - h * r) / ((1.0 + x) * g0)
+    # (exp(g0*tau) + exp(-g0*tau) - 2) * e1 as a product, without the
+    # cancellation of the sum
+    p3 = (n * tau / g0
+          - n / g0 ** 2 * e0_gap
+          + np.exp((g0 - 2.0 * g1) * tau) * e0_gap ** 2
+          / (g0 ** 2 * (1.0 - e1)) * (n - 2.0 * pairs))
+    return p1, p3
 
 
 def closed_spectrum(p: DriveParams, fg: FrequencyGrid) -> Spectrum:
@@ -177,9 +154,7 @@ def closed_spectrum(p: DriveParams, fg: FrequencyGrid) -> Spectrum:
     p1 = 2*amp**2 * Re{P1}, p2 = 2*amp**2 * Re{P3 - P1}, and the net
     absorption q = p2 - p1 = 2*amp**2 * Re{P3 - 2*P1}.
     """
-    _require_closed_form_pulses(p)
-    raw_p1 = np.asarray(p1_closed(fg.omegas, p), dtype=complex)
-    raw_p3 = np.asarray(p3_closed(fg.omegas, p), dtype=complex)
+    raw_p1, raw_p3 = closed_blocks(fg.omegas, p)
     raw_p2 = raw_p3 - raw_p1
     scale = 2.0 * p.amp * p.amp
     p1 = scale * raw_p1.real

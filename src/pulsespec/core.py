@@ -127,16 +127,20 @@ class TimeGrid:
 
     dt is defined as tau/substeps_per_interval, never independently, so
     every pulse time n*tau falls exactly on node n*substeps_per_interval.
+    The grid holds no array: the node times are formed on each access.
     """
 
     substeps_per_interval: int
     dt: float
     n_intervals: int
-    times: np.ndarray
 
     @property
     def n_nodes(self) -> int:
-        return self.times.size
+        return self.n_intervals * self.substeps_per_interval + 1
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.n_nodes) * self.dt
 
 
 def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
@@ -153,21 +157,24 @@ def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
     n_sub = default_substeps(p.tau) if substeps is None else int(substeps)
     if n_sub < 1:
         raise PulsespecError(f"substeps must be >= 1, got {n_sub}")
-    dt = p.tau / n_sub
     if p.n_pulses >= 1:
         n_intervals = p.n_pulses
     else:
-        n_intervals = math.ceil(p.free_time / p.tau - 1e-9)
-    n_total = n_intervals * n_sub
-    n_nodes = n_total + 1
+        # free_time / tau may overflow to inf, which has no ceiling; any
+        # horizon of more than MAX_ARRAY_CELLS intervals is too large
+        intervals = p.free_time / p.tau
+        if intervals > MAX_ARRAY_CELLS:
+            raise GridTooLarge(f"free_time / tau = {intervals} intervals, "
+                               f"above {MAX_ARRAY_CELLS}")
+        n_intervals = math.ceil(intervals - 1e-9)
+    n_nodes = n_intervals * n_sub + 1
     cells = 4 * max((n_sub + 1) * min(n_nodes, 2 * n_sub + 1), n_nodes)
     if cells > MAX_ARRAY_CELLS:
         raise GridTooLarge(
             f"{n_sub} substeps x {n_nodes} nodes need {cells} array "
             f"cells, above {MAX_ARRAY_CELLS}")
-    times = np.arange(n_nodes) * dt
-    return TimeGrid(substeps_per_interval=n_sub, dt=dt,
-                    n_intervals=n_intervals, times=times)
+    return TimeGrid(substeps_per_interval=n_sub, dt=p.tau / n_sub,
+                    n_intervals=n_intervals)
 
 
 @dataclass(frozen=True)

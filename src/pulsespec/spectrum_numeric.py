@@ -150,21 +150,11 @@ def theta_sums(p: DriveParams, g: TimeGrid, traj: np.ndarray,
 def fft_length(n: int, m: int) -> int:
     """FFT length of the chirp-z transform of n nodes to m frequencies.
 
-    The smallest 5-smooth number (2**a * 3**b * 5**c) of at least
-    n + m - 1, so the circular convolution does not wrap. It depends on
-    (n, m) alone, which keeps the output reproducible bit for bit, and is
-    at most the next power of two.
+    The smallest power of two of at least n + m - 1, so the circular
+    convolution does not wrap. It depends on (n, m) alone, which keeps
+    the output reproducible bit for bit.
     """
-    need = n + m - 1
-    best = 1 << (need - 1).bit_length()
-    five = 1
-    while five < best:
-        odd = five
-        while odd < best:
-            best = min(best, odd << (-(-need // odd) - 1).bit_length())
-            odd *= 3
-        five *= 5
-    return best
+    return 1 << (n + m - 2).bit_length()
 
 
 # Veltkamp's splitter 2**27 + 1, and 2*pi as a double-double

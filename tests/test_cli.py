@@ -20,6 +20,12 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def csv_rows(path):
+    lines = path.read_text().splitlines()
+    return np.array([ln.split(",") for ln in lines
+                     if not ln.startswith(("#", "omega"))], dtype=float)
+
+
 def test_parse_config_types(tmp_path):
     path = write_cfg(tmp_path, """
 # comment line
@@ -126,13 +132,42 @@ def test_no_pulse_spectrum_run(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_spectrum_exits_3_without_output(tmp_path, capsys):
-    # gamma*tau = 800 overflows the closed forms to NaN
-    cfg = write_cfg(tmp_path, "delta = 3\ntau = 400\nn_pulses = 8\n"
+    # the default grid reaches |omega| = 3*pi/tau ~ 1e301, where g0**2
+    # overflows and the closed forms turn NaN
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 1e-300\nn_pulses = 8\n"
                               "engine = closed_form\n")
     out = tmp_path / "out"
     assert cli.main(["spectrum", "--config", cfg,
                      "--output-dir", str(out)]) == 3
     assert "NonFiniteSpectrum" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, text, files", [
+    ("spectrum", "tau = 400\nn_pulses = 8\nengine = closed_form\n", 1),
+    ("sweep", "n_pulses = 8\ntau_list = 0.2,100,400\n", 3),
+], ids=["spectrum", "sweep"])
+def test_closed_form_at_large_tau_writes_finite_files(tmp_path, command,
+                                                      text, files):
+    # gamma*tau = 800 used to overflow exp(2*g1*tau) and end in exit 3
+    cfg = write_cfg(tmp_path, "delta = 3\n" + text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--output-dir", str(out)]) == 0
+    paths = sorted(out.glob("spectrum_*.csv"))
+    assert len(paths) == files
+    for path in paths:
+        rows = csv_rows(path)
+        assert rows.shape[0] > 1000 and np.all(np.isfinite(rows))
+
+
+def test_pulse_free_horizon_overflow_exits_3_without_output(tmp_path, capsys):
+    # free_time / tau overflows to inf, which used to crash math.ceil
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 1e-10\nn_pulses = 0\n"
+                              "free_time = 1e300\nengine = numeric\n")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", cfg,
+                     "--output-dir", str(out)]) == 3
+    assert "GridTooLarge" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -189,9 +224,7 @@ def test_long_train_beyond_old_phase_budget(tmp_path):
     assert cli.main(["spectrum", "--config", cfg,
                      "--output-dir", str(out)]) == 0
     for name in ("numeric", "closed_form"):
-        lines = (out / f"spectrum_{name}.csv").read_text().splitlines()
-        rows = np.array([ln.split(",") for ln in lines
-                         if not ln.startswith(("#", "omega"))], dtype=float)
+        rows = csv_rows(out / f"spectrum_{name}.csv")
         assert rows.shape == (1201, 4) and np.all(np.isfinite(rows))
     report = json.loads((out / "comparison.json").read_text())
     assert report["metrics"]["l2_rel"] <= 0.05
@@ -206,9 +239,7 @@ def test_long_train_beyond_old_row_budget(tmp_path):
     assert cli.main(["spectrum", "--config", cfg,
                      "--output-dir", str(out)]) == 0
     for name in ("numeric", "closed_form"):
-        lines = (out / f"spectrum_{name}.csv").read_text().splitlines()
-        rows = np.array([ln.split(",") for ln in lines
-                         if not ln.startswith(("#", "omega"))], dtype=float)
+        rows = csv_rows(out / f"spectrum_{name}.csv")
         assert rows.shape == (1201, 4) and np.all(np.isfinite(rows))
     report = json.loads((out / "comparison.json").read_text())
     assert report["metrics"]["l2_rel"] <= 0.05

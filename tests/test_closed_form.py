@@ -1,28 +1,12 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import pulsespec as ps
 from conftest import drive
-
-
-def test_gammas_reference_values():
-    p = drive(8)
-    g = ps.gammas(3.0, p)
-    assert g.g0 == pytest.approx(1.0, abs=1e-15)
-    g = ps.gammas(0.0, p)
-    assert g.g1 == pytest.approx(1.0, abs=1e-15)
-    assert g.g0 == pytest.approx(1.0 - 3.0j, abs=1e-15)
-    assert g.g2 == pytest.approx(-1.0 - 3.0j, abs=1e-15)
-
-
-def test_gammas_identity_exact():
-    p = drive(8)
-    for omega in (-17.3, -2.0, 0.0, 0.41, 5.0, 33.0):
-        g = ps.gammas(omega, p)
-        assert g.g2 - g.g0 + p.gamma == 0.0
 
 
 def test_rho0_values():
@@ -108,24 +92,19 @@ def test_kernel_phase_confinement():
 
 def test_closed_forms_require_even_pulse_trains():
     with pytest.raises(ps.OddPulseCount):
-        ps.p1_closed(0.0, drive(7))
-    with pytest.raises(ps.OddPulseCount):
-        ps.p3_closed(0.0, drive(7))
+        ps.closed_blocks(0.0, drive(7))
     with pytest.raises(ps.TooFewPulses):
-        ps.p1_closed(0.0, drive(0, free_time=1.0))
+        ps.closed_blocks(0.0, drive(0, free_time=1.0))
 
 
 def test_closed_forms_vectorize():
     p = drive(8)
     omegas = np.array([-5.0, 0.0, 1.3, 16.0])
-    vec = ps.p1_closed(omegas, p)
+    vec1, vec3 = ps.closed_blocks(omegas, p)
     for k, omega in enumerate(omegas):
-        assert vec[k] == pytest.approx(complex(ps.p1_closed(omega, p)),
-                                       abs=1e-15)
-    vec3 = ps.p3_closed(omegas, p)
-    for k, omega in enumerate(omegas):
-        assert vec3[k] == pytest.approx(complex(ps.p3_closed(omega, p)),
-                                        abs=1e-15)
+        p1, p3 = ps.closed_blocks(omega, p)
+        assert vec1[k] == pytest.approx(complex(p1), abs=1e-15)
+        assert vec3[k] == pytest.approx(complex(p3), abs=1e-15)
     # the populations and the kernel, across pulse instants and the horizon
     times = np.array([0.0, 0.13, 0.2, 0.4, 0.71, 1.6])
     thetas = np.array([0.0, 0.1, 0.45, 1.2, 0.2, 0.0])
@@ -138,36 +117,41 @@ def test_closed_forms_vectorize():
 
 def test_degenerate_resonance_is_finite():
     p = ps.validate_params(ps.DriveParams(delta=0.0, tau=0.2, n_pulses=8))
-    assert np.isfinite(ps.p1_closed(0.0, p))
-    assert np.isfinite(ps.p3_closed(0.0, p))
+    assert np.all(np.isfinite(ps.closed_blocks(0.0, p)))
 
 
 def test_affine_pulse_count_slope_stabilizes():
     # both closed forms are affine in the pulse count once the
     # exp(-n_pulses * gamma * tau / 2) transients die out
     omegas = ps.make_frequency_grid(drive(8)).omegas
-    for fn in (ps.p1_closed, ps.p3_closed):
-        slope_mid = (fn(omegas, drive(42)) - fn(omegas, drive(40))) / 2.0
-        slope_big = (fn(omegas, drive(82)) - fn(omegas, drive(80))) / 2.0
-        drift = np.linalg.norm(slope_mid - slope_big) / np.linalg.norm(slope_big)
+    blocks = {n: np.array(ps.closed_blocks(omegas, drive(n)))
+              for n in (40, 42, 80, 82)}
+    slope_mid = (blocks[42] - blocks[40]) / 2.0
+    slope_big = (blocks[82] - blocks[80]) / 2.0
+    for mid, big in zip(slope_mid, slope_big):
+        drift = np.linalg.norm(mid - big) / np.linalg.norm(big)
         assert drift <= 1e-3
 
 
 def test_p3_leading_term_at_large_frequency():
     p = drive(20)
     omegas = np.arange(100.0, 300.01, 0.25)
-    lead = p.n_pulses * p.tau / ps.gammas(omegas, p).g0
-    residual = np.abs(ps.p3_closed(omegas, p) - lead) / np.abs(lead)
+    g0 = 1j * (omegas - p.delta) + 0.5 * p.gamma
+    lead = p.n_pulses * p.tau / g0
+    residual = np.abs(ps.closed_blocks(omegas, p)[1] - lead) / np.abs(lead)
     assert residual.max() < 0.4      # worst case sits on a 2*omega*tau resonance
     assert residual[0] < 0.05        # far off resonance the term dominates cleanly
 
 
 def test_denominators_bounded_over_default_grid():
     p = drive(8)
-    fg = ps.make_frequency_grid(p)
-    g1 = ps.gammas(fg.omegas, p).g1
-    floor_value = math.exp(p.gamma * p.tau) - 1.0
-    assert np.min(np.abs(np.exp(2.0 * g1 * p.tau) - 1.0)) >= floor_value - 1e-12
+    omegas = ps.make_frequency_grid(p).omegas
+    g1 = 1j * omegas + 0.5 * p.gamma
+    x = math.exp(-p.gamma * p.tau)
+    floor_value = 1.0 - x
+    for denominator in (1.0 - np.exp(-2.0 * g1 * p.tau),
+                        1.0 - x * np.exp(2j * omegas * p.tau)):
+        assert np.min(np.abs(denominator)) >= floor_value - 1e-12
 
 
 def test_closed_spectrum_identity_and_meta(closed8):
@@ -177,3 +161,55 @@ def test_closed_spectrum_identity_and_meta(closed8):
     scale = 2 * 0.5
     assert np.max(np.abs(s.p1 + s.p2 - scale * s.raw_p3.real)) <= 1e-12
     assert np.array_equal(s.q, s.p2 - s.p1)
+
+
+def mp_blocks(omega, p):
+    """P1 and P3 at one frequency in 60-digit arithmetic, from the closed
+    forms as first written: with exp(2*g1*tau) and exp(g0*tau), which
+    overflow a double once gamma*tau passes about 709."""
+    with mpmath.workdps(60):
+        tau, n, gamma = mpmath.mpf(p.tau), p.n_pulses, mpmath.mpf(p.gamma)
+        g0 = 1j * (mpmath.mpf(omega) - p.delta) + gamma / 2
+        g1 = 1j * mpmath.mpf(omega) + gamma / 2
+        g2 = g0 - gamma
+        x = mpmath.exp(-gamma * tau)
+        e_g0 = mpmath.exp(-g0 * tau)
+        e_2g1 = mpmath.exp(2 * g1 * tau)
+        e_ng1 = mpmath.exp(-n * g1 * tau)
+        growth = (mpmath.exp(g2 * tau) - 1) / g2
+        h = growth * (1 - e_g0) / (e_2g1 - 1)
+        g = (1 - x) / gamma - e_g0 * growth + h
+        r = (2 * (e_ng1 - 1) / (1 / e_2g1 - 1)
+             + (x - x * x) * e_ng1 / (1 / e_2g1 - x * x))
+        p1 = (g * (n + x / (1 + x)) - h * r) / ((1 + x) * g0)
+        bracket = n - 2 * (1 - e_ng1) / (1 - 1 / e_2g1)
+        p3 = (n * tau / g0 - n / g0 ** 2 * (1 - e_g0)
+              + (mpmath.exp(g0 * tau) + e_g0 - 2)
+              / (g0 ** 2 * (e_2g1 - 1)) * bracket)
+        return complex(p1), complex(p3)
+
+
+@pytest.mark.parametrize("taus, pulses, bound", [
+    # the (tau, n_pulses) pairs of the closed-form benchmark sweep;
+    # measured 5.8e-15
+    ((0.1, 0.2, 0.4, 0.8), (2, 8, 20, 40, 80), 1e-14),
+    # gamma*tau beyond the double's exponent range; measured 2.0e-16
+    ((354.0, 400.0, 1e3), (2, 8, 10**9), 5e-16),
+    # the cancellation at small tau that is still open, in
+    # n - 2*(1 - exp(-n*g1*tau)) / (1 - exp(-2*g1*tau)); measured 1.8e-13
+    # at tau = 0.01 and 1.9e-11 at 1e-3
+    ((0.01, 1e-3), (2, 8, 80, 10**9), 5e-11),
+], ids=["sweep", "large_tau", "small_tau"])
+def test_closed_blocks_match_mpmath(taus, pulses, bound):
+    worst = 0.0
+    for tau in taus:
+        for n in pulses:
+            p = drive(n, tau=tau)
+            omegas = ps.make_frequency_grid(p).omegas
+            m = omegas.size
+            nodes = omegas[[0, m // 4, m // 2, 3 * m // 4, m - 1]]
+            got = ps.closed_blocks(nodes, p)
+            for k, omega in enumerate(nodes):
+                for value, ref in zip(got, mp_blocks(omega, p)):
+                    worst = max(worst, abs(value[k] - ref) / abs(ref))
+    assert worst <= bound

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,9 @@ def test_time_grid_no_pulse_mode():
     g2 = ps.make_time_grid(p2)
     assert g2.n_intervals == 10
     assert g2.times[-1] >= 1.9
+    # free_time / tau overflows to inf
+    with pytest.raises(ps.GridTooLarge):
+        ps.make_time_grid(drive(0, tau=1e-10, free_time=1e300))
 
 
 def test_time_grid_substeps_override():
@@ -116,6 +120,19 @@ def test_time_grid_cell_budget():
     assert ps.make_time_grid(drive(209715), 20).n_nodes == 4194301
     with pytest.raises(ps.GridTooLarge):
         ps.make_time_grid(drive(209716), 20)
+
+
+def test_time_grid_holds_no_array():
+    # the largest grid the budget admits: 4194301 nodes, whose times alone
+    # would take 33.5 MB
+    tracemalloc.start()
+    try:
+        g = ps.make_time_grid(drive(209715), 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n_nodes == 4194301
+    assert peak < 64 * 1024
 
 
 def test_frequency_grid_defaults():

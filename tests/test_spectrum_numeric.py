@@ -115,21 +115,13 @@ def test_transform_matches_exact_nodes():
         assert err <= 1e-15 * np.max(np.abs(got))
 
 
-def five_smooth(n):
-    for factor in (2, 3, 5):
-        while n % factor == 0:
-            n //= factor
-    return n == 1
-
-
 def test_fft_length_rule():
-    # the smallest 5-smooth length holding the linear convolution, however
+    # the smallest power of two holding the linear convolution, however
     # N + M - 1 splits into nodes and frequencies
-    smooth = [n for n in range(1, 3000) if five_smooth(n)]
     for need in range(1, 2900):
-        expected = next(n for n in smooth if n >= need)
+        expected = next(2**k for k in range(13) if 2**k >= need)
         assert fft_length(need, 1) == fft_length(1, need) == expected
-    assert fft_length(1601, 1201) == 2880
+    assert fft_length(1601, 1201) == 4096
     # the largest grids make_time_grid and make_frequency_grid accept: both
     # populations of the convolution stay within the cell budget
     assert 2 * fft_length(2**22, 2**17) <= ps.core.MAX_ARRAY_CELLS
