@@ -6,10 +6,11 @@ omega_min, omega_max, omega_step, engine, output_dir, format. Sweep keys
 n_pulses_list, tau_list, delta_list take comma-separated values.
 
 Exit codes: 0 success, 1 validation tolerance failure, 2 config parse
-error, 3 parameter error. CSV and JSON spectrum files are byte-identical
-for identical configs: summation order and float formatting are fixed,
-and every file carries the full resolved parameter set (the CSV header,
-the JSON `meta`).
+error (a repeated key included), 3 parameter error, 4 output error (the
+output directory cannot be made or a file cannot be written). CSV and
+JSON spectrum files are byte-identical for identical configs: summation
+order and float formatting are fixed, and every file carries the full
+resolved parameter set (the CSV header, the JSON `meta`).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 from .analysis import compare_spectra, find_peaks, positive_weight_fraction
 from .closed_form import closed_spectrum, f_analytic, rho_gg_analytic
 from .core import (DriveParams, FrequencyGrid, PulsespecError, Spectrum,
-                   TimeGrid, make_frequency_grid, make_time_grid)
+                   TimeGrid, make_frequency_grid, make_time_grid, two_prod)
 from .correlators import build_correlator_grids
 from .lindblad import propagate_trajectory
 from .spectrum_numeric import compute_numeric_spectrum
@@ -54,6 +55,7 @@ def parse_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     cfg: dict = {}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -63,6 +65,10 @@ def parse_config(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in key_lines:
+            raise ConfigError(f"line {lineno}: {key} already set on line "
+                              f"{key_lines[key]}")
+        key_lines[key] = lineno
         try:
             if key in _FLOAT_KEYS:
                 cfg[key] = float(value)
@@ -135,16 +141,129 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# The CSV kernel formats a value x with decimal exponent X, -6 <= X <= 16,
+# from D = round(|x| * 10**k), k = 16 - X: the 17 significant digits that
+# "%.17g" prints. 10**k is exact for k <= 22, so |x| * 10**k = p + e is an
+# error-free product; p >= 2**53 is an even integer, so p + rint(e) rounds
+# ties to even, as CPython's dtoa does. Each value fills a fixed-width cell
+# of ASCII and NUL bytes: sign, "0.000" prefix (X < 0), 17 digits each
+# followed by a slot for the decimal point, "e-0X" suffix (X = -5, -6)
+# and separator. A mask chosen by sign, X and the number of significant
+# digits keeps the bytes "%.17g" prints and zeroes the rest, and one
+# bytes.translate drops the zeros. Any other value (zero, subnormals,
+# X outside -6..16) goes through one % call for the whole table.
+_POW10 = np.array([float(10**k) for k in range(23)])
+_CELL = np.frombuffer(b"-0.000" + b"0." * 17 + b"e-00,", dtype=np.uint8)
+_CSV_CHUNK_ROWS = 256
+
+
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """"0000".."9999" as one uint32 of four ASCII bytes each, and the
+    trailing zeros of each, 4 for "0000"."""
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    for place in range(4):
+        quads[..., place] = ascii_digits.reshape((10,) + (1,) * (3 - place))
+    quads = quads.reshape(10_000, 4)
+    z = (quads == ord("0")).astype(np.int64)
+    trailing = z[:, 3] * (1 + z[:, 2] * (1 + z[:, 1] * (1 + z[:, 0])))
+    return quads.view(np.uint32).ravel(), trailing
+
+
+def _cell_masks() -> np.ndarray:
+    """0xFF where "%.17g" prints a byte of the cell, by (negative,
+    X + 6, significant digits), flattened to rows of the cell width."""
+    neg = np.arange(2)[:, None, None]
+    exponent = np.arange(-6, 17)[:, None]
+    digits = np.arange(18)
+    # fixed notation keeps every integer digit; the point follows digit X,
+    # or digit 0 in exponent notation, when a digit comes after it
+    shown = np.where(exponent >= 0, np.maximum(digits, exponent + 1), digits)
+    point = np.where(exponent >= 0, exponent,
+                     np.where(exponent <= -5, 0, -1))
+    point = np.where(digits > point + 1, point, -1)
+    prefix = np.where((exponent < 0) & (exponent > -5), 1 - exponent, 0)
+    slot = np.arange(17)
+    keep = np.zeros((2, 23, 18, _CELL.size), dtype=bool)
+    keep[..., 0] = neg == 1
+    keep[..., 1:6] = np.arange(5) < prefix[..., None]
+    keep[..., 6:40:2] = slot < shown[..., None]
+    keep[..., 7:40:2] = slot == point[..., None]
+    keep[..., 40:44] = (exponent <= -5)[..., None]
+    keep[..., 44] = True
+    return (keep * np.uint8(0xFF)).reshape(-1, _CELL.size)
+
+
+_QUADS, _TRAILING_ZEROS = _quad_tables()
+_CELL_MASKS = _cell_masks()
+
+
+def _csv_rows(table: np.ndarray) -> bytes:
+    """The rows of a 2-D float table as bytes: each value as
+    "%.17g" % value, a comma between columns and a newline after each
+    row."""
+    rows, cols = table.shape
+    x = table.ravel()
+    a = np.abs(x)
+    fine = (a >= 1e-7) & (a < 1e18)
+    a[~fine] = 1.0
+    k = np.log10(a)
+    np.floor(k, out=k)
+    k = 16 - k.astype(np.int64)
+    np.clip(k, 0, 22, out=k)
+    p, e = two_prod(a, _POW10[k])
+    # the log10 estimate may miss by one; compare p + e exactly with the
+    # decade and move k once (a rounded 10**16 can stand for 9.99..95e15)
+    low = (p < 1e16) | ((p == 1e16) & (e < 0))
+    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    moved = np.flatnonzero(low != high)
+    k[moved] += low[moved].astype(np.int64) - high[moved]
+    p[moved], e[moved] = two_prod(a[moved], _POW10[np.clip(k[moved], 0, 22)])
+    # 10**16 <= p + e < 10**17 now, and no double rounds up to 10**17:
+    # that takes |x| within 5e-18 of a power of ten, and the doubles
+    # nearest 10**-5..10**17 are exact or above it
+    d = p.astype(np.int64)
+    d += np.rint(e).astype(np.int64)
+    fallback = np.flatnonzero(~fine | (k < 0) | (k > 22))
+    lead, rest = np.divmod(d, 10**16)
+    halves = np.empty((x.size, 2), dtype=np.int64)
+    np.divmod(rest, 10**8, out=(halves[:, 0], halves[:, 1]))
+    quads = np.empty((x.size, 4), dtype=np.int64)
+    np.divmod(halves, 10**4, out=(quads[:, 0::2], quads[:, 1::2]))
+    zeros = _TRAILING_ZEROS[quads]
+    tail = zeros[:, 0]
+    for j in (1, 2, 3):
+        tail = zeros[:, j] + (quads[:, j] == 0) * tail
+    cell = np.empty((x.size, _CELL.size), dtype=np.uint8)
+    cell[:] = _CELL
+    cell[:, 6] = lead + ord("0")
+    cell[:, 8:40:2] = _QUADS[quads].view(np.uint8)
+    cell[:, 43] = 32 + k    # ord("0") - X
+    cell.reshape(rows, cols, -1)[:, -1, -1] = ord("\n")
+    # the mask row of (negative, X + 6, significant digits)
+    cell &= _CELL_MASKS[(x < 0) * (23 * 18)
+                        + (22 - np.clip(k, 0, 22)) * 18 + 17 - tail]
+    if fallback.size:
+        # "%.17g" never prints a space, so the padding drops with the NULs
+        text = "%-44.17g" * fallback.size % tuple(x[fallback].tolist())
+        cell[fallback, :-1] = np.frombuffer(
+            text.encode(), dtype=np.uint8).reshape(fallback.size, -1)
+    return cell.tobytes().translate(None, b"\0 ")
+
+
 def write_spectrum_csv(path: Path, s: Spectrum) -> None:
-    """Emit `omega,P1,P2,Q` rows with 17 significant digits after a
-    comment header carrying the resolved parameters. All rows come from
-    one % format call over the flattened table."""
+    """Emit `omega,P1,P2,Q` rows after a comment header carrying the
+    resolved parameters. Every float is exactly "%.17g" % value; rows
+    are formatted by `_csv_rows` and written in chunks of
+    _CSV_CHUNK_ROWS, so memory does not grow with the grid."""
     header = "".join(f"# {key} = {_fmt(s.meta[key])}\n"
                      for key in sorted(s.meta))
-    table = np.column_stack((s.omegas, s.p1, s.p2, s.q))
-    rows = ("%.17g,%.17g,%.17g,%.17g\n" * len(table)
-            % tuple(table.ravel().tolist()))
-    path.write_text(header + "omega,P1,P2,Q\n" + rows, encoding="utf-8")
+    columns = (s.omegas, s.p1, s.p2, s.q)
+    with path.open("wb") as f:
+        f.write((header + "omega,P1,P2,Q\n").encode())
+        for start in range(0, s.omegas.size, _CSV_CHUNK_ROWS):
+            rows = slice(start, start + _CSV_CHUNK_ROWS)
+            f.write(_csv_rows(np.column_stack([c[rows] for c in columns])))
 
 
 def _json_list(values: np.ndarray, indent: str) -> str:
@@ -423,6 +542,9 @@ def main(argv=None) -> int:
     except PulsespecError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

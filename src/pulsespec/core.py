@@ -1,4 +1,6 @@
-"""Parameter records, time/frequency grids, and the spectrum container.
+"""Parameter records, time/frequency grids, the spectrum container, and
+Dekker's error-free product, which the chirp-z phases and the CSV writer
+share.
 
 All quantities are expressed in reduced units with the spontaneous emission
 rate gamma = 2, so the free emitter line is 1/(omega**2 + 1). The probe
@@ -283,3 +285,28 @@ def build_meta(p: DriveParams, fg: FrequencyGrid, engine: str,
         meta["dt"] = grid.dt
         meta["n_intervals"] = grid.n_intervals
     return meta
+
+
+# Veltkamp's splitter 2**27 + 1
+_SPLITTER = 134217729.0
+
+
+def _split(x):
+    """x = hi + lo exactly, each half short enough for exact products."""
+    hi = x * _SPLITTER
+    hi = hi - (hi - x)
+    return hi, x - hi
+
+
+def two_prod(a, b):
+    """Dekker's error-free product: a*b == p + e exactly, elementwise,
+    for doubles whose product neither overflows nor underflows."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    e = a_hi * b_hi
+    e -= p
+    e += a_hi * b_lo
+    e += a_lo * b_hi
+    e += a_lo * b_lo
+    return p, e

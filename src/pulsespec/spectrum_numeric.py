@@ -46,7 +46,8 @@ import math
 import numpy as np
 
 from .core import (DriveParams, FrequencyGrid, GridMismatch, Spectrum,
-                   TimeGrid, build_meta, make_frequency_grid, make_time_grid)
+                   TimeGrid, build_meta, make_frequency_grid, make_time_grid,
+                   two_prod)
 from .correlators import build_correlator_grids
 from .lindblad import propagate_trajectory
 
@@ -157,29 +158,8 @@ def fft_length(n: int, m: int) -> int:
     return 1 << (n + m - 2).bit_length()
 
 
-# Veltkamp's splitter 2**27 + 1, and 2*pi as a double-double
-_SPLITTER = 134217729.0
+# 2*pi as a double-double
 _TWO_PI = (6.283185307179586, 2.4492935982947064e-16)
-
-
-def _split(x):
-    """x = hi + lo exactly, each half short enough for exact products."""
-    hi = x * _SPLITTER
-    hi = hi - (hi - x)
-    return hi, x - hi
-
-
-def _two_prod(a, b):
-    """Dekker's error-free product: a*b == p + e exactly, elementwise."""
-    p = a * b
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = _split(b)
-    e = a_hi * b_hi
-    e -= p
-    e += a_hi * b_lo
-    e += a_lo * b_hi
-    e += a_lo * b_lo
-    return p, e
 
 
 def _turns(rate, x):
@@ -189,7 +169,7 @@ def _turns(rate, x):
     exactly and only the final sum rounds."""
     hi, lo = rate
     hi -= round(hi)
-    p, e = _two_prod(hi, x)
+    p, e = two_prod(hi, x)
     e += lo * x
     p -= np.rint(p)
     p += e
@@ -198,9 +178,9 @@ def _turns(rate, x):
 
 def _rate(omega, dt):
     """omega*dt / (2*pi) as a double-double: the phase step in turns."""
-    p, e = _two_prod(omega, dt)
+    p, e = two_prod(omega, dt)
     hi = p / _TWO_PI[0]
-    q, r = _two_prod(hi, _TWO_PI[0])
+    q, r = two_prod(hi, _TWO_PI[0])
     return hi, ((p - q) - r + e - hi * _TWO_PI[1]) / _TWO_PI[0]
 
 

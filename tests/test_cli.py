@@ -60,11 +60,15 @@ tau_list = 0.2,0.3
     "engine = fancy",
     "format = xml",
     "just some words",
+    "delta = 3\ntau = 0.2\n\ndelta = 5",
 ])
 def test_parse_config_rejects(tmp_path, line):
     path = write_cfg(tmp_path, line)
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(cli.ConfigError) as info:
         cli.parse_config(path)
+    if line.startswith("delta = 3"):
+        # a repeated key used to keep its last value silently
+        assert "line 4" in str(info.value) and "line 1" in str(info.value)
 
 
 def test_parse_config_missing_file(tmp_path):
@@ -359,6 +363,26 @@ def test_json_writer_peak_memory_is_bounded(tmp_path):
     assert peak <= 3e6
 
 
+def test_csv_writer_peak_memory_is_bounded(tmp_path):
+    # 30,000 nodes, 2.4 MB of CSV; measured 0.30 MB, one chunk of rows at
+    # a time (the single % call over the whole table peaked at 8.27 MB)
+    n = 30_000
+    rng = np.random.default_rng(3)
+    s = ps.Spectrum(omegas=np.linspace(-50.0, 50.0, n), p1=rng.normal(size=n),
+                    p2=rng.normal(size=n),
+                    meta={"engine": "numeric", "n_omega": n})
+    path = tmp_path / "s.csv"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cli.write_spectrum_csv(path, s)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 2.3e6
+    assert peak <= 0.4e6
+
+
 def test_output_dir_from_config(tmp_path):
     out = tmp_path / "from_config"
     cfg = write_cfg(tmp_path, f"delta = 3\ntau = 0.2\nn_pulses = 4\n"
@@ -382,6 +406,30 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["spectrum", "--config", missing,
                      "--output-dir", str(tmp_path)]) == 3
     assert "tau" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("spectrum", "out"),
+    ("sweep", "out/spectrum_delta3_tau0.2_np12.csv"),
+])
+def test_unusable_output_exits_4_without_traceback(tmp_path, capsys, command,
+                                                   blocked):
+    # an output directory that is a regular file, and a spectrum file name
+    # taken by a directory; both used to end in an OSError traceback and
+    # exit 1, the code of a validation failure
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\nn_pulses_list = 8,12\n"
+                              "n_pulses = 8\nengine = closed_form\n")
+    out = tmp_path / "out"
+    if command == "spectrum":
+        out.write_text("")
+    else:
+        (tmp_path / blocked).mkdir(parents=True)
+    assert cli.main([command, "--config", cfg, "--output-dir", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert str(tmp_path / blocked) in err
+    # the sweep removes the file of its first point
+    assert not [f for f in tmp_path.rglob("spectrum_*") if f.is_file()]
 
 
 def test_sweep_manifest(tmp_path):

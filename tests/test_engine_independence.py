@@ -4,15 +4,19 @@ numeric (lindblad, correlators, spectrum_numeric) and closed_form must
 not import each other, directly or through another package module, or
 their agreement would stop being an independent cross-check. Every
 package module imports only the standard library, numpy and the package
-itself: scipy, mpmath and hypothesis serve the tests alone.
+itself: the test extra in pyproject.toml declares what the tests import.
 """
 import ast
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 import pulsespec
 
 PACKAGE = Path(pulsespec.__file__).parent
+TESTS = Path(__file__).parent
 NUMERIC = {"lindblad", "correlators", "spectrum_numeric"}
 CLOSED = {"closed_form"}
 
@@ -79,3 +83,17 @@ def test_runtime_imports_are_stdlib_and_numpy():
         seen |= names
     # guards the scan itself
     assert {"numpy", "json"} <= seen
+
+
+def test_test_imports_are_the_test_extra():
+    tomllib = pytest.importorskip("tomllib")    # standard from Python 3.11
+    project = tomllib.loads(
+        (TESTS.parent / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", req).group()
+                for req in project["optional-dependencies"]["test"]}
+    local = {path.stem for path in TESTS.glob("*.py")}
+    names = set()
+    for path in TESTS.glob("*.py"):
+        names |= top_level_imports(path)
+    runtime = set(sys.stdlib_module_names) | {"numpy", "pulsespec"}
+    assert names - runtime - local == declared
