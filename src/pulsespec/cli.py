@@ -7,17 +7,19 @@ n_pulses_list, tau_list, delta_list take comma-separated values.
 
 Exit codes: 0 success, 1 validation tolerance failure, 2 config parse
 error (a repeated key included), 3 parameter error, 4 output error (the
-output directory cannot be made or a file cannot be written). CSV and
-JSON spectrum files are byte-identical for identical configs: summation
-order and float formatting are fixed, and every file carries the full
-resolved parameter set (the CSV header, the JSON `meta`).
+output directory cannot be made or a file cannot be written). A command
+that fails with any error removes every file it had written; exit 1 is
+not such a failure and keeps its report. CSV and JSON spectrum files are
+byte-identical for identical configs: summation order and float
+formatting are fixed, and every file carries the full resolved parameter
+set (the CSV header, the JSON `meta`).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +37,15 @@ class ConfigError(Exception):
     """Malformed config file; maps to exit code 2."""
 
 
-_FLOAT_KEYS = {"delta", "gamma", "tau", "free_time",
-               "omega_min", "omega_max", "omega_step"}
-_INT_KEYS = {"n_pulses", "substeps"}
-_LIST_KEYS = {"n_pulses_list", "tau_list", "delta_list"}
-_ENGINES = ("numeric", "closed_form", "both")
-_FORMATS = ("csv", "json", "both")
+# config key -> value type, element type of a comma-separated list, or
+# allowed values
+_SCALAR_KEYS = {"delta": float, "gamma": float, "tau": float,
+                "free_time": float, "omega_min": float, "omega_max": float,
+                "omega_step": float, "n_pulses": int, "substeps": int,
+                "output_dir": str}
+_LIST_KEYS = {"n_pulses_list": int, "tau_list": float, "delta_list": float}
+_CHOICE_KEYS = {"engine": ("numeric", "closed_form", "both"),
+                "format": ("csv", "json", "both")}
 
 L2_REL_TOLERANCE = 0.05
 SUM_RULE_TOLERANCE = 0.05
@@ -70,26 +75,15 @@ def parse_config(path: str) -> dict:
                               f"{key_lines[key]}")
         key_lines[key] = lineno
         try:
-            if key in _FLOAT_KEYS:
-                cfg[key] = float(value)
-            elif key in _INT_KEYS:
-                cfg[key] = int(value)
-            elif key == "engine":
-                if value not in _ENGINES:
-                    raise ConfigError(
-                        f"line {lineno}: engine must be one of {_ENGINES}")
-                cfg[key] = value
-            elif key == "format":
-                if value not in _FORMATS:
-                    raise ConfigError(
-                        f"line {lineno}: format must be one of {_FORMATS}")
-                cfg[key] = value
-            elif key == "output_dir":
-                cfg[key] = value
-            elif key == "n_pulses_list":
-                cfg[key] = [int(v) for v in value.split(",")]
+            if key in _SCALAR_KEYS:
+                cfg[key] = _SCALAR_KEYS[key](value)
             elif key in _LIST_KEYS:
-                cfg[key] = [float(v) for v in value.split(",")]
+                cfg[key] = [_LIST_KEYS[key](v) for v in value.split(",")]
+            elif key in _CHOICE_KEYS:
+                if value not in _CHOICE_KEYS[key]:
+                    raise ConfigError(f"line {lineno}: {key} must be one of "
+                                      f"{_CHOICE_KEYS[key]}")
+                cfg[key] = value
             else:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
         except ValueError:
@@ -99,19 +93,13 @@ def parse_config(path: str) -> dict:
 
 
 def _params_from(cfg: dict, **overrides) -> DriveParams:
-    merged = dict(cfg)
-    merged.update(overrides)
+    merged = {**cfg, **overrides}
     missing = [k for k in ("delta", "tau", "n_pulses") if k not in merged]
     if missing:
         raise PulsespecError(
             f"missing required config keys: {', '.join(missing)}")
-    kwargs = {"delta": merged["delta"], "tau": merged["tau"],
-              "n_pulses": merged["n_pulses"]}
-    if "gamma" in merged:
-        kwargs["gamma"] = merged["gamma"]
-    if merged.get("free_time") is not None:
-        kwargs["free_time"] = merged["free_time"]
-    return DriveParams(**kwargs)
+    return DriveParams(**{f.name: merged[f.name] for f in fields(DriveParams)
+                          if f.name in merged})
 
 
 def _freq_grid(cfg: dict, p: DriveParams) -> FrequencyGrid:
@@ -121,18 +109,13 @@ def _freq_grid(cfg: dict, p: DriveParams) -> FrequencyGrid:
                                omega_step=cfg.get("omega_step"))
 
 
-def _numeric_spectrum(p: DriveParams, cfg: dict, fg: FrequencyGrid) -> Spectrum:
-    g = make_time_grid(p, cfg.get("substeps"))
-    traj = propagate_trajectory(p, g)
-    block = build_correlator_grids(p, g)
-    return compute_numeric_spectrum(p, g, traj, block, fg)
-
-
 def _spectrum_for(engine: str, p: DriveParams, cfg: dict) -> Spectrum:
     fg = _freq_grid(cfg, p)
     if engine == "closed_form":
         return closed_spectrum(p, fg)
-    return _numeric_spectrum(p, cfg, fg)
+    g = make_time_grid(p, cfg.get("substeps"))
+    return compute_numeric_spectrum(p, g, propagate_trajectory(p, g),
+                                    build_correlator_grids(p, g), fg)
 
 
 def _fmt(value) -> str:
@@ -308,22 +291,24 @@ def write_spectrum_json(path: Path, s: Spectrum) -> None:
         f.write("\n}\n")
 
 
-def _write_outputs(outdir: Path, stem: str, s: Spectrum, fmt: str) -> list[Path]:
-    written = []
-    if fmt in ("csv", "both"):
-        path = outdir / f"{stem}.csv"
-        write_spectrum_csv(path, s)
-        written.append(path)
-    if fmt in ("json", "both"):
-        path = outdir / f"{stem}.json"
-        write_spectrum_json(path, s)
-        written.append(path)
-    return written
+def _write_outputs(written: list[Path], outdir: Path, stem: str,
+                   s: Spectrum, fmt: str) -> list[Path]:
+    """Write `s` as `stem`.csv and/or `stem`.json; each file goes into
+    `written` once its writer returns. Returns the files written here."""
+    start = len(written)
+    for ext, write in (("csv", write_spectrum_csv),
+                       ("json", write_spectrum_json)):
+        if fmt in (ext, "both"):
+            path = outdir / f"{stem}.{ext}"
+            write(path, s)
+            written.append(path)
+    return written[start:]
 
 
-def _write_report(path: Path, doc: dict) -> None:
+def _write_report(written: list[Path], path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
+    written.append(path)
 
 
 def _peak_table(s: Spectrum) -> list[dict]:
@@ -331,34 +316,32 @@ def _peak_table(s: Spectrum) -> list[dict]:
             for omega, q, sign in find_peaks(s)]
 
 
-def run_spectrum(cfg: dict, outdir: Path) -> int:
+def run_spectrum(cfg: dict, outdir: Path, written: list[Path]) -> int:
+    """Every configured engine's spectrum, computed before any is written,
+    and with engine=both their comparison."""
     engine = cfg.get("engine", "both")
     fmt = cfg.get("format", "csv")
     p = _params_from(cfg)
-    spectra: dict[str, Spectrum] = {}
-    if engine in ("numeric", "both"):
-        spectra["numeric"] = _spectrum_for("numeric", p, cfg)
-    if engine in ("closed_form", "both"):
-        spectra["closed_form"] = _spectrum_for("closed_form", p, cfg)
+    spectra = {name: _spectrum_for(name, p, cfg) for name in
+               (("numeric", "closed_form") if engine == "both" else (engine,))}
     for name, s in spectra.items():
-        _write_outputs(outdir, f"spectrum_{name}", s, fmt)
+        _write_outputs(written, outdir, f"spectrum_{name}", s, fmt)
     if engine == "both":
         report = {"params": asdict(p),
                   "metrics": compare_spectra(spectra["numeric"],
                                              spectra["closed_form"])}
-        _write_report(outdir / "comparison.json", report)
+        _write_report(written, outdir / "comparison.json", report)
     return 0
 
 
-def run_sweep(cfg: dict, outdir: Path) -> int:
+def run_sweep(cfg: dict, outdir: Path, written: list[Path]) -> int:
     """One spectrum file per Cartesian-product point plus a manifest.
 
     Sweeps run a single engine per invocation so every output file has an
     unambiguous provenance; the default is the closed-form engine. Files
-    are written in point order, the manifest last; on any failure the
-    files written so far are removed. File names keep 6 significant
-    digits of delta and tau, so points whose names coincide are rejected
-    before any point runs.
+    are written in point order, the manifest last. File names keep 6
+    significant digits of delta and tau, so points whose names coincide
+    are rejected before any point runs.
     """
     engine = cfg.get("engine", "closed_form")
     if engine == "both":
@@ -389,26 +372,19 @@ def run_sweep(cfg: dict, outdir: Path) -> int:
                 f"sweep points {points[stem]} and {point} both write {stem}")
         points[stem] = point
 
-    written: list[Path] = []
-    try:
-        manifest_points = []
-        for stem, (d, t, n) in points.items():
-            p = _params_from(cfg, delta=d, tau=t, n_pulses=n)
-            s = _spectrum_for(engine, p, cfg)
-            files = _write_outputs(outdir, stem, s, fmt)
-            written.extend(files)
-            manifest_points.append({
-                "files": [f.name for f in files],
-                "params": s.meta,
-                "positive_weight_fraction": positive_weight_fraction(s),
-                "peaks": _peak_table(s),
-            })
-    except Exception:
-        for f in written:
-            f.unlink(missing_ok=True)
-        raise
+    manifest_points = []
+    for stem, (d, t, n) in points.items():
+        p = _params_from(cfg, delta=d, tau=t, n_pulses=n)
+        s = _spectrum_for(engine, p, cfg)
+        files = _write_outputs(written, outdir, stem, s, fmt)
+        manifest_points.append({
+            "files": [f.name for f in files],
+            "params": s.meta,
+            "positive_weight_fraction": positive_weight_fraction(s),
+            "peaks": _peak_table(s),
+        })
     manifest = {"engine": engine, "format": fmt, "points": manifest_points}
-    _write_report(outdir / "manifest.json", manifest)
+    _write_report(written, outdir / "manifest.json", manifest)
     return 0
 
 
@@ -457,7 +433,7 @@ def _invariant_suite(p: DriveParams, g: TimeGrid,
             for name, (value, tol) in checks.items()}
 
 
-def run_validate(cfg: dict, outdir: Path) -> int:
+def run_validate(cfg: dict, outdir: Path, written: list[Path]) -> int:
     """Cross-check the engines and the invariant suite; write a report.
 
     engine=both (the default) compares numeric against closed form. A
@@ -506,7 +482,7 @@ def run_validate(cfg: dict, outdir: Path) -> int:
         "passed": passed,
         "hint": hint,
     }
-    _write_report(outdir / "validation_report.json", report)
+    _write_report(written, outdir / "validation_report.json", report)
     return 0 if passed else 1
 
 
@@ -516,15 +492,18 @@ def main(argv=None) -> int:
         description="Absorption spectra of a periodically pulsed "
                     "two-level emitter")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("spectrum", "compute one spectrum per configured engine"),
-            ("sweep", "one spectrum per parameter-grid point plus manifest"),
-            ("validate", "cross-check engines and invariants")):
+    for name, run, help_text in (
+            ("spectrum", run_spectrum,
+             "compute one spectrum per configured engine"),
+            ("sweep", run_sweep,
+             "one spectrum per parameter-grid point plus manifest"),
+            ("validate", run_validate, "cross-check engines and invariants")):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True,
                          help="flat key=value config file")
         cmd.add_argument("--output-dir", default=None,
                          help="override the config output_dir")
+        cmd.set_defaults(run=run)
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
@@ -532,13 +511,15 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     outdir = Path(args.output_dir or cfg.get("output_dir", "."))
+    written: list[Path] = []
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        if args.command == "spectrum":
-            return run_spectrum(cfg, outdir)
-        if args.command == "sweep":
-            return run_sweep(cfg, outdir)
-        return run_validate(cfg, outdir)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            return args.run(cfg, outdir, written)
+        except BaseException:
+            for path in written:
+                path.unlink(missing_ok=True)
+            raise
     except PulsespecError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

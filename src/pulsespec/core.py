@@ -168,7 +168,8 @@ def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
         if intervals > MAX_ARRAY_CELLS:
             raise GridTooLarge(f"free_time / tau = {intervals} intervals, "
                                f"above {MAX_ARRAY_CELLS}")
-        n_intervals = math.ceil(intervals - 1e-9)
+        # a horizon within 1e-9 intervals of zero still takes one interval
+        n_intervals = max(1, math.ceil(intervals - 1e-9))
     n_nodes = n_intervals * n_sub + 1
     cells = 4 * max((n_sub + 1) * min(n_nodes, 2 * n_sub + 1), n_nodes)
     if cells > MAX_ARRAY_CELLS:

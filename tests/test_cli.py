@@ -40,6 +40,11 @@ format = both
 output_dir = out
 n_pulses_list = 8, 12, 16
 tau_list = 0.2,0.3
+free_time = 5
+omega_min = -10
+omega_max = 10.5
+omega_step = 0.25
+delta_list = 1, 2.5
 """)
     cfg = cli.parse_config(path)
     assert cfg["delta"] == 3.0
@@ -51,6 +56,17 @@ tau_list = 0.2,0.3
     assert cfg["output_dir"] == "out"
     assert cfg["n_pulses_list"] == [8, 12, 16]
     assert cfg["tau_list"] == [0.2, 0.3]
+    assert cfg["delta_list"] == [1.0, 2.5]
+    for key, value in (("free_time", 5.0), ("omega_min", -10.0),
+                       ("omega_max", 10.5), ("omega_step", 0.25)):
+        assert cfg[key] == value
+    for key in ("delta", "gamma", "tau", "free_time", "omega_min",
+                "omega_max", "omega_step"):
+        assert type(cfg[key]) is float
+    for key in ("n_pulses", "substeps"):
+        assert type(cfg[key]) is int
+    assert all(type(v) is int for v in cfg["n_pulses_list"])
+    assert all(type(v) is float for v in cfg["tau_list"] + cfg["delta_list"])
 
 
 @pytest.mark.parametrize("line", [
@@ -132,6 +148,24 @@ def test_no_pulse_spectrum_run(tmp_path):
     assert cli.main(["spectrum", "--config", cfg,
                      "--output-dir", str(out)]) == 0
     assert (out / "spectrum_numeric.csv").exists()
+
+
+@pytest.mark.parametrize("command, name", [
+    ("spectrum", "spectrum_numeric.csv"),
+    ("validate", "validation_report.json"),
+], ids=["spectrum", "validate"])
+def test_tiny_pulse_free_horizon_runs(tmp_path, command, name):
+    # free_time far below tau used to round down to a grid of no interval
+    # and end in an IndexError traceback
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 1\nn_pulses = 0\n"
+                              "free_time = 1e-12\nengine = numeric\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--output-dir", str(out)]) == 0
+    if command == "spectrum":
+        rows = csv_rows(out / name)
+        assert rows.shape[0] > 1 and np.all(np.isfinite(rows))
+    else:
+        assert json.loads((out / name).read_text())["passed"] is True
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -408,19 +442,24 @@ def test_exit_codes(tmp_path, capsys):
     assert "tau" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, blocked", [
-    ("spectrum", "out"),
-    ("sweep", "out/spectrum_delta3_tau0.2_np12.csv"),
-])
+@pytest.mark.parametrize("command, settings, blocked", [
+    ("spectrum", "engine = closed_form", "out"),
+    ("sweep", "engine = closed_form", "out/spectrum_delta3_tau0.2_np12.csv"),
+    ("spectrum", "format = both", "out/spectrum_closed_form.json"),
+    ("spectrum", "engine = both", "out/comparison.json"),
+    ("sweep", "engine = closed_form", "out/manifest.json"),
+], ids=["spectrum-out", "sweep-out/spectrum_delta3_tau0.2_np12.csv",
+        "spectrum-out/spectrum_closed_form.json",
+        "spectrum-out/comparison.json", "sweep-out/manifest.json"])
 def test_unusable_output_exits_4_without_traceback(tmp_path, capsys, command,
-                                                   blocked):
-    # an output directory that is a regular file, and a spectrum file name
+                                                   settings, blocked):
+    # an output directory that is a regular file, and an output file name
     # taken by a directory; both used to end in an OSError traceback and
     # exit 1, the code of a validation failure
     cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\nn_pulses_list = 8,12\n"
-                              "n_pulses = 8\nengine = closed_form\n")
+                              f"n_pulses = 8\n{settings}\n")
     out = tmp_path / "out"
-    if command == "spectrum":
+    if blocked == "out":
         out.write_text("")
     else:
         (tmp_path / blocked).mkdir(parents=True)
@@ -428,7 +467,7 @@ def test_unusable_output_exits_4_without_traceback(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("output error: ") and err.count("\n") == 1
     assert str(tmp_path / blocked) in err
-    # the sweep removes the file of its first point
+    # a failed command removes every file it had written
     assert not [f for f in tmp_path.rglob("spectrum_*") if f.is_file()]
 
 

@@ -90,6 +90,10 @@ def test_time_grid_no_pulse_mode():
     g2 = ps.make_time_grid(p2)
     assert g2.n_intervals == 10
     assert g2.times[-1] >= 1.9
+    # a horizon far below one interval used to round down to no interval
+    g3 = ps.make_time_grid(drive(0, tau=1.0, free_time=1e-12))
+    assert g3.n_intervals == 1
+    assert g3.times[-1] >= 1e-12
     # free_time / tau overflows to inf
     with pytest.raises(ps.GridTooLarge):
         ps.make_time_grid(drive(0, tau=1e-10, free_time=1e300))
