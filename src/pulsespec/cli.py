@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +50,10 @@ _CHOICE_KEYS = {"engine": ("numeric", "closed_form", "both"),
 
 L2_REL_TOLERANCE = 0.05
 SUM_RULE_TOLERANCE = 0.05
-REFINEMENT_HINT = ("engine disagreement at quadrature level; "
-                   "increase substeps (smaller dt) and rerun")
+REFINEMENT_HINT = ("the engines disagree: either the quadrature is too coarse "
+                   "(increase substeps, a smaller dt) or the train is too "
+                   "short for the closed form's long-time limit (increase "
+                   "n_pulses; more substeps cannot close that gap)")
 
 
 def parse_config(path: str) -> dict:
@@ -124,20 +127,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# The CSV kernel formats a value x with decimal exponent X, -6 <= X <= 16,
-# from D = round(|x| * 10**k), k = 16 - X: the 17 significant digits that
-# "%.17g" prints. 10**k is exact for k <= 22, so |x| * 10**k = p + e is an
-# error-free product; p >= 2**53 is an even integer, so p + rint(e) rounds
-# ties to even, as CPython's dtoa does. Each value fills a fixed-width cell
-# of ASCII and NUL bytes: sign, "0.000" prefix (X < 0), 17 digits each
-# followed by a slot for the decimal point, "e-0X" suffix (X = -5, -6)
-# and separator. A mask chosen by sign, X and the number of significant
-# digits keeps the bytes "%.17g" prints and zeroes the rest, and one
-# bytes.translate drops the zeros. Any other value (zero, subnormals,
-# X outside -6..16) goes through one % call for the whole table.
+# Both float kernels format a value x of decimal exponent X, -6 <= X <= 16,
+# from the error-free product |x| * 10**k = p + e, k = 16 - X: 10**k is
+# exact for k <= 22, and 10**16 <= p + e < 10**17. The CSV takes the 17
+# digits that "%.17g" prints, D = p + rint(e): p >= 2**53 is an even
+# integer, so rint rounds ties to even, as CPython's dtoa does. JSON takes
+# the shortest digits that read back as x, as repr does (see _repr_cells).
+# Each value fills a fixed-width cell of ASCII and NUL bytes: sign,
+# "0.000" prefix (X < 0), 17 digits each followed by a slot for the
+# decimal point, "e+XX" suffix and separator. A mask chosen by sign, X
+# and the number of significant digits keeps the bytes the format prints
+# and zeroes the rest, and one bytes.translate drops the zeros. Any other
+# value (zero, subnormals, X outside -6..16) goes through one % call per
+# chunk.
 _POW10 = np.array([float(10**k) for k in range(23)])
 _CELL = np.frombuffer(b"-0.000" + b"0." * 17 + b"e-00,", dtype=np.uint8)
 _CSV_CHUNK_ROWS = 256
+_JSON_CHUNK_VALUES = 2048
 
 
 def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -153,47 +159,50 @@ def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
     return quads.view(np.uint32).ravel(), trailing
 
 
-def _cell_masks() -> np.ndarray:
-    """0xFF where "%.17g" prints a byte of the cell, by (negative,
-    X + 6, significant digits), flattened to rows of the cell width."""
+def _cell_masks(exponent_from: int, dot_zero: int) -> np.ndarray:
+    """0xFF where the format prints a byte of the cell, by (negative,
+    X + 6, significant digits), flattened to rows of the cell width.
+    Exponent notation is used for X < -4 and X >= exponent_from; fixed
+    notation writes integers with dot_zero digits after the point."""
     neg = np.arange(2)[:, None, None]
     exponent = np.arange(-6, 17)[:, None]
     digits = np.arange(18)
+    sci = (exponent < -4) | (exponent >= exponent_from)
     # fixed notation keeps every integer digit; the point follows digit X,
     # or digit 0 in exponent notation, when a digit comes after it
-    shown = np.where(exponent >= 0, np.maximum(digits, exponent + 1), digits)
-    point = np.where(exponent >= 0, exponent,
-                     np.where(exponent <= -5, 0, -1))
-    point = np.where(digits > point + 1, point, -1)
-    prefix = np.where((exponent < 0) & (exponent > -5), 1 - exponent, 0)
+    shown = np.where(sci | (exponent < 0), digits,
+                     np.maximum(digits, exponent + 1 + dot_zero))
+    point = np.where(sci, 0, np.where(exponent >= 0, exponent, -1))
+    point = np.where(shown > point + 1, point, -1)
+    prefix = np.where(~sci & (exponent < 0), 1 - exponent, 0)
     slot = np.arange(17)
     keep = np.zeros((2, 23, 18, _CELL.size), dtype=bool)
     keep[..., 0] = neg == 1
     keep[..., 1:6] = np.arange(5) < prefix[..., None]
     keep[..., 6:40:2] = slot < shown[..., None]
     keep[..., 7:40:2] = slot == point[..., None]
-    keep[..., 40:44] = (exponent <= -5)[..., None]
+    keep[..., 40:44] = sci[..., None]
     keep[..., 44] = True
     return (keep * np.uint8(0xFF)).reshape(-1, _CELL.size)
 
 
 _QUADS, _TRAILING_ZEROS = _quad_tables()
-_CELL_MASKS = _cell_masks()
+_CSV_MASKS = _cell_masks(17, 0)
+_REPR_MASKS = _cell_masks(16, 1)
 
 
-def _csv_rows(table: np.ndarray) -> bytes:
-    """The rows of a 2-D float table as bytes: each value as
-    "%.17g" % value, a comma between columns and a newline after each
-    row."""
-    rows, cols = table.shape
-    x = table.ravel()
+def _scaled(x: np.ndarray):
+    """|x| (1.0 where the value takes the fallback), k in 0..22, and p, e
+    with |x| * 10**k = p + e exactly, for a value x of decimal exponent
+    X = 16 - k; and whether the value takes the fallback."""
     a = np.abs(x)
-    fine = (a >= 1e-7) & (a < 1e18)
-    a[~fine] = 1.0
+    # the double 1e-6 lies below 10**-6, so these values have -6 <= X <= 16
+    fallback = (a <= 1e-6) | (a >= 1e17)
+    a[fallback] = 1.0
     k = np.log10(a)
     np.floor(k, out=k)
     k = 16 - k.astype(np.int64)
-    np.clip(k, 0, 22, out=k)
+    np.minimum(np.maximum(k, 0, out=k), 22, out=k)
     p, e = two_prod(a, _POW10[k])
     # the log10 estimate may miss by one; compare p + e exactly with the
     # decade and move k once (a rounded 10**16 can stand for 9.99..95e15)
@@ -201,13 +210,15 @@ def _csv_rows(table: np.ndarray) -> bytes:
     high = (p > 1e17) | ((p == 1e17) & (e >= 0))
     moved = np.flatnonzero(low != high)
     k[moved] += low[moved].astype(np.int64) - high[moved]
-    p[moved], e[moved] = two_prod(a[moved], _POW10[np.clip(k[moved], 0, 22)])
-    # 10**16 <= p + e < 10**17 now, and no double rounds up to 10**17:
-    # that takes |x| within 5e-18 of a power of ten, and the doubles
-    # nearest 10**-5..10**17 are exact or above it
-    d = p.astype(np.int64)
-    d += np.rint(e).astype(np.int64)
-    fallback = np.flatnonzero(~fine | (k < 0) | (k > 22))
+    p[moved], e[moved] = two_prod(a[moved], _POW10[k[moved]])
+    return a, k, p, e, fallback
+
+
+def _cells(x: np.ndarray, d: np.ndarray, k: np.ndarray,
+           fallback: np.ndarray, masks: np.ndarray, fmt: str) -> np.ndarray:
+    """The cells of the values x from their 17-digit integers d,
+    10**16 <= d < 10**17, and k = 16 - X, laid out by `masks`; values
+    where `fallback` is set are "%-44" + fmt % value instead."""
     lead, rest = np.divmod(d, 10**16)
     halves = np.empty((x.size, 2), dtype=np.int64)
     np.divmod(rest, 10**8, out=(halves[:, 0], halves[:, 1]))
@@ -222,16 +233,84 @@ def _csv_rows(table: np.ndarray) -> bytes:
     cell[:, 6] = lead + ord("0")
     cell[:, 8:40:2] = _QUADS[quads].view(np.uint8)
     cell[:, 43] = 32 + k    # ord("0") - X
-    cell.reshape(rows, cols, -1)[:, -1, -1] = ord("\n")
-    # the mask row of (negative, X + 6, significant digits)
-    cell &= _CELL_MASKS[(x < 0) * (23 * 18)
-                        + (22 - np.clip(k, 0, 22)) * 18 + 17 - tail]
+    cell[k == 0, 41:44] = np.frombuffer(b"+16", dtype=np.uint8)
+    # the mask row of (negative, X + 6, significant digits), X + 6 = 22 - k
+    cell &= masks[(x < 0) * (23 * 18) + 413 - 18 * k - tail]
+    fallback = np.flatnonzero(fallback)
     if fallback.size:
-        # "%.17g" never prints a space, so the padding drops with the NULs
-        text = "%-44.17g" * fallback.size % tuple(x[fallback].tolist())
+        # neither format prints a space, so the padding drops with the NULs
+        text = ("%-44" + fmt) * fallback.size % tuple(x[fallback].tolist())
         cell[fallback, :-1] = np.frombuffer(
             text.encode(), dtype=np.uint8).reshape(fallback.size, -1)
+    return cell
+
+
+def _csv_rows(table: np.ndarray) -> bytes:
+    """The rows of a 2-D float table as bytes: each value as
+    "%.17g" % value, a comma between columns and a newline after each
+    row."""
+    rows, cols = table.shape
+    x = table.ravel()
+    _, k, p, e, fallback = _scaled(x)
+    # no double with X in -6..16 rounds up to 10**17: that takes |x|
+    # within 5e-18 of a power of ten, and the doubles nearest
+    # 10**-5..10**17 are exact or above it
+    d = p.astype(np.int64)
+    d += np.rint(e).astype(np.int64)
+    cell = _cells(x, d, k, fallback, _CSV_MASKS, ".17g")
+    cell.reshape(rows, cols, -1)[:, -1, -1] = ord("\n")
     return cell.tobytes().translate(None, b"\0 ")
+
+
+def _repr_cells(x: np.ndarray) -> np.ndarray:
+    """The cells of repr(value) for a 1-D float array, each followed by
+    a comma: bytes.translate(None, b"\\0 ") of the cells gives the text.
+
+    x rounds to v = |x| * 10**k = p + e. The doubles that read back as x
+    fill [v - h, v + h], h = ulp(x) * 10**k / 2 (exact: 10**k has 5**k
+    < 2**53 for its odd part); repr takes the endpoints only for an even
+    mantissa. Its digits are those of the number of that interval with
+    the most trailing zeros, the one nearest v where there are several
+    (the steps of Steele & White's and Gay's digit generation). h > 0.55,
+    so the interval is 1.1 to 23 wide: it holds the integer nearest v, at
+    most one multiple of 100, which then has the most zeros, and
+    otherwise up to three multiples of 10, of which the two around v are
+    the ones to look at. Offsets from v are counted in units of 2**-54,
+    where all of them are exact int64. Ties between two nearest numbers
+    take the fallback. At a power of two the gap below is h / 2, but for
+    each of the 76 powers of two of exponent -6..16 the wider interval
+    gives the same digits, so h serves for both sides.
+    """
+    a, k, p, e, fallback = _scaled(x)
+    bits = a.view(np.int64)
+    # h * 2**54 = 10**k * 2**(E - 1022) for the biased exponent E of x;
+    # the endpoints drop out for an odd mantissa
+    h = _POW10[k] * ((bits & (2047 << 52)) + (1 << 52)).view(np.float64)
+    h = h.astype(np.int64) - (bits & 1)
+    near = np.rint(e)
+    d = p.astype(np.int64) + near.astype(np.int64)   # the integer nearest v
+    r = ((near - e) * 2.0**54).astype(np.int64)      # (d - v) * 2**54
+    # the interval holds the integers d - down .. d + up
+    down = (h + r) >> 54
+    up = (h - r) >> 54
+    ones = d % 10
+    tens_low = ones <= down
+    tens_high = 10 - ones <= up
+    tens = tens_low | tens_high
+    # with both multiples of 10 in the interval, the one nearer v
+    rise = tens_high & (~tens_low | (ones > 5) | ((ones == 5) & (r < 0)))
+    tie = np.where(tens, tens_low & tens_high & (ones == 5) & (r == 0),
+                   np.abs(r) == 2**53)
+    rest = d % 100
+    hundreds_high = 100 - rest <= up
+    hundreds = (rest <= down) | hundreds_high
+    d = np.where(hundreds, d - rest + 100 * hundreds_high,
+                 np.where(tens, d - ones + 10 * rise, d))
+    # no d reaches 10**17: x would then be the double nearest 10**(X + 1)
+    # and lie below it, and for X = -6..16 each of these doubles is the
+    # power or above it
+    fallback |= ~hundreds & tie
+    return _cells(x, d, k, fallback, _REPR_MASKS, "r")
 
 
 def write_spectrum_csv(path: Path, s: Spectrum) -> None:
@@ -249,46 +328,60 @@ def write_spectrum_csv(path: Path, s: Spectrum) -> None:
             f.write(_csv_rows(np.column_stack([c[rows] for c in columns])))
 
 
-def _json_list(values: np.ndarray, indent: str) -> str:
-    """`values` as json.dumps(indent=2) lays out a list at depth `indent`.
-
-    repr of a list of floats calls float.__repr__ on every element, which
-    is what json writes for a finite float (Spectrum admits no other).
-    """
-    if values.size == 0:
-        return "[]"
-    inner = "\n" + indent + "  "
-    body = repr(values.tolist()).replace(", ", "," + inner)
-    return "[" + inner + body[1:-1] + "\n" + indent + "]"
-
-
 def write_spectrum_json(path: Path, s: Spectrum) -> None:
     """Write `s` as json.dumps(doc, indent=2, sort_keys=True) would, byte
     for byte.
 
     json.dumps with an indent runs the pure-Python encoder, one chunk per
-    float, so only `meta` goes through it. Each float array is formatted
-    by one C-level list repr, laid out by one str.replace and written
-    before the next is formatted, so only one array's text is held. Keys
-    go out in sorted order: meta, omega, p1, p2, q, then raw_p1, raw_p2,
-    raw_p3 as present, each with imag before real.
+    float, so only `meta` goes through it. Every float of the arrays is
+    repr(value), as json writes a finite float (Spectrum admits no
+    other), from the numpy kernel `_repr_cells` with a per-value %r
+    fallback. The arrays are taken in chunks of _JSON_CHUNK_VALUES values
+    that run on from one array into the next, and each chunk is written
+    before the next is formatted, so memory does not grow with the grid.
+    Keys go out in sorted order: meta, omega, p1, p2, q, then raw_p1,
+    raw_p2, raw_p3 as present, each with imag before real.
     """
+    items = [(f',\n  "{key}": ', arr, "  ", "") for key, arr in
+             (("omega", s.omegas), ("p1", s.p1), ("p2", s.p2), ("q", s.q))]
+    for key in ("raw_p1", "raw_p2", "raw_p3"):
+        arr = getattr(s, key)
+        if arr is not None:
+            items += [(f',\n  "{key}": {{\n    "imag": ', arr.imag,
+                       "    ", ""),
+                      (',\n    "real": ', arr.real, "    ", "\n  }")]
+    # (text up to the list's first value, its values, its indent); the
+    # text after the last value goes into `text`
+    lists = []
     meta = json.dumps(s.meta, indent=2, sort_keys=True).replace("\n", "\n  ")
-    with path.open("w", encoding="utf-8") as f:
-        f.write('{\n  "meta": ' + meta)
-        for key, arr in (("omega", s.omegas), ("p1", s.p1), ("p2", s.p2),
-                         ("q", s.q)):
-            f.write(f',\n  "{key}": ')
-            f.write(_json_list(arr, "  "))
-        for key in ("raw_p1", "raw_p2", "raw_p3"):
-            arr = getattr(s, key)
-            if arr is not None:
-                f.write(f',\n  "{key}": {{\n    "imag": ')
-                f.write(_json_list(arr.imag, "    "))
-                f.write(',\n    "real": ')
-                f.write(_json_list(arr.real, "    "))
-                f.write("\n  }")
-        f.write("\n}\n")
+    text = '{\n  "meta": ' + meta
+    for head, values, indent, tail in items:
+        if values.size:
+            lists.append((text + head + "[\n  " + indent, values, indent))
+            text = "\n" + indent + "]" + tail
+        else:
+            text += head + "[]" + tail
+    ends = list(accumulate([values.size for _, values, _ in lists],
+                           initial=0))
+    with path.open("wb") as f:
+        for start in range(0, ends[-1], _JSON_CHUNK_VALUES):
+            stop = start + _JSON_CHUNK_VALUES
+            runs = [(i, max(start, ends[i]) - ends[i],
+                     min(stop, ends[i + 1]) - ends[i])
+                    for i in range(len(lists))
+                    if ends[i] < stop and ends[i + 1] > start]
+            cells = _repr_cells(np.concatenate(
+                [lists[i][1][first:last] for i, first, last in runs]))
+            for i, first, last in runs:
+                head, values, indent = lists[i]
+                out = cells[:last - first].tobytes().translate(None, b"\0 ")
+                cells = cells[last - first:]
+                if first == 0:
+                    f.write(head.encode())
+                if last == values.size:
+                    out = out[:-1]    # no comma after the last value
+                f.write(out.replace(b",", (",\n  " + indent).encode()))
+        f.write((text + "\n}\n").encode())
 
 
 def _write_outputs(written: list[Path], outdir: Path, stem: str,

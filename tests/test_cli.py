@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pulsespec as ps
-from conftest import drive
+from conftest import closed_at, drive
 from pulsespec import cli
 
 
@@ -374,6 +374,44 @@ def test_json_short_arrays_match_json_dumps(tmp_path, n):
     assert path.read_bytes() == expected.encode()
 
 
+def spectrum_doc(s):
+    """The document json.dumps would write for `s`, from Python floats."""
+    doc = {"meta": s.meta, "omega": s.omegas.tolist(), "p1": s.p1.tolist(),
+           "p2": s.p2.tolist(), "q": s.q.tolist()}
+    for name in ("raw_p1", "raw_p2", "raw_p3"):
+        arr = getattr(s, name)
+        if arr is not None:
+            doc[name] = {"real": arr.real.tolist(), "imag": arr.imag.tolist()}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_numeric_long_json_matches_json_dumps_and_csv(tmp_path):
+    # the benchmark's numeric_long run: 1201 omegas, with raw_p1 and raw_p2
+    text = ("delta = 3.137\ntau = 0.2\nn_pulses = 80\nengine = numeric\n"
+            "format = both\n")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", write_cfg(tmp_path, text),
+                     "--output-dir", str(out)]) == 0
+    cfg = cli.parse_config(str(tmp_path / "run.cfg"))
+    s = cli._spectrum_for("numeric", cli._params_from(cfg), cfg)
+    path = out / "spectrum_numeric.json"
+    assert path.read_bytes() == spectrum_doc(s).encode()
+    q = json.loads(path.read_text())["q"]
+    assert np.array_equal(q, csv_rows(out / "spectrum_numeric.csv")[:, 3])
+
+
+def test_closed_form_sweep_json_matches_json_dumps(tmp_path):
+    text = ("delta = 3\ntau_list = 0.05,0.2,1\nn_pulses = 8\n"
+            "engine = closed_form\nformat = json\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, text),
+                     "--output-dir", str(out)]) == 0
+    for tau in (0.05, 0.2, 1.0):
+        path = out / f"spectrum_delta3_tau{tau:g}_np8.json"
+        expected = spectrum_doc(closed_at(8, tau=tau))
+        assert path.read_bytes() == expected.encode()
+
+
 def test_json_writer_peak_memory_is_bounded(tmp_path):
     # 30,000 nodes with raw_p1 and raw_p2: eight float arrays, 6.1 MB of
     # JSON; measured 2.4 MB, one array's text at a time (the json.dumps
@@ -548,6 +586,18 @@ def test_validate_coarse_grid_fails_with_hint(tmp_path):
     report = json.loads((out / "validation_report.json").read_text())
     assert report["passed"] is False
     assert "substeps" in report["hint"]
+
+
+def test_validate_short_train_fails_with_pulse_count_hint(tmp_path):
+    # at 2 pulses the closed form's long-time limit is what is off
+    # (l2_rel 0.99), which no number of substeps can mend
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\nn_pulses = 2\n")
+    out = tmp_path / "val"
+    assert cli.main(["validate", "--config", cfg,
+                     "--output-dir", str(out)]) == 1
+    report = json.loads((out / "validation_report.json").read_text())
+    assert report["metrics"]["l2_rel"] > 0.9
+    assert "n_pulses" in report["hint"]
 
 
 def test_factorization_check_covers_every_row_value():
