@@ -152,9 +152,9 @@ def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
     mode the horizon is rounded up to a whole number of intervals, so the
     grid covers at least free_time. Raises GridTooLarge when the numeric
     engine's largest array would exceed MAX_ARRAY_CELLS. That is either
-    the march of the propagator rows over one pulse pair, 2 x 2 matrices
-    for n_sub + 1 rows over at most min(n_nodes, 2*n_sub + 1) nodes, or
-    the trajectory, 2 x 2 matrices over n_nodes.
+    the pair block, 2 x (n_sub + 1) x 2*n_sub values, which the count
+    bounds by 4 x (n_sub + 1) x min(n_nodes, 2*n_sub + 1), or the
+    trajectory, 2 x 2 matrices over n_nodes.
     """
     n_sub = default_substeps(p.tau) if substeps is None else int(substeps)
     if n_sub < 1:
@@ -252,10 +252,10 @@ class Spectrum:
 
     def __post_init__(self):
         n = self.omegas.size
-        for name in ("p1", "p2"):
-            size = getattr(self, name).size
-            if size != n:
-                raise GridMismatch(f"{name} has {size} values for {n} nodes")
+        for name in ("p1", "p2", "raw_p1", "raw_p2", "raw_p3"):
+            v = getattr(self, name)
+            if v is not None and v.size != n:
+                raise GridMismatch(f"{name} has {v.size} values for {n} nodes")
         self.q = self.p2 - self.p1
         # the writers format every one of these floats, and JSON has no
         # token for a non-finite one

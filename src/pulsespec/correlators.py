@@ -7,14 +7,13 @@ For every grid time t the two correlators
     C2(t, theta) = <sigma_-(t) sigma_+(t + theta)>
 
 follow from the quantum regression theorem: a (2, 2) matrix in the
-[[ee, eg], [ge, gg]] layout, seeded from the physical state at t, is
-marched forward in theta by `lindblad.march`, the same function that
-marches the state itself, and its ge element [1, 0] is recorded.
-Population components never feed the ge/eg pair under either the free
-map or the swap, and on the physical trajectory the seeds are
-(ge, eg) = (ee(t), 0) for C1 and (gg(t), 0) for C2. Both correlators are
-therefore a population times one ge-propagator K_i(theta), the march of
-the seed ge = 1 from node i.
+[[ee, eg], [ge, gg]] layout, seeded from the physical state at t, evolves
+in theta under the free map and the swap of `lindblad`, and its ge
+element [1, 0] is recorded. Populations never feed the ge/eg pair under
+either map, so only that pair is marched, and on the physical trajectory
+the seeds are (ge, eg) = (ee(t), 0) for C1 and (gg(t), 0) for C2. Both
+correlators are therefore a population times one ge-propagator
+K_i(theta), the march of the seed ge = 1 from node i.
 
 Pulses sit on every n_sub-th node and every crossing before T counts, so
 K_i depends on i only through i mod n_sub. There are n_sub + 1 rows:
@@ -46,16 +45,17 @@ Stored values follow the post-pulse convention: when t + theta lands
 exactly on a pulse instant the recorded value is the one immediately
 after the swap. The correlators are discontinuous there, and a
 trapezoidal rule sampling only one side of each jump loses an order of
-accuracy, so `before` holds the pre-swap one-sided limits, equal to
-`rows` away from crossings. Downstream quadrature averages the two
+accuracy, so block[1] holds the pre-swap one-sided limits, equal to
+block[0] away from crossings. Downstream quadrature averages the two
 one-sided limits at every jump.
 """
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import DriveParams, TimeGrid
-from .lindblad import apply_pi_pulse, free_evolve, march
+from .lindblad import _free_map
 
 
 def build_correlator_grids(p: DriveParams, g: TimeGrid) -> np.ndarray:
@@ -64,38 +64,44 @@ def build_correlator_grids(p: DriveParams, g: TimeGrid) -> np.ndarray:
     Returns the (2, n_sub + 1, 2*n_sub) complex block of the residue rows
     and the pre-pulse companion over theta = dt..2*tau, as in the module
     docstring: [0] holds the post-pulse values and [1] the pre-swap left
-    limits. Row r (the companion is r = n_sub) starts from the seed ge = 1
-    at node r, and its n_sub - r sub-steps to node n_sub are the seed
-    times the free map over those elapsed times. There the rows are
-    swapped (the companion even without pulses, as it is defined by the
-    swap) and march on together until row 0 has reached theta = P*dt, and
-    the companion too where the grid is that long, so the march holds at
-    most (n_sub + 1) x min(n_nodes, P + 1) matrices.
+    limits. Row r (the companion is r = n_sub) is the free rotation of the
+    seed ge = 1 from node r to node n_sub. There the rows are swapped (the
+    companion even without pulses, as it is defined by the swap) and
+    march on, until row 0 has reached theta = P*dt and the companion too
+    where the grid is that long, as the (ge, eg) pair times the rotation
+    table over at most two segments that end on pulse nodes.
     """
-    n_nodes, n_sub = g.n_nodes, g.substeps_per_interval
-    pair = 2 * n_sub
-    seed = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-    head = free_evolve(seed, np.arange(n_sub + 1) * g.dt, p)
-    # row r holds head[n_sub - r] at node n_sub, before the swap there
-    at_pulse = head[::-1]
+    n_sub, pair = g.substeps_per_interval, 2 * g.substeps_per_interval
+    factor = _free_map(np.arange(n_sub + 1) * g.dt, p)[0]
+    rot, rot_eg = factor[:, 1, 0], factor[:, 0, 1]
+    # row r holds ge = rot[n_sub - r] at node n_sub, before the swap there,
+    # and eg = 0 * rot_eg[n_sub - r], a zero signed as a full march signs it
+    at_pulse, zero = rot[::-1], 0 * rot_eg[::-1]
     r = np.arange(n_sub + 1)
     swap = (r == n_sub) | (p.n_pulses >= 1)
-    post = np.where(swap[:, None, None], apply_pi_pulse(at_pulse), at_pulse)
-    # row 0 reaches theta = P*dt n_sub sub-steps past node n_sub, the
-    # companion 2*n_sub, if the grid is that long
-    length = min(max(n_nodes - 1, pair), 3 * n_sub) - n_sub
-    stored, crossings = march(post, n_sub, length, p, g)
-    # the left limit at a crossing is the ge element before the swap, which
-    # the swap moved to eg
-    marched = np.stack([stored[:, :, 1, 0], stored[:, :, 1, 0]])
-    marched[1][:, crossings] = stored[:, crossings, 0, 1]
-    marched[1][:, 0] = at_pulse[:, 1, 0]
-    # column c is theta = (c + 1)*dt, so the companion's theta = 0 is left out
+    ge = post = np.where(swap, zero, at_pulse)
+    eg = np.where(swap, at_pulse, zero)
+    length = min(max(g.n_nodes - 1, pair), 3 * n_sub) - n_sub
+    marched = []
+    for s0, s1 in ((0, n_sub), (n_sub, length))[:1 + (length > n_sub)]:
+        left = ge * rot[1:s1 - s0 + 1, None]
+        ge, eg = left[-1], eg * rot_eg[s1 - s0]
+        if s1 % n_sub == 0 and s1 // n_sub + 1 <= p.n_pulses:
+            ge, eg = eg, ge
+        marched.append((s0, s1, left, ge))
     block = np.zeros((2, n_sub + 1, pair), dtype=complex)
-    np.copyto(block[:, :, :n_sub - 1], head[1:n_sub, 1, 0],
+    # skew[:, s, r] is row r at theta = n_sub - r + s, s sub-steps past node
+    # n_sub: flat index r*pair + theta - 1 = n_sub - 1 + s + r*(pair - 1).
+    # Past theta = P*dt it wraps onto thetas up to n_sub - r of row r + 1,
+    # which the head and the first segment hold, so those are written last.
+    item = block.itemsize
+    skew = as_strided(block[:, 0, n_sub - 1:], (2, pair + 1, n_sub + 1),
+                      (block.strides[0], item, (pair - 1) * item))
+    for s0, s1, left, end in marched[::-1]:
+        skew[:, s0 + 1:s1 + 1] = left
+        skew[0, s1] = end
+    # the companion's theta = 0 is left out
+    skew[0, 0, :n_sub], skew[1, 0, :n_sub] = post[:n_sub], at_pulse[:n_sub]
+    np.copyto(block[:, :, :n_sub - 1], rot[1:n_sub],
               where=np.arange(1, n_sub) < (n_sub - r)[:, None])
-    theta = (n_sub - r)[:, None] + np.arange(length + 1)
-    in_pair = (theta >= 1) & (theta <= pair)
-    block[:, np.broadcast_to(r[:, None], theta.shape)[in_pair],
-          theta[in_pair] - 1] = marched[:, in_pair]
     return block

@@ -1,5 +1,5 @@
-"""Exact inter-pulse propagation, the instantaneous pulse map, and the one
-march that both the state and the regression rows run.
+"""Exact inter-pulse propagation, the instantaneous pulse map, and the
+physical trajectory.
 
 A density matrix is a complex array of shape (..., 2, 2) in the layout
 [[ee, eg], [ge, gg]]; the maps act on any such matrix, physical or not.
@@ -8,6 +8,8 @@ the detuning while decaying at gamma/2. The update is the exact
 exponential of that linear map, not an Euler or Runge-Kutta step, so the
 only numerical error in a march is floating-point rounding. A pulse is
 an instantaneous swap of the two populations and the two coherences.
+Neither map mixes populations with coherences, so the trajectory steps
+its populations alone and the correlator rows their (ge, eg) pair alone.
 """
 from __future__ import annotations
 
@@ -51,44 +53,34 @@ def apply_pi_pulse(m: np.ndarray) -> np.ndarray:
     return m[..., ::-1, ::-1]
 
 
-def march(m, start: int, length: int, p: DriveParams,
-          g: TimeGrid) -> tuple[np.ndarray, list[int]]:
-    """March m, the value at grid node `start`, over `length` sub-steps.
-
-    Returns (stored, crossings). stored has shape
-    m.shape[:-2] + (length + 1, 2, 2); crossings lists the sub-steps k at
-    which a pulse fires, at every node start + k = n*substeps_per_interval,
-    n = 1..n_pulses. stored holds the post-pulse value there; the pre-swap
-    value is apply_pi_pulse of it. The free-map factors for elapsed times
-    k*dt, k = 0..n_sub, are computed once, so each inter-pulse segment is
-    one broadcast multiply plus the ee -> gg feed.
-    """
-    n_sub = g.substeps_per_interval
-    factor, feed = _free_map(np.arange(n_sub + 1) * g.dt, p)
-    m = np.asarray(m, dtype=complex)
-    stored = np.empty(m.shape[:-2] + (length + 1, 2, 2), dtype=complex)
-    stored[..., 0, :, :] = m
-    crossings = []
-    j = 0
-    while j < length:
-        end = min(length, (start + j) // n_sub * n_sub + n_sub - start)
-        v = stored[..., j, None, :, :]
-        seg = stored[..., j + 1:end + 1, :, :]
-        seg[...] = v * factor[1:end - j + 1]
-        seg[..., 1, 1] += v[..., 0, 0] * feed[1:end - j + 1]
-        if (start + end) % n_sub == 0 and (start + end) // n_sub <= p.n_pulses:
-            crossings.append(end)
-            stored[..., end, :, :] = apply_pi_pulse(seg[..., -1, :, :]).copy()
-        j = end
-    return stored, crossings
-
-
 def propagate_trajectory(p: DriveParams, g: TimeGrid) -> np.ndarray:
     """March the physical state from ee = 1 across every grid node.
 
     Returns an (n_nodes, 2, 2) array; nodes at pulse instants store the
     post-pulse matrix. The nominal pulse at the final node is applied too;
-    it carries no weight in any time integral.
+    it carries no weight in any time integral. Each interval's starting
+    populations are stepped as floats by the free map and the swap, and
+    then fill the interval's nodes in place.
     """
-    rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    return march(rho0, 0, g.n_nodes - 1, p, g)[0]
+    n_sub, n_int, pulses = g.substeps_per_interval, g.n_intervals, p.n_pulses
+    factor, feed = _free_map(np.arange(n_sub + 1) * g.dt, p)
+    decay = factor[:, 0, 0].real
+    d, f = float(decay[n_sub]), float(feed[n_sub])
+    e, q, ee, gg = 1.0, 0.0, [1.0], [0.0]
+    for n in range(1, n_int + 1):
+        e, q = e * d, q + e * f
+        if n <= pulses:
+            e, q = q, e
+        ee.append(e)
+        gg.append(q)
+    ee, gg = np.array(ee)[:, None], np.array(gg)[:, None]
+    # node k of an interval holds (ee*decay_k, gg + ee*feed_k) of its start,
+    # copied in first: a ufunc buffers every broadcast operand it is given
+    out = np.zeros((g.n_nodes, 2, 2), dtype=complex)
+    cells = out.real[:-1].reshape(n_int, n_sub, 2, 2)
+    for slot, table in ((cells[..., 0, 0], decay), (cells[..., 1, 1], feed)):
+        np.copyto(slot, ee[:-1])
+        slot *= table[:n_sub]
+    cells[..., 1, 1] += gg[:-1]
+    out[-1, 0, 0], out[-1, 1, 1] = ee[-1, 0], gg[-1, 0]
+    return out

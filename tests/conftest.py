@@ -9,6 +9,28 @@ def drive(n_pulses, delta=3.0, tau=0.2, free_time=None):
                           free_time=free_time)
 
 
+# (params, substeps) on which the trajectory and the pair block equal the
+# reference march of whole matrices exactly: pulse-free, the one- and
+# two-pulse trains that end the pair march early, three pulses, one
+# substep, the benchmark grids, long trains, a negative detuning, and the
+# golden cases of test_spectrum_numeric
+MARCH_GRIDS = {
+    "pulse_free": (drive(0, tau=0.3, free_time=2.0), 7),
+    "pulse_free_short": (drive(0, free_time=0.3), 7),
+    "one_pulse": (drive(1), 7),
+    "two_pulses": (drive(2), 7),
+    "three_pulses": (drive(3), 7),
+    "four_pulses_one_substep": (drive(4), 1),
+    "numeric_long": (drive(80), 20),
+    "validate_both": (drive(20), 80),
+    "long_train": (drive(700), 20),
+    "very_long_train": (drive(10000), 20),
+    "negative_detuning": (drive(5, delta=-7.1, tau=0.913), 13),
+    "drive8": (drive(8), None),
+    "odd_train": (drive(3, delta=2.2, tau=0.37), 7),
+}
+
+
 def unfold(block, row, count, side=0):
     """Row `row` of the pair block over theta_j = j*dt, j < count,
     unfolded from its one pair over theta = dt..P*dt: 1 at j = 0, then

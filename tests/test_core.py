@@ -108,14 +108,15 @@ def test_time_grid_substeps_override():
 
 
 def test_time_grid_cell_budget():
-    # the march of one pulse pair takes 4*(n_sub + 1)*min(n_nodes,
-    # 2*n_sub + 1) cells, the trajectory 4*n_nodes
+    # the pair block, 2*(n_sub + 1)*2*n_sub values, is counted as at most
+    # 4*(n_sub + 1)*min(n_nodes, 2*n_sub + 1) cells, the trajectory as
+    # 4*n_nodes
     budget = ps.core.MAX_ARRAY_CELLS
     assert 4 * 1448 * 2895 <= budget < 4 * 1449 * 2897
     assert ps.make_time_grid(drive(8), 1447).n_nodes == 8 * 1447 + 1
     with pytest.raises(ps.GridTooLarge):
         ps.make_time_grid(drive(8), 1448)
-    # a one-interval grid marches no further than its own nodes
+    # a one-interval grid is counted over its own nodes
     assert 4 * 2001 * 2001 <= budget < 4 * 2001 * 4001
     assert ps.make_time_grid(drive(1), 2000).n_nodes == 2001
     with pytest.raises(ps.GridTooLarge):
@@ -184,6 +185,11 @@ def test_spectrum_container_invariants():
     assert np.array_equal(s.q, p2 - p1)
     with pytest.raises(ps.GridMismatch):
         ps.Spectrum(omegas=om, p1=p1[:-1], p2=p2)
+    # the writers would lay out raw lists of another length beside omegas
+    for name in ("raw_p1", "raw_p2", "raw_p3"):
+        with pytest.raises(ps.GridMismatch, match=name):
+            ps.Spectrum(omegas=om, p1=p1, p2=p2,
+                        **{name: np.ones(3, dtype=complex)})
 
 
 @pytest.mark.parametrize("name", ["omegas", "p1", "p2", "q", "raw_p1",

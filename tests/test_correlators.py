@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import pulsespec as ps
-from pulsespec.lindblad import march
-from conftest import drive, unfold
+from conftest import MARCH_GRIDS, drive, unfold
+from marcher import march, march_block
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +115,16 @@ def test_block_does_not_depend_on_the_train_length(substeps):
               for p in map(drive, (3, 4, 8, 81, 700))]
     for block in blocks[1:]:
         assert np.array_equal(block, blocks[0])
+
+
+@pytest.mark.parametrize("name", sorted(MARCH_GRIDS))
+def test_block_matches_reference_march(name):
+    p, substeps = MARCH_GRIDS[name]
+    g = ps.make_time_grid(p, substeps)
+    block, reference = ps.build_correlator_grids(p, g), march_block(p, g)
+    assert np.array_equal(block, reference)
+    # the zeros too are signed as the march signs them
+    assert block.tobytes() == reference.tobytes()
 
 
 def test_same_interval_rotation(fig_grid):

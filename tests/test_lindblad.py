@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import pulsespec as ps
-from pulsespec.lindblad import march
-from conftest import drive
+from conftest import MARCH_GRIDS, drive
+from marcher import march, march_trajectory
 
 
 def dm(ee, eg, ge, gg):
@@ -137,9 +137,17 @@ def test_march_matches_step_by_step(p, substeps):
         assert np.array_equal(stored[0], seed)
 
 
+@pytest.mark.parametrize("name", sorted(MARCH_GRIDS))
+def test_trajectory_matches_reference_march(name):
+    p, substeps = MARCH_GRIDS[name]
+    g = ps.make_time_grid(p, substeps)
+    assert np.array_equal(ps.propagate_trajectory(p, g),
+                          march_trajectory(p, g))
+
+
 @pytest.mark.parametrize("n_pulses", [80, 5000])
 def test_trajectory_peak_memory_is_its_result(n_pulses):
-    # the march keeps no second copy of what it stores
+    # the nodes are filled in place: no second copy of the result
     p = drive(n_pulses)
     g = ps.make_time_grid(p, 20)
     tracemalloc.start()

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import pulsespec as ps
 from conftest import drive, nearest_peak
-from pulsespec.lindblad import march
+from marcher import march
 from pulsespec.spectrum_numeric import fft_length, theta_transform
 
 GOLDEN = Path(__file__).parent / "data" / "numeric_golden.npz"
