@@ -12,8 +12,7 @@ from .core import (DEFAULT_AMP, DEFAULT_GAMMA, ConflictingFreeTime,
                    NonPositiveTau, PulsespecError, Spectrum, TimeGrid,
                    build_meta, default_substeps, make_frequency_grid,
                    make_time_grid, validate_params)
-from .lindblad import (NegativeDt, apply_pi_pulse, free_evolve,
-                       propagate_trajectory)
+from .lindblad import propagate_trajectory
 from .correlators import build_correlator_grids
 from .spectrum_numeric import compute_numeric_spectrum, numeric_spectrum
 from .closed_form import (NegativeM, NegativeTheta, OddPulseCount,
@@ -30,7 +29,7 @@ __all__ = [
     "NonPositiveGamma", "NonPositiveTau", "PulsespecError", "Spectrum",
     "TimeGrid", "build_meta", "default_substeps", "make_frequency_grid",
     "make_time_grid", "validate_params",
-    "NegativeDt", "apply_pi_pulse", "free_evolve", "propagate_trajectory",
+    "propagate_trajectory",
     "build_correlator_grids",
     "compute_numeric_spectrum", "numeric_spectrum",
     "NegativeM", "NegativeTheta", "OddPulseCount", "OutOfRangeT",

@@ -10,6 +10,7 @@ to amp = sqrt(1/2), i.e. 2*amp**2 = 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,8 @@ class DriveParams:
 
     def __post_init__(self):
         validate_params(self)
+        # a numpy integer is kept as an int, which meta and JSON can hold
+        object.__setattr__(self, "n_pulses", operator.index(self.n_pulses))
 
 
 def validate_params(p: DriveParams) -> DriveParams:
@@ -101,7 +104,7 @@ def validate_params(p: DriveParams) -> DriveParams:
         value = getattr(p, name)
         if value is not None and not math.isfinite(value):
             raise PulsespecError(f"{name} must be finite, got {value}")
-    if p.n_pulses < 0:
+    if _count("n_pulses", p.n_pulses) < 0:
         raise PulsespecError(f"n_pulses must be >= 0, got {p.n_pulses}")
     if p.n_pulses == 0:
         if p.free_time is None:
@@ -112,6 +115,17 @@ def validate_params(p: DriveParams) -> DriveParams:
         raise ConflictingFreeTime(
             "free_time only applies to the pulse-free mode (n_pulses = 0)")
     return p
+
+
+def _count(name: str, value) -> int:
+    """value as an int, for a whole number of any integer type; a bool, a
+    float or anything else operator.index refuses raises PulsespecError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise PulsespecError(f"{name} must be an integer, got {value!r}")
 
 
 def default_substeps(tau: float) -> int:
@@ -153,10 +167,12 @@ def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
     grid covers at least free_time. Raises GridTooLarge when the numeric
     engine's largest array would exceed MAX_ARRAY_CELLS. That is either
     the pair block, 2 x (n_sub + 1) x 2*n_sub values, which the count
-    bounds by 4 x (n_sub + 1) x min(n_nodes, 2*n_sub + 1), or the
-    trajectory, 2 x 2 matrices over n_nodes.
+    bounds by 4 x (n_sub + 1) x min(n_nodes, 2*n_sub + 1), or the chirp-z
+    buffer, 2 x fft_length(n_nodes, M) values: 4 x n_nodes within the
+    budget keeps it there for every M up to MAX_FREQUENCY_NODES.
     """
-    n_sub = default_substeps(p.tau) if substeps is None else int(substeps)
+    n_sub = (default_substeps(p.tau) if substeps is None
+             else _count("substeps", substeps))
     if n_sub < 1:
         raise PulsespecError(f"substeps must be >= 1, got {n_sub}")
     if p.n_pulses >= 1:

@@ -72,8 +72,8 @@ def build_correlator_grids(p: DriveParams, g: TimeGrid) -> np.ndarray:
     table over at most two segments that end on pulse nodes.
     """
     n_sub, pair = g.substeps_per_interval, 2 * g.substeps_per_interval
-    factor = _free_map(np.arange(n_sub + 1) * g.dt, p)[0]
-    rot, rot_eg = factor[:, 1, 0], factor[:, 0, 1]
+    rot = _free_map(np.arange(n_sub + 1) * g.dt, p)[1]
+    rot_eg = rot.conj()
     # row r holds ge = rot[n_sub - r] at node n_sub, before the swap there,
     # and eg = 0 * rot_eg[n_sub - r], a zero signed as a full march signs it
     at_pulse, zero = rot[::-1], 0 * rot_eg[::-1]

@@ -9,10 +9,10 @@ time combines the post-pulse row with its pre-pulse companion at half
 weight each. This keeps the composite rule second order in dt; sampling
 a single side of each jump degrades it to first order.
 
-Every correlator row is a population from the trajectory's diagonal
-times one of the n_sub + 1 propagator rows of the pair block, which
-depends on the grid alone, so the sum over t at fixed theta_j groups by
-row: each propagator row is multiplied by the running sum of the weighted
+Every correlator row is a population from the trajectory times one of
+the n_sub + 1 propagator rows of the pair block, which depends on the
+grid alone, so the sum over t at fixed theta_j groups by row: each
+propagator row is multiplied by the running sum of the weighted
 populations of the t nodes whose theta range reaches past j. The final
 node of each range carries a half weight and the left limit, which adds
 one term per t node. The rows are stored over one pulse pair of
@@ -65,11 +65,11 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
     """
     n_sub = g.substeps_per_interval
     if (block.shape != (2, n_sub + 1, 2 * n_sub)
-            or traj.shape != (g.n_nodes, 2, 2)):
+            or traj.shape != (g.n_nodes, 2)):
         raise GridMismatch(
             f"pair block has shape {block.shape} and trajectory "
             f"{traj.shape}, time grid needs {(2, n_sub + 1, 2 * n_sub)} "
-            f"and {(g.n_nodes, 2, 2)}")
+            f"and {(g.n_nodes, 2)}")
     raw_p1, raw_p2 = theta_transform(theta_sums(p, g, traj, block), g.dt, fg)
     scale = 2.0 * p.amp * p.amp
     p1 = scale * raw_p1.real
@@ -87,8 +87,8 @@ def theta_sums(p: DriveParams, g: TimeGrid, traj: np.ndarray,
     n_sub, n_int = g.substeps_per_interval, g.n_intervals
     pair = 2 * n_sub
     rows, before = block
-    pops = traj.diagonal(axis1=1, axis2=2).T
     last = g.n_nodes - 1
+    pops = traj[:last].T
     dt = g.dt
     # t node i < last owns the theta range j = 0..last-i; node `last` has
     # an empty range and a vanishing integral
@@ -99,10 +99,9 @@ def theta_sums(p: DriveParams, g: TimeGrid, traj: np.ndarray,
     w_t[pulse] *= 0.5
     # post[k, i] / pre[k, i]: population k of t node i, trapezoid-weighted,
     # for the post-pulse row and for the pre-pulse companion, which takes
-    # the populations swapped back and exists at interior pulse nodes only;
-    # populations are real, so the weights are too
-    post = w_t * pops[:, :last].real
-    pre = np.where(pulse, w_t, 0.0) * pops[::-1, :last].real
+    # the populations swapped back and exists at interior pulse nodes only
+    post = w_t * pops
+    pre = np.where(pulse, w_t, 0.0) * pops[::-1]
     # running[k, m, r] sums the first m nodes i = m'*n_sub + r of row r
     # (the companion's nodes are the pulse nodes, r = 0)
     running = np.zeros((2, n_int + 1, n_sub + 1))

@@ -1,16 +1,53 @@
 """The generic 2 x 2 marcher: the reference of the trajectory and the
 pair block.
 
-The package builds each of those stages from the part of the density
-matrix it reads, since the free map and the swap never mix populations
-with coherences. `march` advances whole matrices instead, with the same
-free-map table and the same swap, so the package's stages must equal
+A density matrix is a complex array of shape (..., 2, 2) in the layout
+[[ee, eg], [ge, gg]]; the maps below act on any such matrix, physical or
+not. The package builds each of its stages from the part of the matrix
+it reads, since the free map and the swap never mix populations with
+coherences. `march` advances whole matrices instead, with the same
+free-map tables and the same swap, so the package's stages must equal
 `march_trajectory` and `march_block` exactly, not to a tolerance.
 Unlike `oracles`, this module uses the package's free map on purpose.
 """
 import numpy as np
 
-from pulsespec.lindblad import _free_map, apply_pi_pulse, free_evolve
+from pulsespec import PulsespecError
+from pulsespec.lindblad import _free_map as _free_tables
+
+
+class NegativeDt(PulsespecError):
+    pass
+
+
+def _free_map(dt, p):
+    """Elementwise factor (dt.shape + (2, 2)) and ee -> gg feed (dt.shape)
+    of the free map over the elapsed times dt."""
+    dt = np.asarray(dt, dtype=float)
+    if np.any(dt < 0):
+        raise NegativeDt(f"dt must be >= 0, got {dt}")
+    decay, rot = _free_tables(dt, p)
+    factor = np.stack([decay, rot.conj(), rot, np.ones_like(decay)], axis=-1)
+    return factor.reshape(dt.shape + (2, 2)), 1.0 - decay
+
+
+def free_evolve(m, dt, p):
+    """Propagate m over the elapsed times dt (broadcast against the batch
+    axes of m) with no pulse.
+
+    ee decays as exp(-gamma*dt) and feeds gg so that ee + gg is conserved
+    exactly; ge picks up exp((i*delta - gamma/2)*dt) and eg its conjugate.
+    """
+    factor, feed = _free_map(dt, p)
+    out = m * factor
+    out[..., 1, 1] += m[..., 0, 0] * feed
+    return out
+
+
+def apply_pi_pulse(m):
+    """Swap ee with gg and eg with ge (a view of m); applying it twice is
+    the identity."""
+    return m[..., ::-1, ::-1]
 
 
 def march(m, start, length, p, g):

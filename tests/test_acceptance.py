@@ -197,12 +197,10 @@ def test_randomized_propagation_invariants():
         p = drive(n_pulses, delta=delta, tau=tau)
         g = ps.make_time_grid(p)
         traj = ps.propagate_trajectory(p, g)
-        (ee, eg), (ge, gg) = traj.transpose(1, 2, 0)
+        ee, gg = traj.T
         assert float(np.max(np.abs(ee + gg - 1.0))) <= 1e-12
-        assert float(np.max(np.abs(ge - np.conj(eg)))) <= 1e-12
-        assert float(np.max(np.abs(eg))) <= 1e-12
         analytic = np.array([ps.rho_gg_analytic(t, p) for t in g.times])
-        assert float(np.max(np.abs(gg.real - analytic))) <= 1e-10
+        assert float(np.max(np.abs(gg - analytic))) <= 1e-10
 
         block = ps.build_correlator_grids(p, g)
         last = g.n_nodes - 1

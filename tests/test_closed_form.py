@@ -40,7 +40,7 @@ def test_rho_gg_analytic_matches_trajectory():
     p = drive(8)
     g = ps.make_time_grid(p)
     traj = ps.propagate_trajectory(p, g)
-    worst = max(abs(traj[i, 1, 1] - ps.rho_gg_analytic(g.times[i], p))
+    worst = max(abs(traj[i, 1] - ps.rho_gg_analytic(g.times[i], p))
                 for i in range(g.n_nodes))
     assert worst <= 1e-10
 

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 import pulsespec as ps
 from conftest import drive
+from pulsespec.spectrum_numeric import fft_length
 
 
 def test_validate_reference_point():
@@ -47,6 +49,27 @@ def test_non_finite_params_are_rejected(field, value):
               field: value}
     with pytest.raises(ps.PulsespecError):
         ps.DriveParams(**kwargs)
+
+
+@pytest.mark.parametrize("value", [2.5, 4.0, True, np.float64(4.0)],
+                         ids=["fraction", "float", "bool", "numpy_float"])
+def test_non_integer_counts_are_rejected(value):
+    # a fractional or boolean count used to pass: n_pulses then crashed the
+    # numeric engine with a bare TypeError, and substeps was truncated
+    with pytest.raises(ps.PulsespecError, match="n_pulses"):
+        ps.DriveParams(delta=3.0, tau=0.2, n_pulses=value)
+    with pytest.raises(ps.PulsespecError, match="substeps"):
+        ps.make_time_grid(drive(8), value)
+
+
+def test_numpy_integer_counts_are_kept_as_ints():
+    # a numpy integer in meta or the validate report fails to write as JSON
+    p = drive(np.int64(8))
+    g = ps.make_time_grid(p, np.int64(7))
+    assert g.n_nodes == 57
+    assert type(p.n_pulses) is int and type(g.n_intervals) is int
+    assert type(g.substeps_per_interval) is int
+    json.dumps(ps.build_meta(p, ps.make_frequency_grid(p), "numeric", g))
 
 
 @pytest.mark.parametrize("tau,expected", [
@@ -109,9 +132,12 @@ def test_time_grid_substeps_override():
 
 def test_time_grid_cell_budget():
     # the pair block, 2*(n_sub + 1)*2*n_sub values, is counted as at most
-    # 4*(n_sub + 1)*min(n_nodes, 2*n_sub + 1) cells, the trajectory as
-    # 4*n_nodes
+    # 4*(n_sub + 1)*min(n_nodes, 2*n_sub + 1) cells, and the chirp-z buffer,
+    # 2*fft_length(n_nodes, M) values, as 4*n_nodes; the trajectory's
+    # 2*n_nodes populations are below both
     budget = ps.core.MAX_ARRAY_CELLS
+    largest = budget // 4, ps.core.MAX_FREQUENCY_NODES
+    assert 2 * fft_length(*largest) <= budget
     assert 4 * 1448 * 2895 <= budget < 4 * 1449 * 2897
     assert ps.make_time_grid(drive(8), 1447).n_nodes == 8 * 1447 + 1
     with pytest.raises(ps.GridTooLarge):
