@@ -153,12 +153,17 @@ def closed_spectrum(p: DriveParams, fg: FrequencyGrid) -> Spectrum:
 
     p1 = 2*amp**2 * Re{P1}, p2 = 2*amp**2 * Re{P3 - P1}, and the net
     absorption q = p2 - p1 = 2*amp**2 * Re{P3 - 2*P1}.
+
+    Extreme parameters (delta, gamma or omega near 1e300, gamma or tau
+    near 1e-300) overflow the blocks; numpy's floating-point warnings are
+    silenced so that Spectrum's NonFiniteSpectrum is the one signal.
     """
-    raw_p1, raw_p3 = closed_blocks(fg.omegas, p)
-    raw_p2 = raw_p3 - raw_p1
-    scale = 2.0 * p.amp * p.amp
-    p1 = scale * raw_p1.real
-    p2 = scale * raw_p2.real
-    return Spectrum(omegas=fg.omegas.copy(), p1=p1, p2=p2,
-                    raw_p1=raw_p1, raw_p2=raw_p2, raw_p3=raw_p3,
-                    meta=build_meta(p, fg, "closed_form"))
+    with np.errstate(all="ignore"):
+        raw_p1, raw_p3 = closed_blocks(fg.omegas, p)
+        raw_p2 = raw_p3 - raw_p1
+        scale = 2.0 * p.amp * p.amp
+        p1 = scale * raw_p1.real
+        p2 = scale * raw_p2.real
+        return Spectrum(omegas=fg.omegas.copy(), p1=p1, p2=p2,
+                        raw_p1=raw_p1, raw_p2=raw_p2, raw_p3=raw_p3,
+                        meta=build_meta(p, fg, "closed_form"))

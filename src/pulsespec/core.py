@@ -128,13 +128,21 @@ def _count(name: str, value) -> int:
     raise PulsespecError(f"{name} must be an integer, got {value!r}")
 
 
-def default_substeps(tau: float) -> int:
-    """Sub-steps per interval giving dt <= 0.01 with a floor of 20.
+def default_substeps(tau: float, delta: float) -> int:
+    """Sub-steps per interval giving dt <= 0.01 and |delta|*dt <= 1/4, with
+    a floor of 20.
 
-    The small slack inside ceil absorbs cases like 0.2/0.01 evaluating to
-    20.000000000000004 in floating point.
+    The second bound keeps the phase the ge element turns in one step
+    small at any detuning. The small slack inside ceil absorbs cases like
+    0.2/0.01 evaluating to 20.000000000000004 in floating point. Raises
+    GridTooLarge above MAX_ARRAY_CELLS substeps: tau/0.01 and
+    4*|delta|*tau may overflow to inf, which has no ceiling.
     """
-    return max(20, math.ceil(tau / 0.01 - 1e-9))
+    steps = max(tau / 0.01, 4.0 * abs(delta) * tau)
+    if steps > MAX_ARRAY_CELLS:
+        raise GridTooLarge(f"{steps} substeps per interval, above "
+                           f"{MAX_ARRAY_CELLS}")
+    return max(20, math.ceil(steps - 1e-9))
 
 
 @dataclass(frozen=True)
@@ -162,16 +170,18 @@ class TimeGrid:
 def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
     """Build the propagation grid for params p.
 
-    For n_pulses >= 1 the grid spans [0, n_pulses*tau]. For the pulse-free
-    mode the horizon is rounded up to a whole number of intervals, so the
-    grid covers at least free_time. Raises GridTooLarge when the numeric
-    engine's largest array would exceed MAX_ARRAY_CELLS. That is either
-    the pair block, 2 x (n_sub + 1) x 2*n_sub values, which the count
-    bounds by 4 x (n_sub + 1) x min(n_nodes, 2*n_sub + 1), or the chirp-z
-    buffer, 2 x fft_length(n_nodes, M) values: 4 x n_nodes within the
-    budget keeps it there for every M up to MAX_FREQUENCY_NODES.
+    Without `substeps` each interval takes default_substeps(tau, delta)
+    sub-steps. For n_pulses >= 1 the grid spans [0, n_pulses*tau]. For
+    the pulse-free mode the horizon is rounded up to a whole number of
+    intervals, so the grid covers at least free_time. Raises GridTooLarge
+    when the numeric engine's largest array would exceed MAX_ARRAY_CELLS.
+    That is either the pair block, 2 x (n_sub + 1) x 2*n_sub values, which
+    the count bounds by 4 x (n_sub + 1) x min(n_nodes, 2*n_sub + 1), or
+    the chirp-z buffer, 2 x fft_length(n_nodes, M) values: 4 x n_nodes
+    within the budget keeps it there for every M up to
+    MAX_FREQUENCY_NODES.
     """
-    n_sub = (default_substeps(p.tau) if substeps is None
+    n_sub = (default_substeps(p.tau, p.delta) if substeps is None
              else _count("substeps", substeps))
     if n_sub < 1:
         raise PulsespecError(f"substeps must be >= 1, got {n_sub}")

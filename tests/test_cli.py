@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -168,16 +169,25 @@ def test_tiny_pulse_free_horizon_runs(tmp_path, command, name):
         assert json.loads((out / name).read_text())["passed"] is True
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_spectrum_exits_3_without_output(tmp_path, capsys):
-    # the default grid reaches |omega| = 3*pi/tau ~ 1e301, where g0**2
-    # overflows and the closed forms turn NaN
-    cfg = write_cfg(tmp_path, "delta = 3\ntau = 1e-300\nn_pulses = 8\n"
-                              "engine = closed_form\n")
+@pytest.mark.parametrize("text", [
+    "delta = 1e300\ntau = 0.2\n",
+    "delta = 3\ngamma = 1e300\ntau = 0.2\n",
+    "delta = 3\ngamma = 1e-300\ntau = 0.2\n",
+    # the default grid reaches |omega| = 3*pi/tau ~ 1e301
+    "delta = 3\ntau = 1e-300\n",
+    "delta = 3\ntau = 0.2\nomega_min = 1e300\nomega_max = 1.5e300\n"
+    "omega_step = 1e298\n",
+], ids=["delta", "gamma", "small_gamma", "tau", "omega"])
+def test_non_finite_spectrum_exits_3_without_output(tmp_path, capsys, text):
+    # the closed forms overflow and turn NaN; numpy's overflow and invalid
+    # warnings used to come first, as RuntimeWarning under the suite's
+    # filterwarnings = error
+    cfg = write_cfg(tmp_path, text + "n_pulses = 8\nengine = closed_form\n")
     out = tmp_path / "out"
     assert cli.main(["spectrum", "--config", cfg,
                      "--output-dir", str(out)]) == 3
-    assert "NonFiniteSpectrum" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("NonFiniteSpectrum") and err.count("\n") == 1
     assert list(out.iterdir()) == []
 
 
@@ -569,10 +579,16 @@ def test_validate_pass_and_report(tmp_path):
     assert cli.main(["validate", "--config", cfg,
                      "--output-dir", str(out)]) == 0
     report = json.loads((out / "validation_report.json").read_text())
+    assert set(report) == {"params", "checks", "metrics", "peaks", "passed",
+                           "hint"}
     assert report["passed"] is True
-    assert report["metrics"]["l2_rel"] <= 0.05
-    assert report["sum_rule_rel"] <= 0.05
-    assert all(entry["pass"] for entry in report["invariants"].values())
+    checks = report["checks"]
+    assert sorted(checks) == ["correlator_factorization", "l2_rel",
+                              "population_vs_analytic", "sum_rule", "trace"]
+    for entry in checks.values():
+        assert entry["pass"] and entry["value"] <= entry["tolerance"]
+    assert checks["l2_rel"]["value"] == report["metrics"]["l2_rel"] <= 0.05
+    assert checks["sum_rule"]["value"] <= 0.05
     assert report["peaks"]
     assert report["hint"] is None
 
@@ -585,6 +601,10 @@ def test_validate_coarse_grid_fails_with_hint(tmp_path):
                      "--output-dir", str(out)]) == 1
     report = json.loads((out / "validation_report.json").read_text())
     assert report["passed"] is False
+    # the propagation is exact at any grid; the quadrature is what is off
+    failed = {name for name, entry in report["checks"].items()
+              if not entry["pass"]}
+    assert failed == {"l2_rel", "sum_rule"}
     assert "substeps" in report["hint"]
 
 
@@ -647,14 +667,67 @@ def test_factorization_check_covers_the_pair_factor():
     assert not cli._invariant_suite(p, g, traj, block)[check]["pass"]
 
 
-def test_validate_single_engine_self_comparison(tmp_path):
-    cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\nn_pulses = 8\n"
-                              "engine = closed_form\n")
+def test_validate_ignores_the_engine_key(tmp_path):
+    # engine = numeric or closed_form used to compare that engine with
+    # itself, every metric 0 by construction
+    reports = []
+    for engine in ("numeric", "closed_form", None):
+        text = "delta = 3\ntau = 0.2\nn_pulses = 8\n"
+        if engine:
+            text += f"engine = {engine}\n"
+        out = tmp_path / str(engine)
+        assert cli.main(["validate", "--config", write_cfg(tmp_path, text),
+                         "--output-dir", str(out)]) == 0
+        reports.append((out / "validation_report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    report = json.loads(reports[0])
+    assert 0.0 < report["metrics"]["l2_rel"] <= 0.05
+    assert len(report["checks"]) == 5
+
+
+@pytest.mark.parametrize("text", [
+    "n_pulses = 1\n", "n_pulses = 3\n", "n_pulses = 0\nfree_time = 2\n",
+], ids=["one_pulse", "three_pulses", "pulse_free"])
+def test_validate_without_closed_form_runs_the_node_checks(tmp_path, text):
+    # the closed form rejects these trains, which used to end in exit 3
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\n" + text)
     out = tmp_path / "val"
     assert cli.main(["validate", "--config", cfg,
                      "--output-dir", str(out)]) == 0
     report = json.loads((out / "validation_report.json").read_text())
-    assert report["metrics"] == {"linf_abs": 0.0, "l2_rel": 0.0,
-                                 "peak_amp_rel_diff": 0.0}
-    assert report["sum_rule_rel"] is None
-    assert report["passed"] is True
+    assert report["passed"] is True and report["metrics"] is None
+    assert sorted(report["checks"]) == ["correlator_factorization",
+                                        "population_vs_analytic", "trace"]
+    assert report["peaks"] and report["hint"] is None
+
+
+def test_default_grid_bounds_the_detuning_phase_step(tmp_path, capsys):
+    # dt <= 0.01 whatever the detuning used to leave delta*dt unbounded:
+    # at delta 300 validate failed (l2_rel 0.60, sum rule 1.02), and at
+    # delta 1e5 spectrum wrote its files and exited 0
+    cfg = write_cfg(tmp_path, "delta = 300\ntau = 0.2\nn_pulses = 20\n")
+    out = tmp_path / "val"
+    assert cli.main(["validate", "--config", cfg,
+                     "--output-dir", str(out)]) == 0
+    report = json.loads((out / "validation_report.json").read_text())
+    assert report["checks"]["l2_rel"]["value"] <= 0.01
+    big = write_cfg(tmp_path, "delta = 1e5\ntau = 0.2\nn_pulses = 20\n"
+                              "engine = numeric\n", "big.cfg")
+    out = tmp_path / "big"
+    assert cli.main(["spectrum", "--config", big,
+                     "--output-dir", str(out)]) == 3
+    assert "GridTooLarge" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_console_scripts_resolve_to_callables():
+    tomllib = pytest.importorskip("tomllib")    # standard from Python 3.11
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attrs = target.partition(":")
+        obj = importlib.import_module(module)
+        for attr in attrs.split("."):
+            obj = getattr(obj, attr)
+        assert callable(obj), name

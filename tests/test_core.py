@@ -81,7 +81,21 @@ def test_numpy_integer_counts_are_kept_as_ints():
     (0.5, 50),
 ])
 def test_default_substeps(tau, expected):
-    assert ps.default_substeps(tau) == expected
+    assert ps.default_substeps(tau, 0.0) == expected
+    # a detuning adds sub-steps only where |delta|*dt would pass 1/4
+    delta = expected / (4.0 * tau)
+    assert ps.default_substeps(tau, delta) == expected
+    assert ps.default_substeps(tau, -delta) == expected
+    assert ps.default_substeps(tau, 1.5 * delta) == math.ceil(1.5 * expected)
+    assert ps.default_substeps(tau, -10.0 * delta) == 10 * expected
+
+
+@pytest.mark.parametrize("tau, delta", [(1.0, 1e308), (1e307, 0.0)])
+def test_default_substeps_overflow_is_grid_too_large(tau, delta):
+    # 4*|delta|*tau and tau/0.01 overflow to inf, which math.ceil refuses
+    # with an OverflowError
+    with pytest.raises(ps.GridTooLarge):
+        ps.make_time_grid(drive(8, delta=delta, tau=tau))
 
 
 def test_time_grid_pulse_alignment():
