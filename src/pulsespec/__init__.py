@@ -3,8 +3,9 @@
 Two independent engines compute the weak-probe absorption spectrum of a
 spontaneously decaying two-level system driven by a train of
 instantaneous pi pulses: direct propagation of the master equation with
-two-time correlators, and closed-form long-time expressions. The
-analysis layer compares the two and extracts peak structure.
+two-time correlators, and exact closed-form expressions for any train
+length, the pulse-free run included. The analysis layer compares the two
+and extracts peak structure.
 """
 from .core import (DEFAULT_AMP, DEFAULT_GAMMA, ConflictingFreeTime,
                    DriveParams, FrequencyGrid, GridMismatch, GridTooLarge,
@@ -15,9 +16,9 @@ from .core import (DEFAULT_AMP, DEFAULT_GAMMA, ConflictingFreeTime,
 from .lindblad import propagate_trajectory
 from .correlators import build_correlator_grids
 from .spectrum_numeric import compute_numeric_spectrum, numeric_spectrum
-from .closed_form import (NegativeM, NegativeTheta, OddPulseCount,
-                          OutOfRangeT, TooFewPulses, closed_blocks,
-                          closed_spectrum, f_analytic, rho0, rho_gg_analytic)
+from .closed_form import (NegativeM, NegativeTheta, OutOfRangeT,
+                          closed_blocks, closed_spectrum, f_analytic, rho0,
+                          rho_gg_analytic)
 from .analysis import (ZeroSpectrum, compare_spectra, find_peaks,
                        positive_weight_fraction, shape_l2_diff)
 
@@ -32,9 +33,8 @@ __all__ = [
     "propagate_trajectory",
     "build_correlator_grids",
     "compute_numeric_spectrum", "numeric_spectrum",
-    "NegativeM", "NegativeTheta", "OddPulseCount", "OutOfRangeT",
-    "TooFewPulses", "closed_blocks", "closed_spectrum", "f_analytic", "rho0",
-    "rho_gg_analytic",
+    "NegativeM", "NegativeTheta", "OutOfRangeT", "closed_blocks",
+    "closed_spectrum", "f_analytic", "rho0", "rho_gg_analytic",
     "ZeroSpectrum", "compare_spectra", "find_peaks",
     "positive_weight_fraction", "shape_l2_diff",
     "__version__",

@@ -1,20 +1,13 @@
-"""Long-time closed-form spectrum of the pulsed emitter.
+"""Exact closed-form spectrum of the pulsed emitter, at any train length.
 
-Everything here follows from three ingredients: the excited population
-relaxes exactly between pulses and is swapped by each pulse, which gives
-a closed expression for the populations at any time; the correlator
-kernel f(t, theta) propagating the ge element across pulse boundaries is
-piecewise exponential with a phase confined to [-delta*tau, delta*tau];
-and the double Fourier integrals then collapse into geometric sums. One
-function evaluates both spectral building blocks per frequency from a
-single set of exponentials shared across their terms, and none of those
-exponentials grows with tau, so the closed forms hold at any tau.
-
-The closed forms require an even pulse count of at least two: the
-geometric resummation pairs consecutive intervals. The numeric engine
-has no such restriction.
-
-All operations accept a scalar frequency or an array (elementwise).
+The excited population relaxes exactly between pulses and is swapped by
+each pulse, which gives it in closed form at any time; the kernel
+f(t, theta) that carries the ge element across pulses is piecewise
+exponential with a phase confined to [-delta*tau, delta*tau]; so the
+double Fourier integrals collapse into geometric sums over pairs of
+intervals. They cover every train, odd, one-pulse and pulse-free
+included, and keep the population transient at every length. All
+operations accept a scalar frequency or an array (elementwise).
 """
 from __future__ import annotations
 
@@ -23,7 +16,7 @@ import math
 import numpy as np
 
 from .core import (DriveParams, FrequencyGrid, PulsespecError, Spectrum,
-                   build_meta)
+                   build_meta, two_prod)
 
 
 class NegativeM(PulsespecError):
@@ -35,14 +28,6 @@ class OutOfRangeT(PulsespecError):
 
 
 class NegativeTheta(PulsespecError):
-    pass
-
-
-class OddPulseCount(PulsespecError):
-    pass
-
-
-class TooFewPulses(PulsespecError):
     pass
 
 
@@ -100,51 +85,72 @@ def f_analytic(t, theta, p: DriveParams):
 
 
 def closed_blocks(omega, p: DriveParams):
-    """Long-time building blocks (P1, P3) at omega: P1 is the emission
+    """Exact (P1, P3) at omega for every DriveParams: P1 is the emission
     side, P3 = P1 + P2 the total.
 
-    With g0 = i*(omega - delta) + gamma/2, g1 = i*omega + gamma/2,
-    g2 = g0 - gamma and x = exp(-gamma*tau), the exponentials are
-    expm1(-g0*tau), e1 = exp(-2*g1*tau), the phase u = exp(2i*omega*tau),
-    exp((g0 - 2*g1)*tau), exp(-n_pulses*g1*tau) and expm1(g2*tau). No
-    exponent has a positive real part, so nothing overflows at large tau.
-    Every denominator is g0 (real part gamma/2), 1 - e1 or 1 - x*u, and
-    the last two are at least 1 - x in magnitude, so both blocks are
-    finite at every real frequency. P3 behaves as n_pulses*tau/g0 at
-    large |omega|; its other terms carry an extra 1/g0.
+    Both sum over pairs of intervals a <= b < n = p.n_intervals. Interval
+    a starts with the excited population pop(a) = c0 + (1 - c0)*r**a:
+    rho0(a), (c0, r) = (1/(1 + x), -x), x = exp(-gamma*tau), or x**a
+    without pulses. The kernel vanishes across an odd number of pulses
+    and gains a factor E every L intervals: L = 2, E = exp(-2*g1*tau) with
+    pulses, L = 1, E = exp(-g0*tau) without. With g0 = i*(omega - delta)
+    + gamma/2, g1 = i*omega + gamma/2, g2 = g0 - gamma, M = (n - 1)//L,
+
+        P1 = same1 sum_{a<n} pop(a)
+             + a1*b sum_{m=1..M} E**m sum_{a<n-L*m} pop(a),
+        P3 = same3 n + a3*b sum_{m=1..M} E**m (n - L*m),
+
+    same1 = int_0^tau ds exp(-gamma*s) int_s^tau du exp(-g0*(u - s)),
+    same3 the same without exp(-gamma*s), and a1, a3, b the integrals over
+    [0, tau] of exp(g2*s), exp(g0*s), exp(-g0*u). The sums are geometric;
+    with pulses x**2/E = conj(E), so the transient reuses the conjugate E
+    series. a3*b*E = exp((g0 - 2*g1)*tau)*b**2 with pulses (b**2 without):
+    no exponent has a positive real part, so nothing overflows at large
+    tau. P3 behaves as n*tau/g0 at large |omega|.
     """
-    if p.n_pulses % 2 != 0:
-        raise OddPulseCount(
-            f"closed forms need an even pulse count, got {p.n_pulses}")
-    if p.n_pulses < 2:
-        raise TooFewPulses(
-            f"closed forms need at least 2 pulses, got {p.n_pulses}")
-    tau, n = p.tau, p.n_pulses
+    tau, n, gamma = p.tau, p.n_intervals, p.gamma
     omega = np.asarray(omega, dtype=float)
-    g0 = 1j * (omega - p.delta) + 0.5 * p.gamma
-    g1 = 1j * omega + 0.5 * p.gamma
-    g2 = g0 - p.gamma
-    x = math.exp(-p.gamma * tau)
+    g0 = 1j * (omega - p.delta) + 0.5 * gamma
+    g2 = g0 - gamma
+    x = math.exp(-gamma * tau)
     # 1 - x and 1 - exp(-g0*tau) from expm1, which keeps their digits as
     # tau -> 0
-    x_gap = -math.expm1(-p.gamma * tau)
-    e0_gap = -np.expm1(-g0 * tau)
-    e1 = np.exp(-2.0 * g1 * tau)
-    u = np.exp(2j * omega * tau)
-    growth = np.expm1(g2 * tau) / g2
-    en = np.exp(-n * g1 * tau)
-    # the geometric sum over pulse pairs, common to both blocks
-    pairs = (1.0 - en) / (1.0 - e1)
-    h = growth * e0_gap * e1 / (1.0 - e1)
-    g = x_gap / p.gamma - (1.0 - e0_gap) * growth + h
-    r = 2.0 * pairs + x_gap * u * en / (1.0 - x * u)
-    p1 = (g * (n + x / (1.0 + x)) - h * r) / ((1.0 + x) * g0)
-    # (exp(g0*tau) + exp(-g0*tau) - 2) * e1 as a product, without the
-    # cancellation of the sum
-    p3 = (n * tau / g0
-          - n / g0 ** 2 * e0_gap
-          + np.exp((g0 - 2.0 * g1) * tau) * e0_gap ** 2
-          / (g0 ** 2 * (1.0 - e1)) * (n - 2.0 * pairs))
+    x_gap = -math.expm1(-gamma * tau)
+    b = -np.expm1(-g0 * tau) / g0
+    a1 = np.expm1(g2 * tau) / g2
+    same1 = (x_gap / gamma - (1.0 - g0 * b) * a1) / g0
+    same3 = (tau - b) / g0
+    if p.n_pulses:
+        step, c0, r, rate = 2, 1.0 / (1.0 + x), -x, omega
+    else:
+        step, c0, r, rate = 1, 0.0, x, omega - p.delta
+    # E = exp(z), z = -step*(gamma*tau + 2i*rate*tau)/2 with rate*tau
+    # reduced by whole periods 2*pi/step from its error-free product, so
+    # that expm1 keeps the digits of 1 - E at every resonance E -> 1;
+    # 2.4492935982947064e-16 is 2*pi - 2*math.pi
+    hi, lo = two_prod(rate, tau)
+    turns = np.rint(hi * step / (2.0 * math.pi))
+    c_hi, c_lo = two_prod(turns, 2.0 * math.pi / step)
+    phase = (hi - c_hi) + (lo - c_lo - turns * 2.4492935982947064e-16 / step)
+    z = -0.5 * step * (gamma * tau + 2j * phase)
+    # s = sum_{k<M} E**k and d = sum_{k<M} (M - 1 - k)*E**k from expm1;
+    # d carries a relative error of about 2e-16/|z*M| where |z*M| < 1
+    m = (n - 1) // step
+    e_gap, em_gap = np.expm1(z), np.expm1(m * z)
+    s = em_gap / e_gap
+    d = (m - s) / -e_gap
+    # sum_{k<M} (r**L/E)**k; without pulses r/E = exp(g2*tau)
+    w = -z - gamma * tau
+    back = s.conj() if p.n_pulses else np.expm1(m * w) / np.expm1(w)
+    # sum_{k<M} E**k (n - L*(k+1)) and
+    # sum_{k<M} E**(k+1) (1 - r**(n - L*(k+1)))
+    counts = step * d + (n - step * m) * s
+    transient = ((1.0 + e_gap) * s
+                 - r ** (n - step * m) * (1.0 + em_gap) * back)
+    p1 = (same1 * (c0 * n + (1.0 - c0) * (1.0 - r ** n) / (1.0 - r))
+          + a1 * b * (c0 * (1.0 + e_gap) * counts
+                      + (1.0 - c0) / (1.0 - r) * transient))
+    p3 = same3 * n + np.exp(g0 * tau + z) * b * b * counts
     return p1, p3
 
 
@@ -154,9 +160,10 @@ def closed_spectrum(p: DriveParams, fg: FrequencyGrid) -> Spectrum:
     p1 = 2*amp**2 * Re{P1}, p2 = 2*amp**2 * Re{P3 - P1}, and the net
     absorption q = p2 - p1 = 2*amp**2 * Re{P3 - 2*P1}.
 
-    Extreme parameters (delta, gamma or omega near 1e300, gamma or tau
-    near 1e-300) overflow the blocks; numpy's floating-point warnings are
-    silenced so that Spectrum's NonFiniteSpectrum is the one signal.
+    An omega, omega - delta or tau beyond about 1e300 overflows the
+    error-free product that reduces the phase of the period factor;
+    numpy's floating-point warnings are silenced so that Spectrum's
+    NonFiniteSpectrum is the one signal.
     """
     with np.errstate(all="ignore"):
         raw_p1, raw_p3 = closed_blocks(fg.omegas, p)

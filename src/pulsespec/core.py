@@ -86,6 +86,20 @@ class DriveParams:
         # a numpy integer is kept as an int, which meta and JSON can hold
         object.__setattr__(self, "n_pulses", operator.index(self.n_pulses))
 
+    @property
+    def n_intervals(self) -> int:
+        """Periods of tau the protocol spans: n_pulses, or free_time rounded
+        up to whole periods; GridTooLarge above MAX_ARRAY_CELLS of them."""
+        if self.n_pulses >= 1:
+            return self.n_pulses
+        # free_time / tau may overflow to inf, which has no ceiling
+        intervals = self.free_time / self.tau
+        if intervals > MAX_ARRAY_CELLS:
+            raise GridTooLarge(f"free_time / tau = {intervals} intervals, "
+                               f"above {MAX_ARRAY_CELLS}")
+        # a horizon within 1e-9 intervals of zero still takes one interval
+        return max(1, math.ceil(intervals - 1e-9))
+
 
 def validate_params(p: DriveParams) -> DriveParams:
     """Check the DriveParams invariants and return p unchanged.
@@ -171,9 +185,8 @@ def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
     """Build the propagation grid for params p.
 
     Without `substeps` each interval takes default_substeps(tau, delta)
-    sub-steps. For n_pulses >= 1 the grid spans [0, n_pulses*tau]. For
-    the pulse-free mode the horizon is rounded up to a whole number of
-    intervals, so the grid covers at least free_time. Raises GridTooLarge
+    sub-steps. The grid spans p.n_intervals periods: [0, n_pulses*tau],
+    or for the pulse-free mode at least free_time. Raises GridTooLarge
     when the numeric engine's largest array would exceed MAX_ARRAY_CELLS.
     That is either the pair block, 2 x (n_sub + 1) x 2*n_sub values, which
     the count bounds by 4 x (n_sub + 1) x min(n_nodes, 2*n_sub + 1), or
@@ -185,25 +198,14 @@ def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
              else _count("substeps", substeps))
     if n_sub < 1:
         raise PulsespecError(f"substeps must be >= 1, got {n_sub}")
-    if p.n_pulses >= 1:
-        n_intervals = p.n_pulses
-    else:
-        # free_time / tau may overflow to inf, which has no ceiling; any
-        # horizon of more than MAX_ARRAY_CELLS intervals is too large
-        intervals = p.free_time / p.tau
-        if intervals > MAX_ARRAY_CELLS:
-            raise GridTooLarge(f"free_time / tau = {intervals} intervals, "
-                               f"above {MAX_ARRAY_CELLS}")
-        # a horizon within 1e-9 intervals of zero still takes one interval
-        n_intervals = max(1, math.ceil(intervals - 1e-9))
-    n_nodes = n_intervals * n_sub + 1
+    n_nodes = p.n_intervals * n_sub + 1
     cells = 4 * max((n_sub + 1) * min(n_nodes, 2 * n_sub + 1), n_nodes)
     if cells > MAX_ARRAY_CELLS:
         raise GridTooLarge(
             f"{n_sub} substeps x {n_nodes} nodes need {cells} array "
             f"cells, above {MAX_ARRAY_CELLS}")
     return TimeGrid(substeps_per_interval=n_sub, dt=p.tau / n_sub,
-                    n_intervals=n_intervals)
+                    n_intervals=p.n_intervals)
 
 
 @dataclass(frozen=True)
