@@ -183,16 +183,18 @@ def test_tiny_pulse_free_horizon_runs(tmp_path, command, name):
 
 
 @pytest.mark.parametrize("text", [
+    # gamma*tau = 2e308 is beyond the double's range
+    "delta = 3\ngamma = 1e308\ntau = 2\n",
     # the default grid reaches |omega| = 3*pi/tau ~ 1e301
     "delta = 3\ntau = 1e-300\n",
     "delta = 3\ntau = 0.2\nomega_min = 1e300\nomega_max = 1.5e300\n"
     "omega_step = 1e298\n",
-], ids=["tau", "omega"])
+], ids=["gamma", "tau", "omega"])
 def test_non_finite_spectrum_exits_3_without_output(tmp_path, capsys, text):
-    # omega*tau overflows the error-free product that reduces the phase
-    # of the period factor, and the blocks turn NaN; numpy's overflow and
-    # invalid warnings used to come first, as RuntimeWarning under the
-    # suite's filterwarnings = error
+    # gamma*tau overflows to inf, or omega*tau overflows the error-free
+    # product that reduces the phase of the period factor, and the blocks
+    # turn NaN; numpy's overflow and invalid warnings used to come first,
+    # as RuntimeWarning under the suite's filterwarnings = error
     cfg = write_cfg(tmp_path, text + "n_pulses = 8\nengine = closed_form\n")
     out = tmp_path / "out"
     assert cli.main(["spectrum", "--config", cfg,
@@ -226,7 +228,8 @@ def test_closed_form_at_large_tau_writes_finite_files(tmp_path, command,
 ], ids=["delta", "gamma", "small_gamma"])
 def test_extreme_rates_write_finite_closed_spectra(tmp_path, capsys, text):
     # these used to overflow the closed forms and exit 3; every exponent is
-    # now bounded, and P3 is about n_pulses*tau/g0
+    # now bounded, the resonant sums at small gamma*tau are series, and P3
+    # is about n_pulses*tau/g0
     cfg = write_cfg(tmp_path, text + "n_pulses = 8\nengine = closed_form\n"
                                      "format = json\n")
     out = tmp_path / "out"
@@ -236,7 +239,7 @@ def test_extreme_rates_write_finite_closed_spectra(tmp_path, capsys, text):
     doc = json.loads((out / "spectrum_closed_form.json").read_text())
     meta = doc["meta"]
     omegas = np.array(doc["omega"])
-    for j in (0, omegas.size // 3, omegas.size - 1):
+    for j in (0, omegas.size // 3, omegas.size // 2, omegas.size - 1):
         refs = mp_pair_blocks(omegas[j], meta["delta"], meta["tau"], 8, 8,
                               meta["gamma"])
         for name, ref in zip(("raw_p1", "raw_p3"), refs):
@@ -750,10 +753,10 @@ def test_validate_ignores_the_engine_key(tmp_path):
 @pytest.mark.parametrize("text", [
     "n_pulses = 1\n", "n_pulses = 3\n", "n_pulses = 0\nfree_time = 2\n",
 ], ids=["one_pulse", "three_pulses", "pulse_free"])
-def test_validate_compares_the_engines_on_every_train(tmp_path, text):
-    # the closed form used to refuse these trains, which left the node
-    # checks alone and metrics null; l2_rel measured 1.6e-3, 2.2e-3 and
-    # 1.1e-4
+def test_validate_without_closed_form_runs_the_node_checks(tmp_path, text):
+    # the closed form used to refuse these trains, which left them the
+    # node checks alone and metrics null; they now get the node checks and
+    # the engine comparison, l2_rel measured 1.6e-3, 2.2e-3 and 1.1e-4
     cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\n" + text)
     out = tmp_path / "val"
     assert cli.main(["validate", "--config", cfg,

@@ -139,17 +139,14 @@ def test_p3_leading_term_at_large_frequency():
 
 
 def test_denominators_bounded_over_default_grid():
-    # 1 - E for the period factor E with pulses (exp(-2*g1*tau)) and
-    # without (exp(-g0*tau)), and 1 - exp(g2*tau) of the pulse-free
-    # transient: each is at least 1 - |E| in magnitude
     p = drive(8)
     omegas = ps.make_frequency_grid(p).omegas
-    g0 = 1j * (omegas - p.delta) + 0.5 * p.gamma
     g1 = 1j * omegas + 0.5 * p.gamma
-    for exponent in (-2.0 * g1 * p.tau, -g0 * p.tau, (g0 - p.gamma) * p.tau):
-        floor_value = -math.expm1(exponent.real[0])
-        assert floor_value > 0.0
-        assert np.min(np.abs(np.expm1(exponent))) >= floor_value - 1e-12
+    x = math.exp(-p.gamma * p.tau)
+    floor_value = 1.0 - x
+    for denominator in (1.0 - np.exp(-2.0 * g1 * p.tau),
+                        1.0 - x * np.exp(2j * omegas * p.tau)):
+        assert np.min(np.abs(denominator)) >= floor_value - 1e-12
 
 
 def test_closed_spectrum_identity_and_meta(closed8):
@@ -247,6 +244,21 @@ def test_closed_blocks_match_pair_sum_on_every_train(tau):
                                   free_time=2.5 * tau if n == 0 else None),
                             pair_blocks)
                 for n in [*range(13), 40, 80])
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("gamma", [1e-17, 1e-300])
+def test_closed_blocks_at_vanishing_gamma(gamma):
+    # exp(-gamma*tau) rounds to 1: the pulse-free sums divided by 1 - x
+    # (ZeroDivisionError), and M*(1 - E) - (1 - E**M) cancelled at the
+    # resonances E -> 1 (P1 off by 44 relative at 3 pulses, 0.37 at 8);
+    # measured 6.1e-16
+    trains = ((0, 0.5), (0, 20.0), (1, None), (3, None), (8, None),
+              (20, None))
+    worst = max(worst_error(ps.DriveParams(delta=3.0, tau=0.2, n_pulses=n,
+                                           gamma=gamma, free_time=free_time),
+                            pair_blocks)
+                for n, free_time in trains)
     assert worst <= 1e-15
 
 
