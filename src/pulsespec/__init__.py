@@ -7,12 +7,12 @@ two-time correlators, and exact closed-form expressions for any train
 length, the pulse-free run included. The analysis layer compares the two
 and extracts peak structure.
 """
-from .core import (DEFAULT_AMP, DEFAULT_GAMMA, ConflictingFreeTime,
-                   DriveParams, FrequencyGrid, GridMismatch, GridTooLarge,
-                   MissingFreeTime, NonFiniteSpectrum, NonPositiveGamma,
-                   NonPositiveTau, PulsespecError, Spectrum, TimeGrid,
-                   build_meta, default_substeps, make_frequency_grid,
-                   make_time_grid, validate_params)
+from .core import (DEFAULT_GAMMA, ConflictingFreeTime, DriveParams,
+                   FrequencyGrid, GridMismatch, GridTooLarge, MissingFreeTime,
+                   NonFiniteSpectrum, NonPositiveGamma, NonPositiveTau,
+                   PulsespecError, Spectrum, TimeGrid, build_meta,
+                   default_substeps, make_frequency_grid, make_time_grid,
+                   validate_params)
 from .lindblad import propagate_trajectory
 from .correlators import build_correlator_grids
 from .spectrum_numeric import compute_numeric_spectrum, numeric_spectrum
@@ -25,7 +25,7 @@ from .analysis import (ZeroSpectrum, compare_spectra, find_peaks,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_AMP", "DEFAULT_GAMMA", "ConflictingFreeTime", "DriveParams",
+    "DEFAULT_GAMMA", "ConflictingFreeTime", "DriveParams",
     "FrequencyGrid", "GridMismatch", "GridTooLarge", "MissingFreeTime", "NonFiniteSpectrum",
     "NonPositiveGamma", "NonPositiveTau", "PulsespecError", "Spectrum",
     "TimeGrid", "build_meta", "default_substeps", "make_frequency_grid",

@@ -50,14 +50,14 @@ def rho0(M, p: DriveParams):
 
 
 def rho_gg_analytic(t, p: DriveParams):
-    """Ground population at time t in [0, n_pulses*tau], post-pulse
-    convention at the pulse instants."""
+    """Ground population at time t in [0, n_intervals*tau], post-pulse
+    convention at the pulse instants; a pulse-free run is one interval."""
     t = np.asarray(t, dtype=float)
-    horizon = p.n_pulses * p.tau
+    horizon = p.n_intervals * p.tau
     outside = (t < 0) | (t > horizon + 1e-9 * max(1.0, horizon))
     if np.any(outside):
         raise OutOfRangeT(f"t = {t[outside][0]} outside [0, {horizon}]")
-    M = _interval_index(t, p.tau)
+    M = np.minimum(_interval_index(t, p.tau), p.n_pulses)
     elapsed = t - M * p.tau
     return 1.0 - rho0(M, p) * np.exp(-p.gamma * elapsed)
 
@@ -120,6 +120,18 @@ def closed_blocks(omega, p: DriveParams):
     a1 = np.expm1(g2 * tau) / g2
     same1 = (x_gap / gamma - (1.0 - g0 * b) * a1) / g0
     same3 = (tau - b) / g0
+    if 0.5 * gamma * tau < 0.1:
+        # both cancel as 2e-16/|g0*tau|; below |g0*tau| = 0.1 they are the
+        # triangle integrals tau**2 sum_k h_k(u, v)/(k + 2)!, h_k the complete
+        # homogeneous polynomial, v = -g0*tau and u = -gamma*tau or 0
+        near = np.abs(g0 * tau) < 0.1
+        v = np.where(near, -g0 * tau, 0.0)
+        u = np.reshape([-gamma * tau, 0.0], (2,) + (1,) * v.ndim)
+        h, series = 1.0, 0.0
+        for k in range(14):
+            series = series + h / math.factorial(k + 2)
+            h = v * h + u ** (k + 1)
+        same1, same3 = np.where(near, tau * tau * series, (same1, same3))
     c0, r = 1.0 / (1.0 + x), -x
     # E = exp(z), z = -(gamma*tau + 2i*omega*tau) with omega*tau reduced by
     # whole multiples of pi from its error-free product, so that expm1 keeps
@@ -158,8 +170,8 @@ def closed_blocks(omega, p: DriveParams):
 def closed_spectrum(p: DriveParams, fg: FrequencyGrid) -> Spectrum:
     """Evaluate the closed forms on a frequency grid.
 
-    p1 = 2*amp**2 * Re{P1}, p2 = 2*amp**2 * Re{P3 - P1}, and the net
-    absorption q = p2 - p1 = 2*amp**2 * Re{P3 - 2*P1}.
+    p1 = Re{P1}, p2 = Re{P3 - P1}, and the net absorption
+    q = p2 - p1 = Re{P3 - 2*P1}, in units of the probe factor 2*A**2.
 
     An omega or tau past about 1e300 (the phase's error-free product) or
     a gamma*tau past the double's range overflows; numpy's warnings are
@@ -168,9 +180,7 @@ def closed_spectrum(p: DriveParams, fg: FrequencyGrid) -> Spectrum:
     with np.errstate(all="ignore"):
         raw_p1, raw_p3 = closed_blocks(fg.omegas, p)
         raw_p2 = raw_p3 - raw_p1
-        scale = 2.0 * p.amp * p.amp
-        p1 = scale * raw_p1.real
-        p2 = scale * raw_p2.real
-        return Spectrum(omegas=fg.omegas.copy(), p1=p1, p2=p2,
-                        raw_p1=raw_p1, raw_p2=raw_p2, raw_p3=raw_p3,
+        return Spectrum(omegas=fg.omegas.copy(), p1=raw_p1.real.copy(),
+                        p2=raw_p2.real.copy(), raw_p1=raw_p1, raw_p2=raw_p2,
+                        raw_p3=raw_p3,
                         meta=build_meta(p, fg, "closed_form"))

@@ -4,14 +4,14 @@ share.
 
 All quantities are expressed in reduced units with the spontaneous emission
 rate gamma = 2, so the free emitter line is 1/(omega**2 + 1). The probe
-coupling amplitude only sets the overall scale of the spectra and defaults
-to amp = sqrt(1/2), i.e. 2*amp**2 = 1.
+coupling A only scales the spectra, so they are in units of 2*A**2: p1 and
+p2 are the real parts of the raw integrals.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class GridTooLarge(PulsespecError):
 
 
 DEFAULT_GAMMA = 2.0
-DEFAULT_AMP = math.sqrt(0.5)
 # Largest number of cells any array of the numeric engine may have
 # (2**24 complex values take 256 MiB).
 MAX_ARRAY_CELLS = 2**24
@@ -69,16 +68,17 @@ class DriveParams:
     n_pulses   total number of pulses, >= 0; protocol time is n_pulses*tau
                when n_pulses >= 1
     gamma      spontaneous emission rate, > 0
-    amp        probe coupling amplitude, > 0; spectra scale as 2*amp**2
     free_time  total evolution time for the pulse-free mode; required when
                n_pulses = 0 and forbidden otherwise
+
+    The probe coupling A is no parameter: it only scales the spectra,
+    which are in units of 2*A**2.
     """
 
     delta: float
     tau: float
     n_pulses: int
     gamma: float = DEFAULT_GAMMA
-    amp: float = DEFAULT_AMP
     free_time: float | None = None
 
     def __post_init__(self):
@@ -104,7 +104,7 @@ class DriveParams:
 def validate_params(p: DriveParams) -> DriveParams:
     """Check the DriveParams invariants and return p unchanged.
 
-    Every DriveParams runs this when it is made. Defaults (gamma, amp) are
+    Every DriveParams runs this when it is made. The default gamma is
     filled by the dataclass itself; this only rejects inconsistent or
     non-finite values.
     """
@@ -112,9 +112,7 @@ def validate_params(p: DriveParams) -> DriveParams:
         raise NonPositiveTau(f"tau must be positive, got {p.tau}")
     if not p.gamma > 0:
         raise NonPositiveGamma(f"gamma must be positive, got {p.gamma}")
-    if not p.amp > 0:
-        raise PulsespecError(f"amp must be positive, got {p.amp}")
-    for name in ("delta", "tau", "gamma", "amp", "free_time"):
+    for name in ("delta", "tau", "gamma", "free_time"):
         value = getattr(p, name)
         if value is not None and not math.isfinite(value):
             raise PulsespecError(f"{name} must be finite, got {value}")
@@ -263,10 +261,11 @@ class Spectrum:
     """Spectra on a frequency grid.
 
     p1 is the emission side, p2 the absorption side, q = p2 - p1 the net
-    absorption, which the container computes. raw_p1/raw_p2/raw_p3 keep the
-    complex values before the 2*amp**2 * Re{} step when the producing
-    engine has them. meta records the resolved parameters, grid
-    descriptors, and the engine tag ("numeric" or "closed_form").
+    absorption, which the container computes. raw_p1/raw_p2/raw_p3 are the
+    complex integrals when the producing engine has them; p1 and p2 are
+    the real parts of raw_p1 and raw_p2. meta records the resolved
+    parameters, grid descriptors, and the engine tag ("numeric" or
+    "closed_form").
     """
 
     omegas: np.ndarray
@@ -295,24 +294,14 @@ class Spectrum:
 
 def build_meta(p: DriveParams, fg: FrequencyGrid, engine: str,
                grid: TimeGrid | None = None) -> dict:
-    """Resolved parameter set embedded in every Spectrum and output file."""
-    meta = {
-        "engine": engine,
-        "delta": p.delta,
-        "gamma": p.gamma,
-        "tau": p.tau,
-        "n_pulses": p.n_pulses,
-        "amp": p.amp,
-        "free_time": p.free_time,
-        "omega_min": fg.omega_min,
-        "omega_max": fg.omega_max,
-        "omega_step": fg.omega_step,
-        "n_omega": int(fg.omegas.size),
-    }
+    """Resolved parameter set embedded in every Spectrum and output file:
+    the engine, the DriveParams and TimeGrid fields, and the frequency
+    grid's descriptors."""
+    meta = {"engine": engine, **asdict(p), "omega_min": fg.omega_min,
+            "omega_max": fg.omega_max, "omega_step": fg.omega_step,
+            "n_omega": int(fg.omegas.size)}
     if grid is not None:
-        meta["substeps_per_interval"] = grid.substeps_per_interval
-        meta["dt"] = grid.dt
-        meta["n_intervals"] = grid.n_intervals
+        meta |= asdict(grid)
     return meta
 
 

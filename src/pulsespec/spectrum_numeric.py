@@ -71,11 +71,10 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
             f"{traj.shape}, time grid needs {(2, n_sub + 1, 2 * n_sub)} "
             f"and {(g.n_nodes, 2)}")
     raw_p1, raw_p2 = theta_transform(theta_sums(p, g, traj, block), g.dt, fg)
-    scale = 2.0 * p.amp * p.amp
-    p1 = scale * raw_p1.real
-    p2 = scale * raw_p2.real
-    return Spectrum(omegas=fg.omegas.copy(), p1=p1, p2=p2,
-                    raw_p1=raw_p1, raw_p2=raw_p2, raw_p3=None,
+    # copies: with views of the complex arrays validate ran 8% slower
+    return Spectrum(omegas=fg.omegas.copy(), p1=raw_p1.real.copy(),
+                    p2=raw_p2.real.copy(), raw_p1=raw_p1, raw_p2=raw_p2,
+                    raw_p3=None,
                     meta=build_meta(p, fg, "numeric", grid=g))
 
 

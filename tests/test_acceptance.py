@@ -244,9 +244,8 @@ def test_randomized_propagation_invariants():
 
         fg = ps.make_frequency_grid(p)
         closed = ps.closed_spectrum(p, fg)
-        scale = 2 * p.amp ** 2
         assert float(np.max(np.abs(closed.p1 + closed.p2
-                                   - scale * closed.raw_p3.real))) <= 1e-12
+                                   - closed.raw_p3.real))) <= 1e-12
         numeric = ps.compute_numeric_spectrum(p, g, traj, block, fg)
         total_numeric = (numeric.raw_p1 + numeric.raw_p2).real
         total_closed = closed.raw_p3.real

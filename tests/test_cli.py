@@ -732,6 +732,35 @@ def test_factorization_check_covers_the_pair_factor():
     assert not cli._invariant_suite(p, g, traj, block)[check]["pass"]
 
 
+@pytest.mark.parametrize("side", [0, 1], ids=["rows", "before"])
+def test_factorization_check_fails_on_nan(side):
+    # max(dev, nan) kept the earlier value, so a NaN passed the check
+    p = drive(8)
+    g = ps.make_time_grid(p, 20)
+    traj = ps.propagate_trajectory(p, g)
+    block = ps.build_correlator_grids(p, g)
+    block[side, 3, 7] = np.nan
+    check = cli._invariant_suite(p, g, traj, block)["correlator_factorization"]
+    assert not check["pass"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_validate_at_large_gamma_tau_checks_the_companion(tmp_path, capsys):
+    # exp((i*delta - gamma/2)*tau) underflows to 0 at tau 1000: dividing by
+    # it made the companion's reference 0/0, with a RuntimeWarning, and the
+    # NaN deviation passed the check
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 1000\nn_pulses = 4\n"
+                              "substeps = 4\n")
+    out = tmp_path / "val"
+    assert cli.main(["validate", "--config", cfg,
+                     "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    checks = json.loads((out / "validation_report.json").read_text())["checks"]
+    factor = checks["correlator_factorization"]
+    assert np.isfinite(factor["value"]) and factor["pass"]
+    assert not checks["l2_rel"]["pass"]
+
+
 def test_validate_ignores_the_engine_key(tmp_path):
     # engine = numeric or closed_form used to compare that engine with
     # itself, every metric 0 by construction

@@ -47,6 +47,17 @@ def test_rho_gg_analytic_matches_trajectory():
     assert worst <= 1e-10
 
 
+def test_rho_gg_analytic_on_a_pulse_free_run():
+    # a pulse-free run is one interval over its whole horizon; it used to
+    # raise OutOfRangeT at every t > 0
+    p = drive(0, tau=0.3, free_time=2.0)
+    times = ps.make_time_grid(p, 7).times
+    free_decay = 1.0 - np.exp(-p.gamma * times)
+    assert np.max(np.abs(ps.rho_gg_analytic(times, p) - free_decay)) <= 1e-15
+    with pytest.raises(ps.OutOfRangeT):
+        ps.rho_gg_analytic(p.n_intervals * p.tau + 0.01, p)
+
+
 def test_kernel_branches():
     p = drive(8)
     assert ps.f_analytic(0.13, 0.0, p) == 1.0
@@ -153,8 +164,7 @@ def test_closed_spectrum_identity_and_meta(closed8):
     s = closed8
     assert s.meta["engine"] == "closed_form"
     assert s.raw_p3 is not None
-    scale = 2 * 0.5
-    assert np.max(np.abs(s.p1 + s.p2 - scale * s.raw_p3.real)) <= 1e-12
+    assert np.max(np.abs(s.p1 + s.p2 - s.raw_p3.real)) <= 1e-12
     assert np.array_equal(s.q, s.p2 - s.p1)
 
 
@@ -224,9 +234,10 @@ def worst_error(p, reference, omegas=None):
     # transcription; measured 4.2e-16
     ((354.0, 400.0, 1e3), (2, 8, 10**9), 5e-16),
     # small tau, where 1 - exp(-2*g1*tau) and the pair-count bracket used
-    # to cancel (1.9e-11 at 1e-3); measured 1.4e-13, from the
-    # same-interval integrals at omega = delta, which lose 2e-16/|g0*tau|
-    ((0.01, 1e-3), (2, 8, 80, 10**9), 2e-13),
+    # to cancel (1.9e-11 at 1e-3), and the same-interval integrals near
+    # omega = delta lost 2e-16/|g0*tau| (1.4e-13) before their series;
+    # measured 7.1e-16
+    ((0.01, 1e-3), (2, 8, 80, 10**9), 1e-15),
 ], ids=["sweep", "large_tau", "small_tau"])
 def test_closed_blocks_match_mpmath(taus, pulses, bound):
     worst = max(worst_error(drive(n, tau=tau), reference_blocks)
@@ -268,12 +279,12 @@ def test_closed_blocks_at_vanishing_gamma(gamma):
        where=st.floats(-1.0, 1.0))
 def test_closed_blocks_match_pair_sum_property(tau, delta, n_pulses,
                                                periods, where):
-    # measured 5.7e-13, at tau 1e-3 and omega = delta, where the
-    # same-interval integrals lose 2e-16/|g0*tau|
+    # measured 7.1e-16; 5.7e-13 at tau 1e-3 and omega = delta before the
+    # same-interval integrals took their series below |g0*tau| = 0.1
     p = drive(n_pulses, delta=delta, tau=tau,
               free_time=periods * tau if n_pulses == 0 else None)
     omega = where * 3.0 * math.pi / tau
-    assert worst_error(p, pair_blocks, [omega]) <= 1e-12
+    assert worst_error(p, pair_blocks, [omega]) <= 2e-15
 
 
 def test_one_pulse_is_the_pulse_free_run_over_one_period():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -13,7 +14,6 @@ from pulsespec.spectrum_numeric import fft_length
 def test_validate_reference_point():
     p = drive(8)
     assert p.gamma == 2.0
-    assert 2.0 * p.amp ** 2 == pytest.approx(1.0, abs=1e-15)
 
 
 def test_validate_rejections():
@@ -29,9 +29,6 @@ def test_validate_rejections():
                                           free_time=5.0))
     with pytest.raises(ps.PulsespecError):
         ps.validate_params(ps.DriveParams(delta=3.0, tau=0.2, n_pulses=-1))
-    with pytest.raises(ps.PulsespecError):
-        ps.validate_params(ps.DriveParams(delta=3.0, tau=0.2, n_pulses=8,
-                                          amp=0.0))
 
 
 def test_params_are_checked_when_made():
@@ -41,8 +38,7 @@ def test_params_are_checked_when_made():
         ps.DriveParams(delta=3.0, tau=0.2, n_pulses=0)
 
 
-@pytest.mark.parametrize("field", ["delta", "tau", "gamma", "amp",
-                                   "free_time"])
+@pytest.mark.parametrize("field", ["delta", "tau", "gamma", "free_time"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_params_are_rejected(field, value):
     kwargs = {"delta": 3.0, "tau": 0.2, "n_pulses": 0, "free_time": 2.0,
@@ -268,3 +264,22 @@ def test_build_meta_contents():
     without_grid = ps.build_meta(p, fg, "closed_form")
     assert "substeps_per_interval" not in without_grid
     assert without_grid["engine"] == "closed_form"
+
+
+def test_spectra_are_real_parts_and_meta_the_records(numeric8, closed8):
+    # spectra are in units of the probe factor 2*A**2, which no parameter
+    # sets, and meta holds the parameter records field by field
+    assert not hasattr(ps, "DEFAULT_AMP")
+    for s in (numeric8, closed8):
+        assert np.array_equal(s.p1, s.raw_p1.real)
+        assert np.array_equal(s.p2, s.raw_p2.real)
+    p = drive(8)
+    fg = ps.make_frequency_grid(p)
+    keys = ["engine", *(f.name for f in dataclasses.fields(ps.DriveParams)),
+            "omega_min", "omega_max", "omega_step", "n_omega"]
+    assert "amp" not in keys
+    assert sorted(ps.build_meta(p, fg, "closed_form")) == sorted(keys)
+    keys += [f.name for f in dataclasses.fields(ps.TimeGrid)]
+    meta = ps.build_meta(p, fg, "numeric", ps.make_time_grid(p))
+    assert sorted(meta) == sorted(keys)
+    assert numeric8.meta == meta
