@@ -10,9 +10,9 @@ and extracts peak structure.
 from .core import (DEFAULT_GAMMA, ConflictingFreeTime, DriveParams,
                    FrequencyGrid, GridMismatch, GridTooLarge, MissingFreeTime,
                    NonFiniteSpectrum, NonPositiveGamma, NonPositiveTau,
-                   PulsespecError, Spectrum, TimeGrid, build_meta,
-                   default_substeps, make_frequency_grid, make_time_grid,
-                   validate_params)
+                   PulsespecError, Spectrum, TimeGrid, TooManyPulses,
+                   build_meta, default_substeps, make_frequency_grid,
+                   make_time_grid, validate_params)
 from .lindblad import propagate_trajectory
 from .correlators import build_correlator_grids
 from .spectrum_numeric import compute_numeric_spectrum, numeric_spectrum
@@ -28,8 +28,8 @@ __all__ = [
     "DEFAULT_GAMMA", "ConflictingFreeTime", "DriveParams",
     "FrequencyGrid", "GridMismatch", "GridTooLarge", "MissingFreeTime", "NonFiniteSpectrum",
     "NonPositiveGamma", "NonPositiveTau", "PulsespecError", "Spectrum",
-    "TimeGrid", "build_meta", "default_substeps", "make_frequency_grid",
-    "make_time_grid", "validate_params",
+    "TimeGrid", "TooManyPulses", "build_meta", "default_substeps",
+    "make_frequency_grid", "make_time_grid", "validate_params",
     "propagate_trajectory",
     "build_correlator_grids",
     "compute_numeric_spectrum", "numeric_spectrum",

@@ -32,7 +32,7 @@ from .analysis import compare_spectra, find_peaks, positive_weight_fraction
 from .closed_form import closed_spectrum, f_analytic, rho_gg_analytic
 from .core import (DriveParams, FrequencyGrid, PulsespecError, Spectrum,
                    TimeGrid, make_frequency_grid, make_time_grid, two_prod)
-from .correlators import build_correlator_grids
+from .correlators import build_correlator_grids, one_sided_limits
 from .lindblad import propagate_trajectory
 from .spectrum_numeric import compute_numeric_spectrum
 
@@ -493,18 +493,18 @@ def _check_table(checks: dict) -> dict:
 
 
 def _invariant_suite(p: DriveParams, g: TimeGrid,
-                     traj: np.ndarray, block: np.ndarray) -> dict:
+                     traj: np.ndarray, table: np.ndarray) -> dict:
     """Node-level checks of the propagation against exact identities."""
     ee, gg = traj.T
     trace_dev = float(np.max(np.abs(ee + gg - 1.0)))
     population_dev = float(np.max(np.abs(gg - rho_gg_analytic(g.times, p))))
     # Every t node of residue r shares row r, so row r marched from node r
-    # covers every stored value. The companion (row n_sub), the row of node
-    # 0 past the pulse at tau, is zero before the next pulse, then row 0's
-    # kernel one interval earlier times conj(free[0]): no division, which
-    # is 0/0 once free[0] underflows. block[1] holds the left limits: the
-    # kernel one sub-step earlier times the free step. Block column c
-    # stands for theta = (c + 1)*dt.
+    # covers every value the quadrature reads, once the derived values are
+    # checked as well. The companion (row n_sub), the row of node 0 past
+    # the pulse at tau, is zero before the next pulse, then row 0's kernel
+    # one interval earlier times conj(free[0]): no division, which is 0/0
+    # once free[0] underflows. The left limits are the kernel one sub-step
+    # earlier times the free step. Column c stands for theta = (c + 1)*dt.
     n_sub, last = g.substeps_per_interval, g.n_nodes - 1
     pair = 2 * n_sub
     free = np.exp((1j * p.delta - 0.5 * p.gamma) * np.array([p.tau, g.dt]))
@@ -514,12 +514,12 @@ def _invariant_suite(p: DriveParams, g: TimeGrid,
     kernel = f_analytic((r % n_sub) * g.dt,
                         np.maximum(c - n_sub * companion, 0) * g.dt, p)
     kernel *= np.where(companion, (c >= n_sub) * free[0].conj(), 1.0)
-    # a value counts where a t node's range reaches it; a pulse-free run
-    # has no interior pulse and no companion. np.maximum and np.max keep a
-    # NaN, so it fails the check.
-    in_range = (c[1:] <= last - r) & (~companion | (p.n_pulses >= 1))
-    dev = np.maximum(np.abs(block[0] - kernel[:, 1:]),
-                     np.abs(block[1] - kernel[:, :-1] * free[1]))
+    # a value counts where a t node's range reaches it; np.maximum and
+    # np.max keep a NaN, so it fails the check
+    in_range = c[1:] <= last - r
+    post, before = one_sided_limits(p, g, table)
+    dev = np.maximum(np.abs(post - kernel[:, 1:]),
+                     np.abs(before - kernel[:, :-1] * free[1]))
     factor_dev = float(np.max(dev[in_range], initial=0.0))
     return _check_table({
         "trace": (trace_dev, 1e-12),
@@ -539,9 +539,9 @@ def run_validate(cfg: dict, outdir: Path, written: list[Path]) -> int:
     fg = _freq_grid(cfg, p)
     g = make_time_grid(p, cfg.get("substeps"))
     traj = propagate_trajectory(p, g)
-    block = build_correlator_grids(p, g)
-    checks = _invariant_suite(p, g, traj, block)
-    s_num = compute_numeric_spectrum(p, g, traj, block, fg)
+    table = build_correlator_grids(p, g)
+    checks = _invariant_suite(p, g, traj, table)
+    s_num = compute_numeric_spectrum(p, g, traj, table, fg)
     s_closed = closed_spectrum(p, fg)
     metrics = compare_spectra(s_num, s_closed)
     total_closed = s_closed.raw_p3.real

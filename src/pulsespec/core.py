@@ -48,6 +48,10 @@ class GridTooLarge(PulsespecError):
     pass
 
 
+class TooManyPulses(PulsespecError):
+    pass
+
+
 DEFAULT_GAMMA = 2.0
 # Largest number of cells any array of the numeric engine may have
 # (2**24 complex values take 256 MiB).
@@ -116,8 +120,13 @@ def validate_params(p: DriveParams) -> DriveParams:
         value = getattr(p, name)
         if value is not None and not math.isfinite(value):
             raise PulsespecError(f"{name} must be finite, got {value}")
-    if _count("n_pulses", p.n_pulses) < 0:
+    n_pulses = _count("n_pulses", p.n_pulses)
+    if n_pulses < 0:
         raise PulsespecError(f"n_pulses must be >= 0, got {p.n_pulses}")
+    if n_pulses > 2**53:
+        # counts up to 2**53 are exact doubles, as the phase reductions need
+        raise TooManyPulses(f"n_pulses must be <= 2**53, got "
+                            f"{n_pulses.bit_length()} bits")
     if p.n_pulses == 0:
         if p.free_time is None:
             raise MissingFreeTime("n_pulses = 0 requires free_time")
@@ -186,11 +195,11 @@ def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
     sub-steps. The grid spans p.n_intervals periods: [0, n_pulses*tau],
     or for the pulse-free mode at least free_time. Raises GridTooLarge
     when the numeric engine's largest array would exceed MAX_ARRAY_CELLS.
-    That is either the pair block, 2 x (n_sub + 1) x 2*n_sub values, which
-    the count bounds by 4 x (n_sub + 1) x min(n_nodes, 2*n_sub + 1), or
-    the chirp-z buffer, 2 x fft_length(n_nodes, M) values: 4 x n_nodes
-    within the budget keeps it there for every M up to
-    MAX_FREQUENCY_NODES.
+    That is either the pair rows with their derived left limits,
+    2 x (n_sub + 1) x 2*n_sub values, which the count bounds by
+    4 x (n_sub + 1) x min(n_nodes, 2*n_sub + 1), or the chirp-z buffer,
+    2 x fft_length(n_nodes, M) values: 4 x n_nodes within the budget
+    keeps it there for every M up to MAX_FREQUENCY_NODES.
     """
     n_sub = (default_substeps(p.tau, p.delta) if substeps is None
              else _count("substeps", substeps))

@@ -16,16 +16,9 @@ correlators are therefore a population times one ge-propagator
 K_i(theta), the march of the seed ge = 1 from node i.
 
 Pulses sit on every n_sub-th node and every crossing before T counts, so
-K_i depends on i only through i mod n_sub. There are n_sub + 1 rows:
-
- * row r < n_sub is the residue-r propagator, marched from node r.
-   C1[i](theta) = ee_i * K_{i % n_sub}(theta), C2 likewise with gg_i.
- * row n_sub is the residue-0 pre-pulse companion: at an interior pulse
-   time t = n*tau the correlators also have a row started from the
-   pre-pulse state, whose theta = 0 entry is recorded before the swap and
-   which is swapped right after. It is the march of the swapped seed
-   from the first pulse node n_sub, with its theta = 0 entry set to 1.
-   Its populations are those of the stored (post-pulse) node swapped back.
+K_i depends on i only through i mod n_sub: row r < n_sub, marched from
+node r, serves every node of residue r, C1[i](theta) = ee_i *
+K_{i % n_sub}(theta) and C2 likewise with gg_i.
 
 One pulse pair, P = 2*n_sub sub-steps, is the Floquet period of the ge
 element: two swaps return it to its place, so every row obeys
@@ -33,21 +26,25 @@ K(theta + P*dt) = factor * K(theta) for theta > 0, where factor is
 exp(-gamma*tau) with pulses and the free factor over 2*tau without. The
 rows depend on the grid alone, not on the state, and every train of three
 or more pulses at the same delta, tau and substeps has the same rows
-(shorter trains end before the march does). They are stored over one pair
-only, as an (n_sub + 1) x P block whose column c is theta = (c + 1)*dt:
+(shorter trains end before the march does). The march is stored over one
+pair only, as the n_sub x P table whose column c is theta = (c + 1)*dt:
 the value at theta_j = j*dt, j >= 1, is
-factor**((j - 1) // P) * block[:, (j - 1) % P]. factor is row 0 at
-theta = P*dt, [0, 0, -1] of the stored block; it is 0 on a one-pulse
-train, whose grid ends before 2*tau. Entries past the grid are 0. At
-theta = 0 every row is exactly 1, which the assembly adds on its own.
+factor**((j - 1) // P) * table[:, (j - 1) % P]. factor is row 0 at
+theta = P*dt, table[0, -1]; it is 0 on a one-pulse train, whose grid ends
+before 2*tau. Entries past the grid are 0. At theta = 0 every row is
+exactly 1, which the assembly adds on its own.
 
 Stored values follow the post-pulse convention: when t + theta lands
 exactly on a pulse instant the recorded value is the one immediately
 after the swap. The correlators are discontinuous there, and a
 trapezoidal rule sampling only one side of each jump loses an order of
-accuracy, so block[1] holds the pre-swap one-sided limits, equal to
-block[0] away from crossings. Downstream quadrature averages the two
-one-sided limits at every jump.
+accuracy, so the quadrature averages the two one-sided limits at every
+jump, and at an interior pulse time it also needs the companion, the row
+started from the pre-pulse state. Neither is marched. Between pulses a
+row rotates freely, so a left limit is one sub-step of rotation after the
+value before it. The companion is swapped right after theta = 0, so it
+is zero until the next pulse swaps in conj(exp((i*delta - gamma/2)*tau))
+times row 0 one interval earlier.
 """
 from __future__ import annotations
 
@@ -61,47 +58,49 @@ from .lindblad import _free_map
 def build_correlator_grids(p: DriveParams, g: TimeGrid) -> np.ndarray:
     """March the propagator rows over one pulse pair.
 
-    Returns the (2, n_sub + 1, 2*n_sub) complex block of the residue rows
-    and the pre-pulse companion over theta = dt..2*tau, as in the module
-    docstring: [0] holds the post-pulse values and [1] the pre-swap left
-    limits. Row r (the companion is r = n_sub) is the free rotation of the
-    seed ge = 1 from node r to node n_sub. There the rows are swapped (the
-    companion even without pulses, as it is defined by the swap) and
-    march on, until row 0 has reached theta = P*dt and the companion too
-    where the grid is that long, as the (ge, eg) pair times the rotation
-    table over at most two segments that end on pulse nodes.
+    Returns the (n_sub, 2*n_sub) complex table of the post-pulse values of
+    the residue rows over theta = dt..2*tau, as in the module docstring.
+    Row r is the free rotation of the seed ge = 1 from node r to node
+    n_sub. From each of the pulse nodes n_sub and 2*n_sub on, where the
+    (ge, eg) pair is swapped if that pulse fires, it is its ge there times
+    the rotation table.
     """
     n_sub, pair = g.substeps_per_interval, 2 * g.substeps_per_interval
     rot = _free_map(np.arange(n_sub + 1) * g.dt, p)[1]
-    rot_eg = rot.conj()
-    # row r holds ge = rot[n_sub - r] at node n_sub, before the swap there,
-    # and eg = 0 * rot_eg[n_sub - r], a zero signed as a full march signs it
-    at_pulse, zero = rot[::-1], 0 * rot_eg[::-1]
-    r = np.arange(n_sub + 1)
-    swap = (r == n_sub) | (p.n_pulses >= 1)
-    ge = post = np.where(swap, zero, at_pulse)
-    eg = np.where(swap, at_pulse, zero)
-    length = min(max(g.n_nodes - 1, pair), 3 * n_sub) - n_sub
-    marched = []
-    for s0, s1 in ((0, n_sub), (n_sub, length))[:1 + (length > n_sub)]:
-        left = ge * rot[1:s1 - s0 + 1, None]
-        ge, eg = left[-1], eg * rot_eg[s1 - s0]
-        if s1 % n_sub == 0 and s1 // n_sub + 1 <= p.n_pulses:
-            ge, eg = eg, ge
-        marched.append((s0, s1, left, ge))
-    block = np.zeros((2, n_sub + 1, pair), dtype=complex)
-    # skew[:, s, r] is row r at theta = n_sub - r + s, s sub-steps past node
-    # n_sub: flat index r*pair + theta - 1 = n_sub - 1 + s + r*(pair - 1).
-    # Past theta = P*dt it wraps onto thetas up to n_sub - r of row r + 1,
-    # which the head and the first segment hold, so those are written last.
-    item = block.itemsize
-    skew = as_strided(block[:, 0, n_sub - 1:], (2, pair + 1, n_sub + 1),
-                      (block.strides[0], item, (pair - 1) * item))
-    for s0, s1, left, end in marched[::-1]:
-        skew[:, s0 + 1:s1 + 1] = left
-        skew[0, s1] = end
-    # the companion's theta = 0 is left out
-    skew[0, 0, :n_sub], skew[1, 0, :n_sub] = post[:n_sub], at_pulse[:n_sub]
-    np.copyto(block[:, :, :n_sub - 1], rot[1:n_sub],
-              where=np.arange(1, n_sub) < (n_sub - r)[:, None])
-    return block
+    table = np.zeros((n_sub, pair), dtype=complex)
+    table[:, :n_sub - 1] = rot[1:n_sub]     # overwritten from node n_sub on
+    # skew[s, r] is row r at node n_sub + s, theta = n_sub - r + s: flat
+    # index r*pair + theta - 1 = n_sub - 1 + s + r*(pair - 1). Past node
+    # 2*n_sub only the rows r >= s - n_sub are within theta <= P*dt.
+    item = table.itemsize
+    skew = as_strided(table.reshape(-1)[n_sub - 1:], (pair, n_sub),
+                      (item, (pair - 1) * item))
+    # (ge, eg) of row r at node n_sub, before the swap there: the seed
+    # rotated over n_sub - r steps, and a zero signed as a full march signs it
+    ge_eg = np.array([rot[:0:-1], 0 * rot[:0:-1].conj()])
+    for k in (0, 1):
+        if k < p.n_pulses:
+            ge_eg = ge_eg[::-1]
+        ge = skew[k * n_sub] = ge_eg[0]
+        # one product per node, as numpy buffers a broadcast operand at up
+        # to the size of the result; a grid of two intervals ends at node P
+        for s in range(1, n_sub if k == 0 or g.n_nodes - 1 > pair else 1):
+            np.multiply(ge[k * s:], rot[s], out=skew[k * n_sub + s, k * s:])
+        ge_eg = ge_eg * np.array([[rot[n_sub]], [rot[n_sub].conj()]])
+    return table
+
+
+def one_sided_limits(p: DriveParams, g: TimeGrid,
+                     table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(post, before): the (n_sub + 1, 2*n_sub) post-pulse values and left
+    limits over theta = dt..P*dt of the residue rows and, as row n_sub, of
+    the companion, derived from the table as in the module docstring. At
+    theta = 0 the residue rows are 1 and the swapped companion is 0."""
+    n_sub, pair = table.shape
+    rot = _free_map(np.arange(n_sub + 1) * g.dt, p)[1]
+    # column j is theta = j*dt, and row n_sub the companion
+    post = np.zeros((n_sub + 1, pair + 1), dtype=complex)
+    post[:n_sub, 0] = 1.0
+    post[:n_sub, 1:] = table
+    post[n_sub, n_sub:] = rot[n_sub].conj() * post[0, :n_sub + 1]
+    return post[:, 1:], rot[1] * post[:, :-1]

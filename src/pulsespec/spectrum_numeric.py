@@ -3,29 +3,32 @@
 The double integral over (t, theta) is a trapezoidal rule on both axes
 honoring the ragged theta ranges [0, T - t_i]. At pulse crossings the
 integrands are discontinuous; every interior crossing node takes the
-average of the two one-sided limits carried by the pair block, the
-final theta node of a row takes the left limit, and every interior pulse
-time combines the post-pulse row with its pre-pulse companion at half
-weight each. This keeps the composite rule second order in dt; sampling
-a single side of each jump degrades it to first order.
+average of the two one-sided limits, the final theta node of a row takes
+the left limit, and every interior pulse time combines the post-pulse
+row with its pre-pulse companion at half weight each. This keeps the
+composite rule second order in dt; sampling a single side of each jump
+degrades it to first order. The left limits and the companion are not
+marched: `correlators.one_sided_limits` derives them from the table of
+post-pulse values.
 
 Every correlator row is a population from the trajectory times one of
-the n_sub + 1 propagator rows of the pair block, which depends on the
-grid alone, so the sum over t at fixed theta_j groups by row: each
-propagator row is multiplied by the running sum of the weighted
-populations of the t nodes whose theta range reaches past j. The final
-node of each range carries a half weight and the left limit, which adds
-one term per t node. The rows are stored over one pulse pair of
-P = 2*n_sub nodes, theta = dt..P*dt, and repeat with a factor per pair,
-so with j = 1 + q*P + c
+the n_sub residue rows or the companion, which depend on the grid alone,
+so the sum over t at fixed theta_j groups by row: each propagator row is
+multiplied by the running sum of the weighted populations of the t nodes
+whose theta range reaches past j. The final node of each range carries a
+half weight and the left limit; it is the next node of its row, so it
+extends that row's running sum by one node. The rows are known over one
+pulse pair of P = 2*n_sub nodes, theta = dt..P*dt, and repeat with a
+factor per pair, so with j = 1 + q*P + c
 
-    S[1 + q*P + c] = factor**q * sum_r mean[r, c] * running[m(q, c, r), r],
+    S[1 + q*P + c] = factor**q * sum_r (post[r, c] * running[m, r]
+                                        + before[r, c] * running[m', r]) / 2,
 
-with mean the average of the block's two one-sided limits and m the
-number of t nodes of row r whose range passes j. m takes one of three
-values per q, so S is one matrix product of the running sums at those
-three counts with the block split three ways, and nothing of size
-(n_sub + 1) x N is formed.
+with post and before the two one-sided limits, m the number of t nodes
+of row r whose range passes j, and m' = m + 1 where a range ends at j,
+else m. m and m' take one of three values per q, so S is one matrix
+product of the running sums at those three counts with the rows split
+three ways, and nothing of size (n_sub + 1) x N is formed.
 
 On the uniform grid theta_j = j*dt the transform to omega is the
 polynomial sum_j S[j] z**j at z = exp(-i*omega_k*dt), at the nodes
@@ -48,15 +51,15 @@ import numpy as np
 from .core import (DriveParams, FrequencyGrid, GridMismatch, Spectrum,
                    TimeGrid, build_meta, make_frequency_grid, make_time_grid,
                    two_prod)
-from .correlators import build_correlator_grids
+from .correlators import build_correlator_grids, one_sided_limits
 from .lindblad import propagate_trajectory
 
 
 def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
-                             block: np.ndarray, fg: FrequencyGrid) -> Spectrum:
-    """Assemble the numeric spectrum from the trajectory and the pair block.
+                             table: np.ndarray, fg: FrequencyGrid) -> Spectrum:
+    """Assemble the numeric spectrum from the trajectory and the pair table.
 
-    traj is the propagate_trajectory output on g, block the
+    traj is the propagate_trajectory output on g, table the
     build_correlator_grids output. Trapezoid over t of the per-row theta
     transforms. The summation is collapsed over t first (S[j] = sum_i of
     fully weighted samples), so the theta transform runs once, by chirp-z,
@@ -64,13 +67,12 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
     output reproducible bit for bit.
     """
     n_sub = g.substeps_per_interval
-    if (block.shape != (2, n_sub + 1, 2 * n_sub)
-            or traj.shape != (g.n_nodes, 2)):
+    if table.shape != (n_sub, 2 * n_sub) or traj.shape != (g.n_nodes, 2):
         raise GridMismatch(
-            f"pair block has shape {block.shape} and trajectory "
-            f"{traj.shape}, time grid needs {(2, n_sub + 1, 2 * n_sub)} "
+            f"pair table has shape {table.shape} and trajectory "
+            f"{traj.shape}, time grid needs {(n_sub, 2 * n_sub)} "
             f"and {(g.n_nodes, 2)}")
-    raw_p1, raw_p2 = theta_transform(theta_sums(p, g, traj, block), g.dt, fg)
+    raw_p1, raw_p2 = theta_transform(theta_sums(p, g, traj, table), g.dt, fg)
     # copies: with views of the complex arrays validate ran 8% slower
     return Spectrum(omegas=fg.omegas.copy(), p1=raw_p1.real.copy(),
                     p2=raw_p2.real.copy(), raw_p1=raw_p1, raw_p2=raw_p2,
@@ -79,15 +81,14 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
 
 
 def theta_sums(p: DriveParams, g: TimeGrid, traj: np.ndarray,
-               block: np.ndarray) -> np.ndarray:
+               table: np.ndarray) -> np.ndarray:
     """S[k, j], j = 0..N-1: the trapezoid over t and theta of the
     correlators of population k at theta_j = j*dt, from the trajectory
-    and the pair block of matching shapes."""
+    and the pair table of matching shapes."""
     n_sub, n_int = g.substeps_per_interval, g.n_intervals
     pair = 2 * n_sub
-    rows, before = block
+    rows, before = one_sided_limits(p, g, table)
     last = g.n_nodes - 1
-    pops = traj[:last].T
     dt = g.dt
     # t node i < last owns the theta range j = 0..last-i; node `last` has
     # an empty range and a vanishing integral
@@ -96,49 +97,37 @@ def theta_sums(p: DriveParams, g: TimeGrid, traj: np.ndarray,
     w_t = np.full(last, dt)
     w_t[0] *= 0.5
     w_t[pulse] *= 0.5
-    # post[k, i] / pre[k, i]: population k of t node i, trapezoid-weighted,
-    # for the post-pulse row and for the pre-pulse companion, which takes
-    # the populations swapped back and exists at interior pulse nodes only
-    post = w_t * pops
-    pre = np.where(pulse, w_t, 0.0) * pops[::-1]
-    # running[k, m, r] sums the first m nodes i = m'*n_sub + r of row r
-    # (the companion's nodes are the pulse nodes, r = 0)
+    # pops[k, i] is population k of t node i, trapezoid-weighted, and
+    # running[k, m, r] sums the first m nodes i = m'*n_sub + r of row r; the
+    # companion's are the interior pulse nodes, populations swapped back
+    pops = w_t * traj[:last].T
     running = np.zeros((2, n_int + 1, n_sub + 1))
-    running[:, 1:, :n_sub] = post.reshape(2, n_int, n_sub)
-    running[:, 1:, n_sub] = pre[:, ::n_sub]
+    running[:, 1:, :n_sub] = pops.reshape(2, n_int, n_sub)
+    running[:, 1:, n_sub] = pops[::-1, ::n_sub] * pulse[::n_sub]
     np.cumsum(running, axis=1, out=running)
-    # S[j] sums mean[r, j] * running[m, r] over the nodes i < last - j, whose
-    # ranges contain j before their end; a crossing there takes the mean of
-    # the two one-sided limits, which is the stored value elsewhere. With
-    # j = 1 + q*P + c and row r starting at offset r (the companion at 0)
-    # there are m = n_int - 2q - (1 + c + offset) // n_sub such nodes, and
-    # the row value is factor**q times the block. The floor takes three
-    # values, so S is one product of the running sums at the three counts
-    # per q with the block split by floor; running is real, so it is a real
-    # product with the block's real and imaginary parts interleaved.
+    # At j = 1 + q*P + c, row r (the companion is row n_sub, from node 0)
+    # is at node u = 1 + c + r of its march. The n_int - 2q - u // n_sub
+    # t nodes of its residue whose ranges pass j take factor**q times the
+    # mean of the two one-sided limits, which agree off a crossing. Where u
+    # is a multiple of n_sub, as the last node is, one more node ends its
+    # range at j, with half weight and the left limit, so half the left
+    # limit counts n_int - 2q - (u - 1) // n_sub nodes. Both floors take
+    # three values, so S is one product of the running sums at the three
+    # counts per q with the rows split by floor; running is real, so it is
+    # a real product with the rows' real and imaginary parts interleaved.
     n_q = (last - 1) // pair + 1
     q = np.arange(n_q)
-    offset = np.append(np.arange(n_sub), 0)
-    shift = (np.arange(1, pair + 1) + offset[:, None]) // n_sub
-    split = np.where(shift == np.arange(3)[:, None, None],
-                     (rows + before) * 0.5, 0.0)
+    u = np.arange(1, pair + 1) + np.append(np.arange(n_sub), 0)[:, None]
+    floor = np.arange(3)[:, None, None]
+    split = np.where(u // n_sub == floor, rows, 0.0)
+    np.add(split, before, out=split, where=(u - 1) // n_sub == floor)
+    split *= 0.5
     count = np.maximum(n_int - 2 * q[:, None] - np.arange(3), 0)
     # body[k, q, c] is s[k, 1 + q*P + c]; past j = last it pads with zeros
     s = np.empty((2, 1 + n_q * pair), dtype=complex)
     body = s[:, 1:].reshape(2, n_q, pair)
     np.matmul(np.take(running, count, axis=1).reshape(2, n_q, -1),
               split.view(float).reshape(-1, 2 * pair), out=body.view(float))
-    # the end node j = last - i of each range: half weight, left limit.
-    # Node i = last - 1 - (q*P + c) ends in column c of row (-1 - c) % n_sub,
-    # and of the companion for its swapped populations; reversed, the
-    # weights line up with body
-    c = np.arange(pair)
-    ends = (post, before[(-1 - c) % n_sub, c]), (pre, before[n_sub])
-    weight = np.zeros(n_q * pair)
-    for k in range(2):
-        for w, row in ends:
-            np.multiply(0.5, w[k, ::-1], out=weight[:last])
-            body[k] += weight.reshape(n_q, pair) * row
     body *= (rows[0, -1] ** q)[:, None]
     # the theta weight is dt, halved at j = 0, where every row is 1
     s[:, 0] = 0.5 * running[:, n_int].sum(axis=1)
@@ -231,10 +220,10 @@ def theta_transform(s: np.ndarray, dt: float,
 
 def numeric_spectrum(p: DriveParams, fg: FrequencyGrid | None = None,
                      substeps: int | None = None) -> Spectrum:
-    """Convenience pipeline: trajectory, pair block, then assembly."""
+    """Convenience pipeline: trajectory, pair table, then assembly."""
     g = make_time_grid(p, substeps)
     traj = propagate_trajectory(p, g)
-    block = build_correlator_grids(p, g)
+    table = build_correlator_grids(p, g)
     if fg is None:
         fg = make_frequency_grid(p)
-    return compute_numeric_spectrum(p, g, traj, block, fg)
+    return compute_numeric_spectrum(p, g, traj, table, fg)

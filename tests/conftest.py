@@ -9,7 +9,7 @@ def drive(n_pulses, delta=3.0, tau=0.2, free_time=None):
                           free_time=free_time)
 
 
-# (params, substeps) on which the trajectory and the pair block equal the
+# (params, substeps) on which the trajectory and the pair table equal the
 # reference march of whole matrices exactly: pulse-free, the one- and
 # two-pulse trains that end the pair march early, three pulses, one
 # substep, the benchmark grids, long trains, a negative detuning, and the
@@ -31,16 +31,18 @@ MARCH_GRIDS = {
 }
 
 
-def unfold(block, row, count, side=0):
-    """Row `row` of the pair block over theta_j = j*dt, j < count,
-    unfolded from its one pair over theta = dt..P*dt: 1 at j = 0, then
-    factor**((j - 1) // P) times column (j - 1) % P of block[side], with
-    factor = block[0, 0, -1], row 0 at theta = P*dt. side=1 gives the left
-    limits instead of the post-pulse values."""
+def unfold(sides, row, count, side=0):
+    """Row `row` over theta_j = j*dt, j < count, of the one-sided limits
+    `sides`, the (post, before) pair that `one_sided_limits` derives from
+    the marched table: 1 at j = 0, then factor**((j - 1) // P) times
+    column (j - 1) % P of sides[side], with factor = sides[0][0, -1], row 0
+    at theta = P*dt. Rows below n_sub are the residue rows and row n_sub is
+    the companion; side=1 gives the left limits instead of the post-pulse
+    values."""
     c = np.arange(count - 1)
-    pair = block.shape[2]
-    return np.append(1.0, block[0, 0, -1] ** (c // pair)
-                     * block[side, row, c % pair])
+    pair = sides[0].shape[1]
+    return np.append(1.0, sides[0][0, -1] ** (c // pair)
+                     * sides[side][row, c % pair])
 
 
 def closed_at(n_pulses, delta=3.0, tau=0.2):

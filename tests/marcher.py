@@ -1,13 +1,15 @@
 """The generic 2 x 2 marcher: the reference of the trajectory and the
-pair block.
+pair table.
 
 A density matrix is a complex array of shape (..., 2, 2) in the layout
 [[ee, eg], [ge, gg]]; the maps below act on any such matrix, physical or
 not. The package builds each of its stages from the part of the matrix
 it reads, since the free map and the swap never mix populations with
 coherences. `march` advances whole matrices instead, with the same
-free-map tables and the same swap, so the package's stages must equal
-`march_trajectory` and `march_block` exactly, not to a tolerance.
+free-map tables and the same swap, so the package's trajectory and pair
+table must equal `march_trajectory` and `march_block` exactly, not to a
+tolerance; the left limits that the package derives instead of marching
+match within rounding.
 Unlike `oracles`, this module uses the package's free map on purpose.
 """
 import numpy as np
@@ -88,10 +90,13 @@ def march_trajectory(p, g):
 
 
 def march_block(p, g):
-    """The (2, n_sub + 1, 2*n_sub) pair block of
-    `pulsespec.build_correlator_grids`, from one batched march of whole
-    matrices: row r is the seed ge = 1 freely evolved from node r to node
+    """The (2, n_sub + 1, 2*n_sub) pair block, from one batched march of
+    whole matrices: [0] holds the post-pulse values and [1] the pre-swap
+    left limits, of the residue rows r < n_sub and of the companion, row
+    n_sub. Row r is the seed ge = 1 freely evolved from node r to node
     n_sub, swapped there, and marched on; column c is theta = (c + 1)*dt.
+    [0, :n_sub] is `pulsespec.build_correlator_grids`, and the block is
+    what `pulsespec.correlators.one_sided_limits` derives from it.
     """
     n_nodes, n_sub = g.n_nodes, g.substeps_per_interval
     pair = 2 * n_sub

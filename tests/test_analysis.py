@@ -125,10 +125,11 @@ def test_harmonic_positions(closed8):
     if max(offsets) > 1.0 + 1e-9:
         steps = "/".join(f"{off:.0f}" for off in offsets)
         pytest.xfail(
-            f"extrema sit {steps} grid steps from the nominal comb "
-            "at this depth of the pulse train: the finite-train transient "
-            "(relative size exp(-n_pulses*gamma*tau/2) ~ 0.2 at 8 pulses) "
-            "tilts and displaces the fringes")
+            f"extrema sit {steps} grid steps from the nominal comb: the "
+            "harmonics are dispersive, q changing sign at each with its "
+            "extrema about gamma/2 to either side, and the closed-form "
+            "offsets are the same from 800 to 200,000 pulses, so they "
+            "are no finite-train transient")
     assert max(offsets) <= 1.0 + 1e-9
 
 

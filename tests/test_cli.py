@@ -283,6 +283,18 @@ def test_pulse_free_horizon_overflow_exits_3_without_output(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_pulse_count_above_2_53_exits_3_without_output(tmp_path, capsys):
+    # 10**400 pulses were accepted, and the closed form then failed on
+    # "int too large to convert to float" with a traceback and exit 1
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\nn_pulses = 1"
+                              + "0" * 400 + "\nengine = closed_form\n")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", cfg,
+                     "--output-dir", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("TooManyPulses: ")
+    assert list(out.iterdir()) == []
+
+
 def test_oversized_numeric_grid_exits_3_without_output(tmp_path, capsys):
     # 40000 substeps x 320001 nodes: the rows alone would take ~410 GB
     cfg = write_cfg(tmp_path, "delta = 3\ntau = 400\nn_pulses = 8\n"
@@ -685,17 +697,48 @@ def test_validate_two_pulses_pass(tmp_path):
     assert report["metrics"]["l2_rel"] <= 0.01
 
 
+def factorization_case(substeps=20):
+    p = drive(8)
+    g = ps.make_time_grid(p, substeps)
+    return p, g, ps.propagate_trajectory(p, g), ps.build_correlator_grids(p, g)
+
+
+def factorization_passes(p, g, traj, table):
+    check = cli._invariant_suite(p, g, traj, table)["correlator_factorization"]
+    return check["pass"]
+
+
+def derive_with(monkeypatch, side, row, column, change):
+    """Make validate's derivation of the one-sided limits apply `change` to
+    sides[side][row, column] of what it derives."""
+    derive = cli.one_sided_limits
+
+    def changed(*args):
+        sides = derive(*args)
+        sides[side][row, column] = change(sides[side][row, column])
+        return sides
+    monkeypatch.setattr(cli, "one_sided_limits", changed)
+
+
 def test_factorization_check_covers_every_row_value():
     # at 20 substeps of drive(8) a 1-in-2 stride over (t, theta) nodes
     # never reaches the rows of odd residue
-    p = drive(8)
-    g = ps.make_time_grid(p, 20)
-    traj = ps.propagate_trajectory(p, g)
-    block = ps.build_correlator_grids(p, g)
-    check = "correlator_factorization"
-    assert cli._invariant_suite(p, g, traj, block)[check]["pass"]
-    block[0, 1, 5 - 1] += 1e-6      # theta = 5*dt
-    assert not cli._invariant_suite(p, g, traj, block)[check]["pass"]
+    p, g, traj, table = factorization_case()
+    assert factorization_passes(p, g, traj, table)
+    table[1, 5 - 1] += 1e-6      # theta = 5*dt
+    assert not factorization_passes(p, g, traj, table)
+
+
+def test_factorization_check_covers_every_table_entry():
+    # every entry feeds the quadrature, as a post-pulse value, as the left
+    # limit one step later, and for row 0 as the companion one interval
+    # later; at 4 substeps of drive(8) every t node's range reaches all
+    p, g, traj, table = factorization_case(4)
+    assert factorization_passes(p, g, traj, table)
+    for entry in np.ndindex(table.shape):
+        changed = table.copy()
+        changed[entry] += 1e-6
+        assert not factorization_passes(p, g, traj, changed), entry
 
 
 @pytest.mark.parametrize("values, row, theta", [
@@ -703,45 +746,39 @@ def test_factorization_check_covers_every_row_value():
     ("before", 7, 13),     # residue 7 at its first crossing
     ("before", 20, 40),    # companion at its second crossing
 ])
-def test_factorization_check_covers_companion_and_left_limits(values, row,
-                                                               theta):
+def test_factorization_check_covers_companion_and_left_limits(
+        monkeypatch, values, row, theta):
     # the companion row and the pre-swap limits feed every crossing of the
-    # assembly; the check used to cover the post-pulse residue rows only.
-    # theta*dt is column theta - 1 of the one-pair block (P = 40), whose
-    # [0] holds the post-pulse rows and [1] the left limits.
-    p = drive(8)
-    g = ps.make_time_grid(p, 20)
-    traj = ps.propagate_trajectory(p, g)
-    block = ps.build_correlator_grids(p, g)
-    check = "correlator_factorization"
-    assert cli._invariant_suite(p, g, traj, block)[check]["pass"]
-    block[("rows", "before").index(values), row, theta - 1] += 1e-6
-    assert not cli._invariant_suite(p, g, traj, block)[check]["pass"]
+    # assembly; they are derived from the table, and the check reads the
+    # derived values, so a fault in the derivation fails it. theta*dt is
+    # column theta - 1 of the one-pair rows (P = 40), post-pulse values
+    # and left limits, with the companion as row 20.
+    p, g, traj, table = factorization_case()
+    assert factorization_passes(p, g, traj, table)
+    derive_with(monkeypatch, ("rows", "before").index(values), row,
+                theta - 1, lambda value: value + 1e-6)
+    assert not factorization_passes(p, g, traj, table)
 
 
 def test_factorization_check_covers_the_pair_factor():
     # row 0 at theta = P*dt is the factor that carries every row past its
     # first pulse pair
-    p = drive(8)
-    g = ps.make_time_grid(p, 20)
-    traj = ps.propagate_trajectory(p, g)
-    block = ps.build_correlator_grids(p, g)
-    check = "correlator_factorization"
-    assert cli._invariant_suite(p, g, traj, block)[check]["pass"]
-    block[0, 0, -1] += 1e-6
-    assert not cli._invariant_suite(p, g, traj, block)[check]["pass"]
+    p, g, traj, table = factorization_case()
+    assert factorization_passes(p, g, traj, table)
+    table[0, -1] += 1e-6
+    assert not factorization_passes(p, g, traj, table)
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["rows", "before"])
-def test_factorization_check_fails_on_nan(side):
-    # max(dev, nan) kept the earlier value, so a NaN passed the check
-    p = drive(8)
-    g = ps.make_time_grid(p, 20)
-    traj = ps.propagate_trajectory(p, g)
-    block = ps.build_correlator_grids(p, g)
-    block[side, 3, 7] = np.nan
-    check = cli._invariant_suite(p, g, traj, block)["correlator_factorization"]
-    assert not check["pass"]
+def test_factorization_check_fails_on_nan(monkeypatch, side):
+    # max(dev, nan) kept the earlier value, so a NaN passed the check: a
+    # NaN in the table, or in a derived left limit
+    p, g, traj, table = factorization_case()
+    if side == 0:
+        table[3, 7] = np.nan
+    else:
+        derive_with(monkeypatch, 1, 3, 7, lambda value: np.nan)
+    assert not factorization_passes(p, g, traj, table)
 
 
 @pytest.mark.filterwarnings("error")

@@ -58,6 +58,17 @@ def test_non_integer_counts_are_rejected(value):
         ps.make_time_grid(drive(8), value)
 
 
+def test_pulse_count_is_bounded_by_2_53():
+    # every count up to 2**53 is exact as a double; the closed form is
+    # finite there
+    p = drive(2**53)
+    assert np.all(np.isfinite(ps.closed_spectrum(
+        p, ps.make_frequency_grid(p)).q))
+    for n_pulses in (2**53 + 1, 10**400, 10**5000):
+        with pytest.raises(ps.TooManyPulses, match="2\\*\\*53"):
+            drive(n_pulses)
+
+
 def test_numpy_integer_counts_are_kept_as_ints():
     # a numpy integer in meta or the validate report fails to write as JSON
     p = drive(np.int64(8))
@@ -141,7 +152,8 @@ def test_time_grid_substeps_override():
 
 
 def test_time_grid_cell_budget():
-    # the pair block, 2*(n_sub + 1)*2*n_sub values, is counted as at most
+    # the pair rows with their derived left limits, 2*(n_sub + 1)*2*n_sub
+    # values, are counted as at most
     # 4*(n_sub + 1)*min(n_nodes, 2*n_sub + 1) cells, and the chirp-z buffer,
     # 2*fft_length(n_nodes, M) values, as 4*n_nodes; the trajectory's
     # 2*n_nodes populations are below both
