@@ -504,23 +504,26 @@ def _invariant_suite(p: DriveParams, g: TimeGrid,
     # the pulse at tau, is zero before the next pulse, then row 0's kernel
     # one interval earlier times conj(free[0]): no division, which is 0/0
     # once free[0] underflows. The left limits are the kernel one sub-step
-    # earlier times the free step. Column c stands for theta = (c + 1)*dt.
+    # earlier times the free step. The kernel is one f_analytic call over
+    # the 1-D theta axis j*dt, j = 0..P, against the column of start times
+    # r*dt; its last row is then overwritten with the companion, made from
+    # row 0. Column c of the one-sided limits stands for theta = (c + 1)*dt.
     n_sub, last = g.substeps_per_interval, g.n_nodes - 1
     pair = 2 * n_sub
     free = np.exp((1j * p.delta - 0.5 * p.gamma) * np.array([p.tau, g.dt]))
     r = np.arange(n_sub + 1)[:, None]
     c = np.arange(pair + 1)
-    companion = r == n_sub
-    kernel = f_analytic((r % n_sub) * g.dt,
-                        np.maximum(c - n_sub * companion, 0) * g.dt, p)
-    kernel *= np.where(companion, (c >= n_sub) * free[0].conj(), 1.0)
+    kernel = f_analytic(r * g.dt, c * g.dt, p)
+    kernel[n_sub, :n_sub] = 0.0
+    kernel[n_sub, n_sub:] = kernel[0, :n_sub + 1] * free[0].conj()
     # a value counts where a t node's range reaches it; np.maximum and
     # np.max keep a NaN, so it fails the check
     in_range = c[1:] <= last - r
     post, before = one_sided_limits(p, g, table)
-    dev = np.maximum(np.abs(post - kernel[:, 1:]),
-                     np.abs(before - kernel[:, :-1] * free[1]))
-    factor_dev = float(np.max(dev[in_range], initial=0.0))
+    post -= kernel[:, 1:]
+    before -= kernel[:, :-1] * free[1]
+    dev = np.maximum(np.abs(post), np.abs(before))
+    factor_dev = float(np.max(dev, where=in_range, initial=0.0))
     return _check_table({
         "trace": (trace_dev, 1e-12),
         "population_vs_analytic": (population_dev, 1e-10),

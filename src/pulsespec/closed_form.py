@@ -46,7 +46,9 @@ def rho0(M, p: DriveParams):
     if np.any(M < 0):
         raise NegativeM(f"M must be >= 0, got {np.min(M)}")
     x = math.exp(-p.gamma * p.tau)
-    return (1.0 - (-x) ** (M + 1)) / (1.0 + x)
+    # (-x)**(M+1) as a sign times x**(M+1): numpy's power takes a scalar
+    # path, about 17x slower, for a negative base
+    return (1.0 + (1 - 2 * (M % 2)) * x ** (M + 1)) / (1.0 + x)
 
 
 def rho_gg_analytic(t, p: DriveParams):
@@ -69,19 +71,25 @@ def f_analytic(t, theta, p: DriveParams):
     the later side): the same-interval branch is exp((i*delta -
     gamma/2)*theta); odd m annihilates the kernel; even m >= 2 gives
     exp(-gamma*theta/2) * exp(i*delta*(theta - m*tau)), with the phase
-    argument theta - m*tau confined to [-tau, tau].
+    argument theta - m*tau confined to [-tau, tau]. t and theta broadcast;
+    the same-interval factor is evaluated on theta's own shape and copied
+    into the m = 0 cells, the even-m factor only on the cells with even
+    m >= 2, and the other cells are exact zeros.
     """
     theta = np.asarray(theta, dtype=float)
     if np.any(theta < 0):
         raise NegativeTheta(f"theta must be >= 0, got {np.min(theta)}")
-    lo = np.minimum(_interval_index(t, p.tau), p.n_pulses)
-    hi = np.minimum(_interval_index(t + theta, p.tau), p.n_pulses)
-    m = hi - lo
-    same = np.exp((1j * p.delta - 0.5 * p.gamma) * theta)
-    paired = (np.exp(-0.5 * p.gamma * theta)
-              * np.exp(1j * p.delta * (theta - m * p.tau)))
+    m = np.minimum(_interval_index(t + theta, p.tau), p.n_pulses)
+    m -= np.minimum(_interval_index(t, p.tau), p.n_pulses)
+    kernel = np.zeros(m.shape, dtype=complex)
+    np.copyto(kernel, np.exp((1j * p.delta - 0.5 * p.gamma) * theta),
+              where=m == 0)
+    paired = ((m & 1) == 0) & (m > 0)
+    theta, m = np.broadcast_to(theta, m.shape)[paired], m[paired]
+    kernel[paired] = (np.exp(-0.5 * p.gamma * theta)
+                      * np.exp(1j * p.delta * (theta - m * p.tau)))
     # [()] turns the 0-d result of scalar inputs into a scalar
-    return np.where(m == 0, same, np.where(m % 2 == 1, 0.0j, paired))[()]
+    return kernel[()]
 
 
 def closed_blocks(omega, p: DriveParams):

@@ -122,7 +122,9 @@ def validate_params(p: DriveParams) -> DriveParams:
             raise PulsespecError(f"{name} must be finite, got {value}")
     n_pulses = _count("n_pulses", p.n_pulses)
     if n_pulses < 0:
-        raise PulsespecError(f"n_pulses must be >= 0, got {p.n_pulses}")
+        # a count past Python's 4300-digit limit cannot be formatted
+        raise PulsespecError(f"n_pulses must be >= 0, got a negative "
+                             f"count of {n_pulses.bit_length()} bits")
     if n_pulses > 2**53:
         # counts up to 2**53 are exact doubles, as the phase reductions need
         raise TooManyPulses(f"n_pulses must be <= 2**53, got "
@@ -195,9 +197,9 @@ def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
     sub-steps. The grid spans p.n_intervals periods: [0, n_pulses*tau],
     or for the pulse-free mode at least free_time. Raises GridTooLarge
     when the numeric engine's largest array would exceed MAX_ARRAY_CELLS.
-    That is either the pair rows with their derived left limits,
-    2 x (n_sub + 1) x 2*n_sub values, which the count bounds by
-    4 x (n_sub + 1) x min(n_nodes, 2*n_sub + 1), or the chirp-z buffer,
+    That is either the pair arrays, which theta_sums forms at every train
+    length (a 3 x (n_sub + 1) x 2*n_sub split), counted as
+    4 x (n_sub + 1) x (2*n_sub + 1) cells, or the chirp-z buffer,
     2 x fft_length(n_nodes, M) values: 4 x n_nodes within the budget
     keeps it there for every M up to MAX_FREQUENCY_NODES.
     """
@@ -206,7 +208,7 @@ def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
     if n_sub < 1:
         raise PulsespecError(f"substeps must be >= 1, got {n_sub}")
     n_nodes = p.n_intervals * n_sub + 1
-    cells = 4 * max((n_sub + 1) * min(n_nodes, 2 * n_sub + 1), n_nodes)
+    cells = 4 * max((n_sub + 1) * (2 * n_sub + 1), n_nodes)
     if cells > MAX_ARRAY_CELLS:
         raise GridTooLarge(
             f"{n_sub} substeps x {n_nodes} nodes need {cells} array "

@@ -9,13 +9,16 @@ dt at the jumps and the comparison is meaningless at these tolerances.
 The 60-digit pair sum does the same integrals exactly, interval by
 interval.
 """
+import math
+
 import mpmath
 import numpy as np
 
 
 def oracle_rho0(m, tau, gamma=2.0):
-    """Post-pulse excited population at the start of interval m."""
-    x = np.exp(-gamma * tau)
+    """Post-pulse excited population at the start of interval m, with the
+    power taken of the negative base -x, x = exp(-gamma*tau)."""
+    x = math.exp(-gamma * tau)
     return (1.0 - (-x) ** (np.asarray(m) + 1)) / (1.0 + x)
 
 
@@ -30,6 +33,27 @@ def oracle_kernel(m, theta, tau, delta, gamma=2.0):
                     np.exp(-gamma * theta / 2.0)
                     * np.exp(1j * delta * (theta - m * tau)),
                     0.0)
+
+
+def where_kernel(t, theta, delta, tau, n_pulses, gamma=2.0):
+    """The kernel f(t, theta) with both branches formed over the whole
+    broadcast and picked by np.where.
+
+    m counts the pulses in (t, t + theta], a pulse instant on the later
+    side and the count capped at n_pulses; m = 0 is the same-interval
+    branch, and odd m gives 0. Scalar inputs give a scalar.
+    """
+    theta = np.asarray(theta, dtype=float)
+
+    def interval(s):
+        return np.minimum(np.floor(np.asarray(s, dtype=float) / tau + 1e-9)
+                          .astype(int), n_pulses)
+
+    m = interval(t + theta) - interval(t)
+    same = np.exp((1j * delta - 0.5 * gamma) * theta)
+    paired = (np.exp(-0.5 * gamma * theta)
+              * np.exp(1j * delta * (theta - m * tau)))
+    return np.where(m == 0, same, np.where(m % 2 == 1, 0.0j, paired))[()]
 
 
 def brute_integrals(omegas, delta, tau, n_pulses, n_sub, gamma=2.0):

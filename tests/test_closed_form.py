@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import pulsespec as ps
 from conftest import closed_at, drive
-from oracles import mp_pair_blocks
+from oracles import mp_pair_blocks, oracle_rho0, where_kernel
 
 
 def test_rho0_values():
@@ -119,6 +119,56 @@ def test_closed_forms_vectorize():
     for k, (t, theta) in enumerate(zip(times, thetas)):
         assert gg[k] == ps.rho_gg_analytic(float(t), p)
         assert kernel[k] == ps.f_analytic(float(t), float(theta), p)
+
+
+def bits(value):
+    """The complex value or array as its raw 64-bit words, zero signs
+    included, for bit-for-bit comparison."""
+    return np.asarray(value, dtype=complex).reshape(-1).view(np.uint64)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n_pulses=st.integers(0, 7), tau=st.floats(0.01, 3.0),
+       delta=st.floats(-20.0, 20.0), gamma=st.floats(0.01, 10.0),
+       sub=st.integers(1, 6),
+       starts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+       spans=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=5))
+def test_node_references_match_their_oracle_forms(n_pulses, tau, delta,
+                                                  gamma, sub, starts, spans):
+    # f_analytic forms each branch only on the cells that keep it, and must
+    # equal the np.where form over the whole broadcast bit for bit; rho0
+    # takes x**(M+1) with a sign in place of (-x)**(M+1), and it and the
+    # ground population move by at most 1 ulp of 1, the scale of a
+    # population (in the cancellation 1 - x**2 that is many ulps of rho0)
+    p = ps.DriveParams(delta=delta, tau=tau, n_pulses=n_pulses, gamma=gamma,
+                       free_time=None if n_pulses else 2.7 * tau)
+    horizon = p.n_intervals * tau
+    # pulse instants, theta = 0, odd and even m, and t + theta past the
+    # last pulse, where m is capped at n_pulses
+    dt = tau / sub
+    grid = np.arange(p.n_intervals * sub + 1) * dt
+    t = np.concatenate([grid, np.asarray(starts) * horizon])
+    theta = np.concatenate([grid[:2 * sub + 2], np.asarray(spans) * horizon])
+
+    def reference(t, theta):
+        return where_kernel(t, theta, delta, tau, n_pulses, gamma)
+
+    for args in ((t[:, None], theta), (t[:1, None], theta[None, :]),
+                 (t[:theta.size], theta[:t.size]), (t[-1], theta[-1]),
+                 (float(t[-1]), float(theta[-1])), (np.asarray(t[0]), 0.0)):
+        kernel, expected = ps.f_analytic(*args, p), reference(*args)
+        assert type(kernel) is type(expected)
+        assert np.shape(kernel) == np.shape(expected)
+        assert np.array_equal(bits(kernel), bits(expected))
+    M = np.arange(n_pulses + 3)
+    assert np.all(np.abs(ps.rho0(M, p) - oracle_rho0(M, tau, gamma))
+                  <= np.spacing(1.0))
+    times = np.clip(t, 0.0, horizon)
+    index = np.minimum(np.floor(times / tau + 1e-9).astype(int), n_pulses)
+    gg = 1.0 - oracle_rho0(index, tau, gamma) * np.exp(
+        -gamma * (times - index * tau))
+    assert np.all(np.abs(ps.rho_gg_analytic(times, p) - gg)
+                  <= np.spacing(1.0))
 
 
 def test_degenerate_resonance_is_finite():

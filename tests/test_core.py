@@ -69,6 +69,14 @@ def test_pulse_count_is_bounded_by_2_53():
             drive(n_pulses)
 
 
+def test_negative_pulse_counts_are_named():
+    # the message used to format the count, and a count past Python's
+    # 4300-digit limit then raised a plain ValueError
+    for n_pulses in (-1, -10**400, -10**5000):
+        with pytest.raises(ps.PulsespecError, match="n_pulses must be >= 0"):
+            drive(n_pulses)
+
+
 def test_numpy_integer_counts_are_kept_as_ints():
     # a numpy integer in meta or the validate report fails to write as JSON
     p = drive(np.int64(8))
@@ -152,9 +160,8 @@ def test_time_grid_substeps_override():
 
 
 def test_time_grid_cell_budget():
-    # the pair rows with their derived left limits, 2*(n_sub + 1)*2*n_sub
-    # values, are counted as at most
-    # 4*(n_sub + 1)*min(n_nodes, 2*n_sub + 1) cells, and the chirp-z buffer,
+    # the pair arrays, which theta_sums forms at every train length, are
+    # counted as 4*(n_sub + 1)*(2*n_sub + 1) cells, and the chirp-z buffer,
     # 2*fft_length(n_nodes, M) values, as 4*n_nodes; the trajectory's
     # 2*n_nodes populations are below both
     budget = ps.core.MAX_ARRAY_CELLS
@@ -164,11 +171,12 @@ def test_time_grid_cell_budget():
     assert ps.make_time_grid(drive(8), 1447).n_nodes == 8 * 1447 + 1
     with pytest.raises(ps.GridTooLarge):
         ps.make_time_grid(drive(8), 1448)
-    # a one-interval grid is counted over its own nodes
-    assert 4 * 2001 * 2001 <= budget < 4 * 2001 * 4001
-    assert ps.make_time_grid(drive(1), 2000).n_nodes == 2001
-    with pytest.raises(ps.GridTooLarge):
-        ps.make_time_grid(drive(2), 2000)
+    # a one-interval grid has the same pair arrays: at 2000 substeps its
+    # split would be 24.0M cells
+    for p in (drive(1), drive(0, free_time=0.2)):
+        assert ps.make_time_grid(p, 1447).n_nodes == 1448
+        with pytest.raises(ps.GridTooLarge):
+            ps.make_time_grid(p, 1448)
     assert 4 * 4194301 <= budget < 4 * 4194321
     assert ps.make_time_grid(drive(209715), 20).n_nodes == 4194301
     with pytest.raises(ps.GridTooLarge):
