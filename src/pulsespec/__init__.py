@@ -16,9 +16,9 @@ from .core import (DEFAULT_GAMMA, ConflictingFreeTime, DriveParams,
 from .lindblad import propagate_trajectory
 from .correlators import build_correlator_grids
 from .spectrum_numeric import compute_numeric_spectrum, numeric_spectrum
-from .closed_form import (NegativeM, NegativeTheta, OutOfRangeT,
-                          closed_blocks, closed_spectrum, f_analytic, rho0,
-                          rho_gg_analytic)
+from .closed_form import closed_blocks, closed_spectrum
+from .validation import (NegativeM, NegativeTheta, OutOfRangeT, f_analytic,
+                         rho0, rho_gg_analytic)
 from .analysis import (ZeroSpectrum, compare_spectra, find_peaks,
                        positive_weight_fraction, shape_l2_diff)
 

@@ -6,8 +6,8 @@ f(t, theta) that carries the ge element across pulses is piecewise
 exponential with a phase confined to [-delta*tau, delta*tau]; so the
 double Fourier integrals collapse into geometric sums over pairs of
 intervals. They cover every train, odd, one-pulse and pulse-free
-included, and keep the population transient at every length. All
-operations accept a scalar frequency or an array (elementwise).
+included, and keep the population transient at every length. omega may
+be a scalar or an array; validate's node references live in validation.
 """
 from __future__ import annotations
 
@@ -15,81 +15,7 @@ import math
 
 import numpy as np
 
-from .core import (DriveParams, FrequencyGrid, PulsespecError, Spectrum,
-                   build_meta, two_prod)
-
-
-class NegativeM(PulsespecError):
-    pass
-
-
-class OutOfRangeT(PulsespecError):
-    pass
-
-
-class NegativeTheta(PulsespecError):
-    pass
-
-
-def _interval_index(t, tau: float):
-    # a time exactly at a pulse instant belongs to the later interval
-    return np.floor(np.asarray(t, dtype=float) / tau + 1e-9).astype(int)
-
-
-def rho0(M, p: DriveParams):
-    """Excited population right after pulse M (M = 0 is the initial state).
-
-    Equals (1 - (-x)**(M+1)) / (1 + x) with x = exp(-gamma*tau); the value
-    lies in (0, 1] and tends to 1/(1 + x) for large M.
-    """
-    M = np.asarray(M)
-    if np.any(M < 0):
-        raise NegativeM(f"M must be >= 0, got {np.min(M)}")
-    x = math.exp(-p.gamma * p.tau)
-    # (-x)**(M+1) as a sign times x**(M+1): numpy's power takes a scalar
-    # path, about 17x slower, for a negative base
-    return (1.0 + (1 - 2 * (M % 2)) * x ** (M + 1)) / (1.0 + x)
-
-
-def rho_gg_analytic(t, p: DriveParams):
-    """Ground population at time t in [0, n_intervals*tau], post-pulse
-    convention at the pulse instants; a pulse-free run is one interval."""
-    t = np.asarray(t, dtype=float)
-    horizon = p.n_intervals * p.tau
-    outside = (t < 0) | (t > horizon + 1e-9 * max(1.0, horizon))
-    if np.any(outside):
-        raise OutOfRangeT(f"t = {t[outside][0]} outside [0, {horizon}]")
-    M = np.minimum(_interval_index(t, p.tau), p.n_pulses)
-    elapsed = t - M * p.tau
-    return 1.0 - rho0(M, p) * np.exp(-p.gamma * elapsed)
-
-
-def f_analytic(t, theta, p: DriveParams):
-    """Propagation kernel of the ge element from t to t + theta.
-
-    With m the number of pulses in (t, t + theta] (pulse instants count to
-    the later side): the same-interval branch is exp((i*delta -
-    gamma/2)*theta); odd m annihilates the kernel; even m >= 2 gives
-    exp(-gamma*theta/2) * exp(i*delta*(theta - m*tau)), with the phase
-    argument theta - m*tau confined to [-tau, tau]. t and theta broadcast;
-    the same-interval factor is evaluated on theta's own shape and copied
-    into the m = 0 cells, the even-m factor only on the cells with even
-    m >= 2, and the other cells are exact zeros.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0):
-        raise NegativeTheta(f"theta must be >= 0, got {np.min(theta)}")
-    m = np.minimum(_interval_index(t + theta, p.tau), p.n_pulses)
-    m -= np.minimum(_interval_index(t, p.tau), p.n_pulses)
-    kernel = np.zeros(m.shape, dtype=complex)
-    np.copyto(kernel, np.exp((1j * p.delta - 0.5 * p.gamma) * theta),
-              where=m == 0)
-    paired = ((m & 1) == 0) & (m > 0)
-    theta, m = np.broadcast_to(theta, m.shape)[paired], m[paired]
-    kernel[paired] = (np.exp(-0.5 * p.gamma * theta)
-                      * np.exp(1j * p.delta * (theta - m * p.tau)))
-    # [()] turns the 0-d result of scalar inputs into a scalar
-    return kernel[()]
+from .core import DriveParams, FrequencyGrid, Spectrum, build_meta, two_prod
 
 
 def closed_blocks(omega, p: DriveParams):

@@ -1,6 +1,6 @@
 """Parameter records, time/frequency grids, the spectrum container, and
-Dekker's error-free product, which the chirp-z phases and the CSV writer
-share.
+Dekker's error-free product, which the chirp-z phases, the closed form's
+phase reduction and the writers' digit kernels share.
 
 All quantities are expressed in reduced units with the spontaneous emission
 rate gamma = 2, so the free emitter line is 1/(omega**2 + 1). The probe

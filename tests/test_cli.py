@@ -1,19 +1,25 @@
+import contextlib
+import errno
 import importlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import pulsespec as ps
 from conftest import closed_at, drive
 from oracles import mp_pair_blocks
-from pulsespec import cli
+from pulsespec import cli, validation
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -595,6 +601,32 @@ def test_unusable_output_exits_4_without_traceback(tmp_path, capsys, command,
     assert not [f for f in tmp_path.rglob("spectrum_*") if f.is_file()]
 
 
+@pytest.mark.parametrize("fmt, kernel", [("csv", "_csv_rows"),
+                                         ("json", "_repr_cells")])
+def test_write_failing_part_way_leaves_no_file(tmp_path, monkeypatch, capsys,
+                                               fmt, kernel):
+    # a disk that fills after the writer's first chunk; the file it had
+    # opened used to stay behind, truncated (22,454 bytes of CSV, 50,957
+    # of JSON), because it counted as written only once its writer returned
+    formatted = getattr(cli, kernel)
+    calls = []
+
+    def filling(values):
+        calls.append(values.size)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return formatted(values)
+    monkeypatch.setattr(cli, kernel, filling)
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\nn_pulses = 8\n"
+                              f"engine = closed_form\nformat = {fmt}\n")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", cfg,
+                     "--output-dir", str(out)]) == 4
+    assert len(calls) == 2
+    assert capsys.readouterr().err.startswith("output error: ")
+    assert list(out.iterdir()) == []
+
+
 def test_sweep_manifest(tmp_path):
     cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\n"
                               "n_pulses_list = 8,12\nengine = closed_form\n")
@@ -704,20 +736,20 @@ def factorization_case(substeps=20):
 
 
 def factorization_passes(p, g, traj, table):
-    check = cli._invariant_suite(p, g, traj, table)["correlator_factorization"]
+    check = validation.node_checks(p, g, traj, table)["correlator_factorization"]
     return check["pass"]
 
 
 def derive_with(monkeypatch, side, row, column, change):
     """Make validate's derivation of the one-sided limits apply `change` to
     sides[side][row, column] of what it derives."""
-    derive = cli.one_sided_limits
+    derive = validation.one_sided_limits
 
     def changed(*args):
         sides = derive(*args)
         sides[side][row, column] = change(sides[side][row, column])
         return sides
-    monkeypatch.setattr(cli, "one_sided_limits", changed)
+    monkeypatch.setattr(validation, "one_sided_limits", changed)
 
 
 def test_factorization_check_covers_every_row_value():
@@ -867,3 +899,108 @@ def test_console_scripts_resolve_to_callables():
         for attr in attrs.split("."):
             obj = getattr(obj, attr)
         assert callable(obj), name
+
+
+def log_uniform(low, high):
+    """10**u for u uniform in [low, high]."""
+    return st.floats(low, high).map(lambda u: 10.0 ** u)
+
+
+@st.composite
+def cli_runs(draw):
+    """A command and a config over log-uniform magnitudes of every key: a
+    pulse count past 2**53 included, a few substeps as often as the
+    default, and each optional key present or left to its default."""
+    command = draw(st.sampled_from(["spectrum", "validate"]))
+    cfg = {"delta": draw(st.sampled_from([-1, 1])) * draw(log_uniform(-3, 4)),
+           "tau": draw(log_uniform(-4, 4)),
+           "n_pulses": draw(st.one_of(
+               st.sampled_from([0, 1, 2, 3, 2**53, 2**53 + 1]),
+               log_uniform(0, 17).map(int)))}
+    if cfg["n_pulses"] == 0:
+        cfg["free_time"] = draw(log_uniform(-3, 3))
+    optional = {"gamma": log_uniform(-3, 3),
+                "substeps": st.one_of(st.integers(1, 4),
+                                      log_uniform(0, 4).map(int)),
+                "omega_min": log_uniform(-2, 3).map(lambda w: -w),
+                "omega_max": log_uniform(-2, 3),
+                "omega_step": log_uniform(-3, 1),
+                "engine": st.sampled_from(["numeric", "closed_form", "both"]),
+                "format": st.sampled_from(["csv", "json", "both"])}
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            cfg[key] = draw(values)
+    return command, cfg
+
+
+def run_size(command, cfg):
+    """"too large" where the run must stop at GridTooLarge, "slow" where it
+    would compute a large grid, else None (a fast run, or one that stops
+    at another named error)."""
+    try:
+        p = cli._params_from(cfg)
+        n_omega = cli._freq_grid(cfg, p).omegas.size
+        g = (ps.make_time_grid(p, cfg.get("substeps"))
+             if command == "validate" or cfg.get("engine") != "closed_form"
+             else None)
+    except ps.GridTooLarge:
+        return "too large"
+    except ps.PulsespecError:
+        return None
+    if n_omega > 4000 or g and (g.n_nodes > 20_000
+                                or g.substeps_per_interval > 200):
+        return "slow"
+    return None
+
+
+def written_floats(path):
+    """Every float of an output file: the CSV rows and the parameter
+    values of its header, or every number of a JSON document."""
+    if path.suffix == ".json":
+        todo = [json.loads(path.read_text())]
+        while todo:
+            value = todo.pop()
+            if isinstance(value, dict):
+                todo += value.values()
+            elif isinstance(value, list):
+                todo += value
+            elif isinstance(value, float):
+                yield value
+        return
+    for line in path.read_text().splitlines():
+        if line.startswith("# "):
+            try:
+                yield float(line.partition(" = ")[2])
+            except ValueError:     # the engine tag, or free_time = None
+                pass
+        elif line != "omega,P1,P2,Q":
+            yield from map(float, line.split(","))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cli_runs())
+def test_every_run_exits_with_a_named_code_and_finite_files(run):
+    command, cfg = run
+    size = run_size(command, cfg)
+    assume(size != "slow")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "run.cfg").write_text(
+            "".join(f"{key} = {value}\n" for key, value in cfg.items()))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(tmp / "run.cfg"),
+                             "--output-dir", str(tmp / "out")])
+        err = err.getvalue()
+        files = sorted(path for path in tmp.joinpath("out").rglob("*")
+                       if path.is_file())
+        assert code in ((0, 1, 2, 3) if command == "validate" else (0, 2, 3))
+        assert "Traceback" not in err
+        if size == "too large":
+            assert code == 3 and err.startswith("GridTooLarge: ")
+        if code in (2, 3):
+            assert err.count("\n") == 1 and files == []
+        else:
+            assert files
+            for path in files:
+                assert all(math.isfinite(x) for x in written_floats(path))
