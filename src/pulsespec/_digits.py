@@ -13,38 +13,43 @@ from .core import two_prod
 # digits that "%.17g" prints, D = p + rint(e): p >= 2**53 is an even
 # integer, so rint rounds ties to even, as CPython's dtoa does. JSON takes
 # the shortest digits that read back as x, as repr does (see _repr_cells).
-# Each value fills a fixed-width cell of ASCII and NUL bytes: sign,
-# "0.000" prefix (X < 0), 17 digits each followed by a slot for the
-# decimal point, "e+XX" suffix and separator. A mask chosen by sign, X
-# and the number of significant digits keeps the bytes the format prints
-# and zeroes the rest, and one bytes.translate drops the zeros. Any other
-# value (zero, subnormals, X outside -6..16) goes through one % call per
-# chunk.
+# Each value fills a cell of six uint64 words of ASCII and NUL bytes, each
+# word one take from _WORDS: sign, "0.000" prefix (X < 0), lead digit and
+# decimal point; four words of four digits, each followed by a slot for
+# the point; "e+XX" suffix and separator. A mask row chosen by X and the
+# number of significant digits keeps the bytes the format prints and
+# zeroes the rest, and one bytes.translate drops the zeros. Any other value
+# (zero, subnormals, X outside -6..16) goes through one % call per chunk.
 _POW10 = np.array([float(10**k) for k in range(23)])
-_CELL = np.frombuffer(b"-0.000" + b"0." * 17 + b"e-00,", dtype=np.uint8)
-_CSV_CHUNK_ROWS = 256
-_JSON_CHUNK_VALUES = 2048
+# 2560 values take 120 KiB of cells, so every per-chunk array stays under
+# glibc's 128 KiB mmap threshold, past which chunks fault fresh pages
+_JSON_CHUNK_VALUES = 2560
+_CSV_CHUNK_ROWS = _JSON_CHUNK_VALUES // 4    # four values a row
 
 
-def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
-    """"0000".."9999" as one uint32 of four ASCII bytes each, and the
-    trailing zeros of each, 4 for "0000"."""
-    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    quads = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
-    for place in range(4):
-        quads[..., place] = ascii_digits.reshape((10,) + (1,) * (3 - place))
-    quads = quads.reshape(10_000, 4)
-    z = (quads == ord("0")).astype(np.int64)
-    trailing = z[:, 3] * (1 + z[:, 2] * (1 + z[:, 1] * (1 + z[:, 0])))
-    return quads.view(np.uint32).ravel(), trailing
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """The words of a cell: "d.d.d.d." by quad 0000..9999; sign, prefix,
+    lead digit and point at 10000 + 10 * negative + lead digit; "e+XX," at
+    10020 + k. And at 10000 * j + quad, for the digit quad j = 0..3 after
+    the lead, 397 plus the place 1..16 of its last nonzero digit, or 397
+    for 0000."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+    quads = np.full((10_000, 8), ord("."), dtype=np.uint8)
+    quads[:, ::2] = digits.T + ord("0")
+    words = [f"{sign}0.000{lead}." for sign in "\0-" for lead in range(10)]
+    words += [f"e{16 - k:+03d},\0\0\0" for k in range(23)]
+    words = np.concatenate([quads.view(np.uint64).ravel(), np.frombuffer(
+        "".join(words).encode(), np.uint64)])
+    last = ((digits > 0) * np.arange(1, 5, dtype=np.int16)[:, None]).max(0)
+    step = np.arange(0, 16, 4, dtype=np.int16)[:, None]
+    return words, (397 + np.where(last > 0, last + step, 0)).ravel()
 
 
 def _cell_masks(exponent_from: int, dot_zero: int) -> np.ndarray:
-    """0xFF where the format prints a byte of the cell, by (negative,
-    X + 6, significant digits), flattened to rows of the cell width.
-    Exponent notation is used for X < -4 and X >= exponent_from; fixed
-    notation writes integers with dot_zero digits after the point."""
-    neg = np.arange(2)[:, None, None]
+    """All ones where the format prints a byte of the cell, by (X + 6,
+    significant digits), as rows of six uint64 words. Exponent notation
+    is used for X < -4 and X >= exponent_from; fixed notation writes
+    integers with dot_zero digits after the point."""
     exponent = np.arange(-6, 17)[:, None]
     digits = np.arange(18)
     sci = (exponent < -4) | (exponent >= exponent_from)
@@ -56,25 +61,25 @@ def _cell_masks(exponent_from: int, dot_zero: int) -> np.ndarray:
     point = np.where(shown > point + 1, point, -1)
     prefix = np.where(~sci & (exponent < 0), 1 - exponent, 0)
     slot = np.arange(17)
-    keep = np.zeros((2, 23, 18, _CELL.size), dtype=bool)
-    keep[..., 0] = neg == 1
+    keep = np.zeros((23, 18, 48), dtype=bool)
+    keep[..., [0, 44]] = True    # sign (NUL for x > 0) and separator
     keep[..., 1:6] = np.arange(5) < prefix[..., None]
     keep[..., 6:40:2] = slot < shown[..., None]
     keep[..., 7:40:2] = slot == point[..., None]
     keep[..., 40:44] = sci[..., None]
-    keep[..., 44] = True
-    return (keep * np.uint8(0xFF)).reshape(-1, _CELL.size)
+    return (keep * np.uint8(0xFF)).reshape(-1, 48).view(np.uint64)
 
 
-_QUADS, _TRAILING_ZEROS = _quad_tables()
+_WORDS, _PLACES = _tables()
+_QUAD_OFFSETS = np.arange(0, 40_000, 10_000)[:, None]
 _CSV_MASKS = _cell_masks(17, 0)
 _REPR_MASKS = _cell_masks(16, 1)
 
 
 def _scaled(x: np.ndarray):
-    """|x| (1.0 where the value takes the fallback), k in 0..22, and p, e
-    with |x| * 10**k = p + e exactly, for a value x of decimal exponent
-    X = 16 - k; and whether the value takes the fallback."""
+    """|x| (1.0 where the value takes the fallback), k in 0..22, 10**k,
+    and p, e with |x| * 10**k = p + e exactly, for a value x of decimal
+    exponent X = 16 - k; and whether the value takes the fallback."""
     a = np.abs(x)
     # the double 1e-6 lies below 10**-6, so these values have -6 <= X <= 16
     fallback = (a <= 1e-6) | (a >= 1e17)
@@ -83,44 +88,50 @@ def _scaled(x: np.ndarray):
     np.floor(k, out=k)
     k = 16 - k.astype(np.int64)
     np.minimum(np.maximum(k, 0, out=k), 22, out=k)
-    p, e = two_prod(a, _POW10[k])
-    # the log10 estimate may miss by one; compare p + e exactly with the
-    # decade and move k once (a rounded 10**16 can stand for 9.99..95e15)
-    low = (p < 1e16) | ((p == 1e16) & (e < 0))
-    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
-    moved = np.flatnonzero(low != high)
-    k[moved] += low[moved].astype(np.int64) - high[moved]
-    p[moved], e[moved] = two_prod(a[moved], _POW10[k[moved]])
-    return a, k, p, e, fallback
+    b = _POW10.take(k)
+    p, e = two_prod(a, b)
+    # the log10 estimate may miss by one (a rounded 10**16 can stand for
+    # 9.99..95e15): whether p + e reaches 10**16 and 10**17, exactly, and
+    # k moved once where it reaches both or neither
+    above = p - [[1e16], [1e17]] + e >= 0
+    moved = np.flatnonzero(above[0] == above[1])
+    if moved.size:
+        k[moved] += 1 - above[:, moved].sum(axis=0)
+        b[moved] = _POW10.take(k[moved])
+        p[moved], e[moved] = two_prod(a[moved], b[moved])
+    return a, k, b, p, e, fallback
 
 
 def _cells(x: np.ndarray, d: np.ndarray, k: np.ndarray,
            fallback: np.ndarray, masks: np.ndarray, fmt: str) -> np.ndarray:
     """The cells of the values x from their 17-digit integers d,
-    10**16 <= d < 10**17, and k = 16 - X, laid out by `masks`; values
-    where `fallback` is set are "%-44" + fmt % value instead."""
-    lead, rest = np.divmod(d, 10**16)
-    halves = np.empty((x.size, 2), dtype=np.int64)
-    np.divmod(rest, 10**8, out=(halves[:, 0], halves[:, 1]))
-    quads = np.empty((x.size, 4), dtype=np.int64)
-    np.divmod(halves, 10**4, out=(quads[:, 0::2], quads[:, 1::2]))
-    zeros = _TRAILING_ZEROS[quads]
-    tail = zeros[:, 0]
-    for j in (1, 2, 3):
-        tail = zeros[:, j] + (quads[:, j] == 0) * tail
-    cell = np.empty((x.size, _CELL.size), dtype=np.uint8)
-    cell[:] = _CELL
-    cell[:, 6] = lead + ord("0")
-    cell[:, 8:40:2] = _QUADS[quads].view(np.uint8)
-    cell[:, 43] = 32 + k    # ord("0") - X
-    cell[k == 0, 41:44] = np.frombuffer(b"+16", dtype=np.uint8)
-    # the mask row of (negative, X + 6, significant digits), X + 6 = 22 - k
-    cell &= masks[(x < 0) * (23 * 18) + 413 - 18 * k - tail]
+    10**16 <= d < 10**17 (overwritten), and k = 16 - X, laid out by `masks`;
+    values where `fallback` is set are "%-44" + fmt % value instead."""
+    # the lead digit, 10 more for a negative value, and the digit quads,
+    # each division by a scalar into a contiguous row
+    d += (x.view(np.int64) >> 63) & 10**17
+    parts = np.empty((5, x.size), dtype=np.int64)
+    np.floor_divide(d, 10**16, out=parts[0])
+    d -= parts[0] * 10**16
+    np.floor_divide(d, 10**8, out=parts[1])
+    np.subtract(d, parts[1] * 10**8, out=parts[3])
+    np.subtract(parts[1::2], parts[1::2] // 10**4 * 10**4, out=parts[2::2])
+    parts[1::2] //= 10**4
+    # the mask row of (X + 6, significant digits), X + 6 = 22 - k
+    row = _PLACES.take(parts[1:] + _QUAD_OFFSETS).max(axis=0) - 18 * k
+    parts[0] += 10_000
+    words = np.empty((x.size, 6), dtype=np.int64)
+    words[:, :5] = parts.T
+    np.add(k, 10_020, out=words[:, 5])
+    del parts
+    cell = _WORDS.take(words)
+    del words
+    cell &= masks.take(row, axis=0)
     fallback = np.flatnonzero(fallback)
     if fallback.size:
         # neither format prints a space, so the padding drops with the NULs
         text = ("%-44" + fmt) * fallback.size % tuple(x[fallback].tolist())
-        cell[fallback, :-1] = np.frombuffer(
+        cell.view(np.uint8)[fallback, :44] = np.frombuffer(
             text.encode(), dtype=np.uint8).reshape(fallback.size, -1)
     return cell
 
@@ -131,15 +142,18 @@ def _csv_rows(table: np.ndarray) -> bytes:
     row."""
     rows, cols = table.shape
     x = table.ravel()
-    _, k, p, e, fallback = _scaled(x)
+    _, k, _, p, e, fallback = _scaled(x)
     # no double with X in -6..16 rounds up to 10**17: that takes |x|
     # within 5e-18 of a power of ten, and the doubles nearest
     # 10**-5..10**17 are exact or above it
     d = p.astype(np.int64)
     d += np.rint(e).astype(np.int64)
+    del _, p, e
     cell = _cells(x, d, k, fallback, _CSV_MASKS, ".17g")
-    cell.reshape(rows, cols, -1)[:, -1, -1] = ord("\n")
-    return cell.tobytes().translate(None, b"\0 ")
+    cell.view(np.uint8).reshape(rows, cols, -1)[:, -1, 44] = ord("\n")
+    text = cell.tobytes()
+    del cell, d, k
+    return text.translate(None, b"\0 ")
 
 
 def _repr_cells(x: np.ndarray) -> np.ndarray:
@@ -161,11 +175,11 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     each of the 76 powers of two of exponent -6..16 the wider interval
     gives the same digits, so h serves for both sides.
     """
-    a, k, p, e, fallback = _scaled(x)
+    a, k, b, p, e, fallback = _scaled(x)
     bits = a.view(np.int64)
     # h * 2**54 = 10**k * 2**(E - 1022) for the biased exponent E of x;
     # the endpoints drop out for an odd mantissa
-    h = _POW10[k] * ((bits & (2047 << 52)) + (1 << 52)).view(np.float64)
+    h = b * ((bits & (2047 << 52)) + (1 << 52)).view(np.float64)
     h = h.astype(np.int64) - (bits & 1)
     near = np.rint(e)
     d = p.astype(np.int64) + near.astype(np.int64)   # the integer nearest v
@@ -173,7 +187,8 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     # the interval holds the integers d - down .. d + up
     down = (h + r) >> 54
     up = (h - r) >> 54
-    ones = d % 10
+    rest = d - d // 100 * 100
+    ones = rest - rest // 10 * 10
     tens_low = ones <= down
     tens_high = 10 - ones <= up
     tens = tens_low | tens_high
@@ -181,7 +196,6 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     rise = tens_high & (~tens_low | (ones > 5) | ((ones == 5) & (r < 0)))
     tie = np.where(tens, tens_low & tens_high & (ones == 5) & (r == 0),
                    np.abs(r) == 2**53)
-    rest = d % 100
     hundreds_high = 100 - rest <= up
     hundreds = (rest <= down) | hundreds_high
     d = np.where(hundreds, d - rest + 100 * hundreds_high,

@@ -132,8 +132,8 @@ def _fmt(value) -> str:
 def write_spectrum_csv(path: Path, s: Spectrum) -> None:
     """Emit `omega,P1,P2,Q` rows after a comment header carrying the
     resolved parameters. Every float is exactly "%.17g" % value; rows
-    are formatted by `_csv_rows` and written in chunks of
-    _CSV_CHUNK_ROWS, so memory does not grow with the grid."""
+    go through `_csv_rows` in chunks of _CSV_CHUNK_ROWS (640): memory
+    stays flat, and each chunk's arrays under glibc's mmap threshold."""
     header = "".join(f"# {key} = {_fmt(s.meta[key])}\n"
                      for key in sorted(s.meta))
     columns = (s.omegas, s.p1, s.p2, s.q)
@@ -152,9 +152,10 @@ def write_spectrum_json(path: Path, s: Spectrum) -> None:
     float, so only `meta` goes through it. Every float of the arrays is
     repr(value), as json writes a finite float (Spectrum admits no
     other), from the numpy kernel `_repr_cells` with a per-value %r
-    fallback. The arrays are taken in chunks of _JSON_CHUNK_VALUES values
-    that run on from one array into the next, and each chunk is written
-    before the next is formatted, so memory does not grow with the grid.
+    fallback. The arrays go in chunks of _JSON_CHUNK_VALUES (2560) values
+    that run on from one array into the next, each written before the next
+    is formatted: memory stays flat, and each chunk's arrays under glibc's
+    mmap threshold.
     Keys go out in sorted order: meta, omega, p1, p2, q, then raw_p1,
     raw_p2, raw_p3 as present, each with imag before real.
     """

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 import pulsespec as ps
 from conftest import closed_at, drive
 from oracles import mp_pair_blocks
-from pulsespec import cli, validation
+from pulsespec import _digits, cli, validation
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -506,7 +506,7 @@ def test_closed_form_sweep_json_matches_json_dumps(tmp_path):
 
 def test_json_writer_peak_memory_is_bounded(tmp_path):
     # 30,000 nodes with raw_p1 and raw_p2: eight float arrays, 6.1 MB of
-    # JSON; measured 2.4 MB, one array's text at a time (the json.dumps
+    # JSON; measured 0.76 MB, one chunk's text at a time (the json.dumps
     # writer peaked at 33.8 MB, a joined string at 18.4 MB)
     n = 30_000
     rng = np.random.default_rng(3)
@@ -528,7 +528,7 @@ def test_json_writer_peak_memory_is_bounded(tmp_path):
 
 
 def test_csv_writer_peak_memory_is_bounded(tmp_path):
-    # 30,000 nodes, 2.4 MB of CSV; measured 0.30 MB, one chunk of rows at
+    # 30,000 nodes, 2.4 MB of CSV; measured 0.34 MB, one chunk of rows at
     # a time (the single % call over the whole table peaked at 8.27 MB)
     n = 30_000
     rng = np.random.default_rng(3)
@@ -625,6 +625,35 @@ def test_write_failing_part_way_leaves_no_file(tmp_path, monkeypatch, capsys,
     assert len(calls) == 2
     assert capsys.readouterr().err.startswith("output error: ")
     assert list(out.iterdir()) == []
+
+
+def test_chunks_keep_their_cells_under_the_mmap_threshold(tmp_path,
+                                                         monkeypatch):
+    # glibc maps a block of 128 KiB or more afresh, so its pages fault on
+    # every chunk; and the default 1201-row grid goes out in 2 or 3 CSV
+    # chunks: more cost per-call dispatch, and one would leave
+    # test_write_failing_part_way_leaves_no_file no second chunk to fail
+    cells_of, rows_of = _digits._cells, cli._csv_rows
+    blocks, rows = [], []
+
+    def cells(*args):
+        out = cells_of(*args)
+        blocks.append(out.nbytes)
+        return out
+
+    def csv_rows(table):
+        rows.append(len(table))
+        return rows_of(table)
+    monkeypatch.setattr(_digits, "_cells", cells)
+    monkeypatch.setattr(cli, "_csv_rows", csv_rows)
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\nn_pulses = 8\n"
+                              "engine = closed_form\nformat = both\n")
+    assert cli.main(["spectrum", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 0
+    assert sum(rows) == 1201 and 2 <= len(rows) <= 3
+    # the JSON file's 4 x 1201 values fill at least one chunk
+    assert len(blocks) > len(rows) + 1
+    assert max(blocks) < 128 * 1024
 
 
 def test_sweep_manifest(tmp_path):

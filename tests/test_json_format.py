@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pulsespec import cli
-from test_csv_format import FLOAT_MAX, finite
+from test_csv_format import FLOAT_MAX, check as check_csv, finite
 
 
 def check(values):
@@ -64,6 +64,20 @@ def test_powers_of_ten_and_their_neighbours():
     powers = [float(f"1e{m}") for m in range(-30, 31)]
     values = neighbours(powers, 3)
     check(np.concatenate([values, -values]))
+
+
+def test_decade_neighbours_among_ordinary_values():
+    # next to a power of ten the log10 estimate of X misses by one, and
+    # the fix-up that moves k runs only for the values of a chunk that
+    # need it; here the neighbours of 10**-6..10**16 of both signs sit
+    # among ordinary values in one chunk of each kernel
+    rng = np.random.default_rng(17)
+    near = neighbours([float(f"1e{m}") for m in range(-6, 17)], 3)
+    ordinary = (rng.normal(size=4 * near.size)
+                * 10.0 ** rng.integers(-6, 17, 4 * near.size))
+    values = rng.permutation(np.concatenate([near, -near, ordinary]))
+    check(values)
+    check_csv(values, cols=2)
 
 
 def test_ties_between_shortest_candidates():
