@@ -310,9 +310,9 @@ def run_validate(cfg: dict, outdir: Path, written: list[Path]) -> int:
     fg = _freq_grid(cfg, p)
     g = make_time_grid(p, cfg.get("substeps"))
     traj = propagate_trajectory(p, g)
-    table = build_correlator_grids(p, g)
-    checks = node_checks(p, g, traj, table)
-    s_num = compute_numeric_spectrum(p, g, traj, table, fg)
+    pair = build_correlator_grids(p, g)
+    checks = node_checks(p, g, traj, pair)
+    s_num = compute_numeric_spectrum(p, g, traj, pair, fg)
     s_closed = closed_spectrum(p, fg)
     metrics = compare_spectra(s_num, s_closed)
     agreement, hint = agreement_checks(metrics, s_num, s_closed)
@@ -325,24 +325,23 @@ def run_validate(cfg: dict, outdir: Path, written: list[Path]) -> int:
     return 0 if passed else 1
 
 
+_COMMANDS = {"spectrum": run_spectrum, "sweep": run_sweep,
+             "validate": run_validate}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pulsespec",
-        description="Absorption spectra of a periodically pulsed "
-                    "two-level emitter")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, run, help_text in (
-            ("spectrum", run_spectrum,
-             "compute one spectrum per configured engine"),
-            ("sweep", run_sweep,
-             "one spectrum per parameter-grid point plus manifest"),
-            ("validate", run_validate, "cross-check engines and invariants")):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True,
-                         help="flat key=value config file")
-        cmd.add_argument("--output-dir", default=None,
-                         help="override the config output_dir")
-        cmd.set_defaults(run=run)
+        description="Absorption spectra of a periodically pulsed two-level "
+                    "emitter. spectrum: one spectrum per configured engine; "
+                    "sweep: one spectrum per parameter-grid point plus "
+                    "manifest; validate: cross-check engines and "
+                    "invariants.")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True,
+                        help="flat key=value config file")
+    parser.add_argument("--output-dir", default=None,
+                        help="override the config output_dir")
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
@@ -354,7 +353,7 @@ def main(argv=None) -> int:
     try:
         try:
             outdir.mkdir(parents=True, exist_ok=True)
-            return args.run(cfg, outdir, written)
+            return _COMMANDS[args.command](cfg, outdir, written)
         except BaseException:
             for path in written:
                 path.unlink(missing_ok=True)

@@ -7,9 +7,8 @@ average of the two one-sided limits, the final theta node of a row takes
 the left limit, and every interior pulse time combines the post-pulse
 row with its pre-pulse companion at half weight each. This keeps the
 composite rule second order in dt; sampling a single side of each jump
-degrades it to first order. The left limits and the companion are not
-marched: `correlators.one_sided_limits` derives them from the table of
-post-pulse values.
+degrades it to first order. `correlators.build_correlator_grids`
+returns both one-sided limits, the companion included, as one pair.
 
 Every correlator row is a population from the trajectory times one of
 the n_sub residue rows or the companion, which depend on the grid alone,
@@ -51,15 +50,15 @@ import numpy as np
 from .core import (DriveParams, FrequencyGrid, GridMismatch, Spectrum,
                    TimeGrid, build_meta, make_frequency_grid, make_time_grid,
                    two_prod)
-from .correlators import build_correlator_grids, one_sided_limits
+from .correlators import build_correlator_grids
 from .lindblad import propagate_trajectory
 
 
 def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
-                             table: np.ndarray, fg: FrequencyGrid) -> Spectrum:
-    """Assemble the numeric spectrum from the trajectory and the pair table.
+                             pair: np.ndarray, fg: FrequencyGrid) -> Spectrum:
+    """Assemble the numeric spectrum from the trajectory and the pair.
 
-    traj is the propagate_trajectory output on g, table the
+    traj is the propagate_trajectory output on g, pair the
     build_correlator_grids output. Trapezoid over t of the per-row theta
     transforms. The summation is collapsed over t first (S[j] = sum_i of
     fully weighted samples), so the theta transform runs once, by chirp-z,
@@ -67,12 +66,12 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
     output reproducible bit for bit.
     """
     n_sub = g.substeps_per_interval
-    if table.shape != (n_sub, 2 * n_sub) or traj.shape != (g.n_nodes, 2):
+    shape = (2, n_sub + 1, 2 * n_sub)
+    if pair.shape != shape or traj.shape != (g.n_nodes, 2):
         raise GridMismatch(
-            f"pair table has shape {table.shape} and trajectory "
-            f"{traj.shape}, time grid needs {(n_sub, 2 * n_sub)} "
-            f"and {(g.n_nodes, 2)}")
-    raw_p1, raw_p2 = theta_transform(theta_sums(p, g, traj, table), g.dt, fg)
+            f"pair has shape {pair.shape} and trajectory {traj.shape}, "
+            f"time grid needs {shape} and {(g.n_nodes, 2)}")
+    raw_p1, raw_p2 = theta_transform(theta_sums(p, g, traj, pair), g.dt, fg)
     # copies: with views of the complex arrays validate ran 8% slower
     return Spectrum(omegas=fg.omegas.copy(), p1=raw_p1.real.copy(),
                     p2=raw_p2.real.copy(), raw_p1=raw_p1, raw_p2=raw_p2,
@@ -81,13 +80,13 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
 
 
 def theta_sums(p: DriveParams, g: TimeGrid, traj: np.ndarray,
-               table: np.ndarray) -> np.ndarray:
+               pair: np.ndarray) -> np.ndarray:
     """S[k, j], j = 0..N-1: the trapezoid over t and theta of the
     correlators of population k at theta_j = j*dt, from the trajectory
-    and the pair table of matching shapes."""
+    and the pair of matching shapes."""
     n_sub, n_int = g.substeps_per_interval, g.n_intervals
-    pair = 2 * n_sub
-    rows, before = one_sided_limits(p, g, table)
+    period = 2 * n_sub
+    rows, before = pair
     last = g.n_nodes - 1
     dt = g.dt
     # t node i < last owns the theta range j = 0..last-i; node `last` has
@@ -115,19 +114,19 @@ def theta_sums(p: DriveParams, g: TimeGrid, traj: np.ndarray,
     # three values, so S is one product of the running sums at the three
     # counts per q with the rows split by floor; running is real, so it is
     # a real product with the rows' real and imaginary parts interleaved.
-    n_q = (last - 1) // pair + 1
+    n_q = (last - 1) // period + 1
     q = np.arange(n_q)
-    u = np.arange(1, pair + 1) + np.append(np.arange(n_sub), 0)[:, None]
+    u = np.arange(1, period + 1) + np.append(np.arange(n_sub), 0)[:, None]
     floor = np.arange(3)[:, None, None]
     split = np.where(u // n_sub == floor, rows, 0.0)
     np.add(split, before, out=split, where=(u - 1) // n_sub == floor)
     split *= 0.5
     count = np.maximum(n_int - 2 * q[:, None] - np.arange(3), 0)
     # body[k, q, c] is s[k, 1 + q*P + c]; past j = last it pads with zeros
-    s = np.empty((2, 1 + n_q * pair), dtype=complex)
-    body = s[:, 1:].reshape(2, n_q, pair)
+    s = np.empty((2, 1 + n_q * period), dtype=complex)
+    body = s[:, 1:].reshape(2, n_q, period)
     np.matmul(np.take(running, count, axis=1).reshape(2, n_q, -1),
-              split.view(float).reshape(-1, 2 * pair), out=body.view(float))
+              split.view(float).reshape(-1, 2 * period), out=body.view(float))
     body *= (rows[0, -1] ** q)[:, None]
     # the theta weight is dt, halved at j = 0, where every row is 1
     s[:, 0] = 0.5 * running[:, n_int].sum(axis=1)
@@ -220,10 +219,10 @@ def theta_transform(s: np.ndarray, dt: float,
 
 def numeric_spectrum(p: DriveParams, fg: FrequencyGrid | None = None,
                      substeps: int | None = None) -> Spectrum:
-    """Convenience pipeline: trajectory, pair table, then assembly."""
+    """Convenience pipeline: trajectory, pair, then assembly."""
     g = make_time_grid(p, substeps)
     traj = propagate_trajectory(p, g)
-    table = build_correlator_grids(p, g)
+    pair = build_correlator_grids(p, g)
     if fg is None:
         fg = make_frequency_grid(p)
-    return compute_numeric_spectrum(p, g, traj, table, fg)
+    return compute_numeric_spectrum(p, g, traj, pair, fg)

@@ -1,6 +1,6 @@
-"""The checks of `validate` and the exact node references they read. Of
-the numeric engine only one_sided_limits, the values checked, is used:
-the references share no table with either engine."""
+"""The checks of `validate` and the exact node references they read.
+Only `core` is imported: the checks read the arrays the numeric engine
+hands them, and the references share no table with either engine."""
 from __future__ import annotations
 
 import math
@@ -8,7 +8,6 @@ import math
 import numpy as np
 
 from .core import DriveParams, PulsespecError, Spectrum, TimeGrid
-from .correlators import one_sided_limits
 
 L2_REL_TOLERANCE = 0.05
 SUM_RULE_TOLERANCE = 0.05
@@ -97,35 +96,37 @@ def check_table(checks: dict) -> dict:
 
 
 def node_checks(p: DriveParams, g: TimeGrid,
-                traj: np.ndarray, table: np.ndarray) -> dict:
-    """Node-level checks of the propagation against exact identities."""
+                traj: np.ndarray, pair: np.ndarray) -> dict:
+    """Node-level checks of the propagation against exact identities:
+    traj and pair are the arrays the quadrature reads, the outputs of
+    propagate_trajectory and build_correlator_grids on g, and are only
+    read."""
     ee, gg = traj.T
     trace_dev = float(np.max(np.abs(ee + gg - 1.0)))
     population_dev = float(np.max(np.abs(gg - rho_gg_analytic(g.times, p))))
     # Every t node of residue r shares row r, so row r marched from node r
-    # covers every value the quadrature reads, once the derived values are
-    # checked as well. The companion (row n_sub), the row of node 0 past
+    # covers every value the quadrature reads, post-pulse values and left
+    # limits alike. The companion (row n_sub), the row of node 0 past
     # the pulse at tau, is zero before the next pulse, then row 0's kernel
     # one interval earlier times conj(free[0]): no division, which is 0/0
     # once free[0] underflows. The left limits are the kernel one sub-step
     # earlier times the free step. The kernel is one f_analytic call over
     # the 1-D theta axis j*dt, j = 0..P, against the column of start times
     # r*dt; its last row is then overwritten with the companion, made from
-    # row 0. Column c of the one-sided limits stands for theta = (c + 1)*dt.
+    # row 0. Column c of the pair stands for theta = (c + 1)*dt.
     n_sub, last = g.substeps_per_interval, g.n_nodes - 1
-    pair = 2 * n_sub
     free = np.exp((1j * p.delta - 0.5 * p.gamma) * np.array([p.tau, g.dt]))
     r = np.arange(n_sub + 1)[:, None]
-    c = np.arange(pair + 1)
+    c = np.arange(2 * n_sub + 1)
     kernel = f_analytic(r * g.dt, c * g.dt, p)
     kernel[n_sub, :n_sub] = 0.0
     kernel[n_sub, n_sub:] = kernel[0, :n_sub + 1] * free[0].conj()
     # a value counts where a t node's range reaches it; np.maximum and
     # np.max keep a NaN, so it fails the check
     in_range = c[1:] <= last - r
-    post, before = one_sided_limits(p, g, table)
-    post -= kernel[:, 1:]
-    before -= kernel[:, :-1] * free[1]
+    before = kernel[:, :-1] * free[1]
+    before -= pair[1]
+    post = np.subtract(kernel[:, 1:], pair[0], out=kernel[:, 1:])
     dev = np.maximum(np.abs(post), np.abs(before))
     factor_dev = float(np.max(dev, where=in_range, initial=0.0))
     return check_table({

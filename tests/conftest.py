@@ -9,8 +9,8 @@ def drive(n_pulses, delta=3.0, tau=0.2, free_time=None):
                           free_time=free_time)
 
 
-# (params, substeps) on which the trajectory and the pair table equal the
-# reference march of whole matrices exactly: pulse-free, the one- and
+# (params, substeps) on which the trajectory and the pair's marched values
+# equal the reference march of whole matrices exactly: pulse-free, the one- and
 # two-pulse trains that end the pair march early, three pulses, one
 # substep, the benchmark grids, long trains, a negative detuning, and the
 # golden cases of test_spectrum_numeric
@@ -31,18 +31,17 @@ MARCH_GRIDS = {
 }
 
 
-def unfold(sides, row, count, side=0):
-    """Row `row` over theta_j = j*dt, j < count, of the one-sided limits
-    `sides`, the (post, before) pair that `one_sided_limits` derives from
-    the marched table: 1 at j = 0, then factor**((j - 1) // P) times
-    column (j - 1) % P of sides[side], with factor = sides[0][0, -1], row 0
-    at theta = P*dt. Rows below n_sub are the residue rows and row n_sub is
-    the companion; side=1 gives the left limits instead of the post-pulse
-    values."""
+def unfold(pair, row, count, side=0):
+    """Row `row` over theta_j = j*dt, j < count, of `pair`, the (post,
+    before) one-sided limits that `build_correlator_grids` returns: 1 at
+    j = 0, then factor**((j - 1) // P) times column (j - 1) % P of
+    pair[side], with factor = pair[0, 0, -1], row 0 at theta = P*dt. Rows
+    below n_sub are the residue rows and row n_sub is the companion;
+    side=1 gives the left limits instead of the post-pulse values."""
     c = np.arange(count - 1)
-    pair = sides[0].shape[1]
-    return np.append(1.0, sides[0][0, -1] ** (c // pair)
-                     * sides[side][row, c % pair])
+    period = pair.shape[2]
+    return np.append(1.0, pair[0, 0, -1] ** (c // period)
+                     * pair[side, row, c % period])
 
 
 def closed_at(n_pulses, delta=3.0, tau=0.2):

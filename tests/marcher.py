@@ -1,15 +1,16 @@
-"""The generic 2 x 2 marcher: the reference of the trajectory and the
-pair table.
+"""The generic 2 x 2 marcher: the reference of the trajectory and of the
+pair of one-sided limits.
 
 A density matrix is a complex array of shape (..., 2, 2) in the layout
 [[ee, eg], [ge, gg]]; the maps below act on any such matrix, physical or
 not. The package builds each of its stages from the part of the matrix
 it reads, since the free map and the swap never mix populations with
 coherences. `march` advances whole matrices instead, with the same
-free-map tables and the same swap, so the package's trajectory and pair
-table must equal `march_trajectory` and `march_block` exactly, not to a
-tolerance; the left limits that the package derives instead of marching
-match within rounding.
+free-map tables and the same swap, so the package's trajectory and the
+marched post-pulse values of its pair must equal `march_trajectory` and
+`march_block` exactly, within the grid, not to a tolerance; the left
+limits that the package derives instead of marching match within
+rounding.
 Unlike `oracles`, this module uses the package's free map on purpose.
 """
 import numpy as np
@@ -95,8 +96,11 @@ def march_block(p, g):
     left limits, of the residue rows r < n_sub and of the companion, row
     n_sub. Row r is the seed ge = 1 freely evolved from node r to node
     n_sub, swapped there, and marched on; column c is theta = (c + 1)*dt.
-    [0, :n_sub] is `pulsespec.build_correlator_grids`, and the block is
-    what `pulsespec.correlators.one_sided_limits` derives from it.
+    Where a t node's range reaches it, the block is the pair that
+    `pulsespec.build_correlator_grids` returns: [0, :n_sub] bit for bit,
+    as the build marches it, and the derived rest within rounding. The
+    march runs on to node P at least, past the end of a one-interval
+    grid, where the pair holds zeros.
     """
     n_nodes, n_sub = g.n_nodes, g.substeps_per_interval
     pair = 2 * n_sub

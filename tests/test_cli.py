@@ -572,6 +572,22 @@ def test_exit_codes(tmp_path, capsys):
     assert "tau" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{cfg}"],
+    ["validate"],
+    ["--config", "{cfg}"],
+], ids=["unknown-command", "no-config", "no-command"])
+def test_usage_errors_exit_2_without_output(tmp_path, capsys, argv):
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\nn_pulses = 2\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([arg.format(cfg=cfg) for arg in argv]
+                 + ["--output-dir", str(out)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: pulsespec")
+    assert sorted(tmp_path.iterdir()) == [Path(cfg)]
+
+
 @pytest.mark.parametrize("command, settings, blocked", [
     ("spectrum", "engine = closed_form", "out"),
     ("sweep", "engine = closed_form", "out/spectrum_delta3_tau0.2_np12.csv"),
@@ -758,46 +774,34 @@ def test_validate_two_pulses_pass(tmp_path):
     assert report["metrics"]["l2_rel"] <= 0.01
 
 
-def factorization_case(substeps=20):
-    p = drive(8)
+def factorization_case(substeps=20, n_pulses=8):
+    p = drive(n_pulses)
     g = ps.make_time_grid(p, substeps)
     return p, g, ps.propagate_trajectory(p, g), ps.build_correlator_grids(p, g)
 
 
-def factorization_passes(p, g, traj, table):
-    check = validation.node_checks(p, g, traj, table)["correlator_factorization"]
+def factorization_passes(p, g, traj, pair):
+    check = validation.node_checks(p, g, traj, pair)["correlator_factorization"]
     return check["pass"]
-
-
-def derive_with(monkeypatch, side, row, column, change):
-    """Make validate's derivation of the one-sided limits apply `change` to
-    sides[side][row, column] of what it derives."""
-    derive = validation.one_sided_limits
-
-    def changed(*args):
-        sides = derive(*args)
-        sides[side][row, column] = change(sides[side][row, column])
-        return sides
-    monkeypatch.setattr(validation, "one_sided_limits", changed)
 
 
 def test_factorization_check_covers_every_row_value():
     # at 20 substeps of drive(8) a 1-in-2 stride over (t, theta) nodes
     # never reaches the rows of odd residue
-    p, g, traj, table = factorization_case()
-    assert factorization_passes(p, g, traj, table)
-    table[1, 5 - 1] += 1e-6      # theta = 5*dt
-    assert not factorization_passes(p, g, traj, table)
+    p, g, traj, pair = factorization_case()
+    assert factorization_passes(p, g, traj, pair)
+    pair[0, 1, 5 - 1] += 1e-6      # theta = 5*dt
+    assert not factorization_passes(p, g, traj, pair)
 
 
 def test_factorization_check_covers_every_table_entry():
-    # every entry feeds the quadrature, as a post-pulse value, as the left
-    # limit one step later, and for row 0 as the companion one interval
-    # later; at 4 substeps of drive(8) every t node's range reaches all
-    p, g, traj, table = factorization_case(4)
-    assert factorization_passes(p, g, traj, table)
-    for entry in np.ndindex(table.shape):
-        changed = table.copy()
+    # every entry of the pair feeds the quadrature, post-pulse values and
+    # left limits of the residue rows and of the companion; at 4 substeps
+    # of drive(8) every t node's range reaches all
+    p, g, traj, pair = factorization_case(4)
+    assert factorization_passes(p, g, traj, pair)
+    for entry in np.ndindex(pair.shape):
+        changed = pair.copy()
         changed[entry] += 1e-6
         assert not factorization_passes(p, g, traj, changed), entry
 
@@ -808,38 +812,44 @@ def test_factorization_check_covers_every_table_entry():
     ("before", 20, 40),    # companion at its second crossing
 ])
 def test_factorization_check_covers_companion_and_left_limits(
-        monkeypatch, values, row, theta):
+        values, row, theta):
     # the companion row and the pre-swap limits feed every crossing of the
-    # assembly; they are derived from the table, and the check reads the
-    # derived values, so a fault in the derivation fails it. theta*dt is
-    # column theta - 1 of the one-pair rows (P = 40), post-pulse values
-    # and left limits, with the companion as row 20.
-    p, g, traj, table = factorization_case()
-    assert factorization_passes(p, g, traj, table)
-    derive_with(monkeypatch, ("rows", "before").index(values), row,
-                theta - 1, lambda value: value + 1e-6)
-    assert not factorization_passes(p, g, traj, table)
+    # assembly; they are derived in the build, and the check reads the
+    # pair the quadrature reads, so a fault in the derivation fails it.
+    # theta*dt is column theta - 1 of the one-pair rows (P = 40),
+    # post-pulse values and left limits, with the companion as row 20.
+    p, g, traj, pair = factorization_case()
+    assert factorization_passes(p, g, traj, pair)
+    pair[("rows", "before").index(values), row, theta - 1] += 1e-6
+    assert not factorization_passes(p, g, traj, pair)
 
 
 def test_factorization_check_covers_the_pair_factor():
     # row 0 at theta = P*dt is the factor that carries every row past its
     # first pulse pair
-    p, g, traj, table = factorization_case()
-    assert factorization_passes(p, g, traj, table)
-    table[0, -1] += 1e-6
-    assert not factorization_passes(p, g, traj, table)
+    p, g, traj, pair = factorization_case()
+    assert factorization_passes(p, g, traj, pair)
+    pair[0, 0, -1] += 1e-6
+    assert not factorization_passes(p, g, traj, pair)
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["rows", "before"])
-def test_factorization_check_fails_on_nan(monkeypatch, side):
+def test_factorization_check_fails_on_nan(side):
     # max(dev, nan) kept the earlier value, so a NaN passed the check: a
-    # NaN in the table, or in a derived left limit
-    p, g, traj, table = factorization_case()
-    if side == 0:
-        table[3, 7] = np.nan
-    else:
-        derive_with(monkeypatch, 1, 3, 7, lambda value: np.nan)
-    assert not factorization_passes(p, g, traj, table)
+    # NaN in a post-pulse value, or in a left limit
+    p, g, traj, pair = factorization_case()
+    pair[side, 3, 7] = np.nan
+    assert not factorization_passes(p, g, traj, pair)
+
+
+@pytest.mark.parametrize("n_pulses, substeps", [(8, 20), (1, 7), (20, 80)])
+def test_node_checks_only_read_their_inputs(n_pulses, substeps):
+    # the checks subtract into arrays of their own: the trajectory and the
+    # pair go on to the quadrature unchanged
+    p, g, traj, pair = factorization_case(substeps, n_pulses)
+    kept = traj.tobytes(), pair.tobytes()
+    validation.node_checks(p, g, traj, pair)
+    assert (traj.tobytes(), pair.tobytes()) == kept
 
 
 @pytest.mark.filterwarnings("error")

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 import pulsespec as ps
 from conftest import drive, nearest_peak
 from marcher import apply_pi_pulse, march
-from pulsespec import spectrum_numeric
 from pulsespec.spectrum_numeric import fft_length, theta_transform
 
 GOLDEN = Path(__file__).parent / "data" / "numeric_golden.npz"
@@ -127,16 +126,16 @@ def test_fft_length_rule():
 
 def test_long_train_peak_memory():
     # 10,000 pulses x 20 substeps: 200001 time nodes, 1201 frequencies;
-    # measured 28.0 MB above the inputs
+    # measured 26.0 MB above the inputs
     p = drive(10_000)
     g = ps.make_time_grid(p)
     traj = ps.propagate_trajectory(p, g)
-    table = ps.build_correlator_grids(p, g)
+    pair = ps.build_correlator_grids(p, g)
     fg = ps.make_frequency_grid(p)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        ps.compute_numeric_spectrum(p, g, traj, table, fg)
+        ps.compute_numeric_spectrum(p, g, traj, pair, fg)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -152,26 +151,21 @@ def test_observed_dt_order_is_two():
     assert 1.8 <= order <= 2.2
 
 
-def test_zero_grids_give_zero_spectrum(monkeypatch):
+def test_zero_grids_give_zero_spectrum():
     p = drive(2)
     g = ps.make_time_grid(p, 5)
     traj = ps.propagate_trajectory(p, g)
-    table = ps.build_correlator_grids(p, g)
+    pair = ps.build_correlator_grids(p, g)
     fg = ps.make_frequency_grid(p)
     # zero populations with the real rows give zero
-    s = ps.compute_numeric_spectrum(p, g, np.zeros_like(traj), table, fg)
+    s = ps.compute_numeric_spectrum(p, g, np.zeros_like(traj), pair, fg)
     assert np.all(s.p1 == 0.0)
     assert np.all(s.p2 == 0.0)
     assert np.all(s.q == 0.0)
     # zero rows past theta = 0, left limits and companion included, with the
     # real populations leave the theta = 0 term alone, where every row is 1:
-    # a flat spectrum. The left limits of a zero table are not zero (one
-    # step after theta = 0 they are the free rotation), so the derivation
-    # is replaced.
-    zeros = np.zeros((6, 10), dtype=complex)
-    monkeypatch.setattr(spectrum_numeric, "one_sided_limits",
-                        lambda p, g, table: (zeros, zeros))
-    s = ps.compute_numeric_spectrum(p, g, traj, table, fg)
+    # a flat spectrum
+    s = ps.compute_numeric_spectrum(p, g, traj, np.zeros_like(pair), fg)
     for part in (s.p1, s.p2):
         assert part[0] > 0.0 and np.all(part == part[0])
 
@@ -260,20 +254,20 @@ def test_grid_mismatch_detected():
     p = drive(8)
     g = ps.make_time_grid(p)
     traj = ps.propagate_trajectory(p, g)
-    table = ps.build_correlator_grids(p, g)
+    pair = ps.build_correlator_grids(p, g)
     with pytest.raises(ps.GridMismatch):
-        ps.compute_numeric_spectrum(p, g, traj[:-1], table,
+        ps.compute_numeric_spectrum(p, g, traj[:-1], pair,
                                     ps.make_frequency_grid(p))
 
 
 def test_grid_mismatch_between_grids():
-    # the pair table must be the one of the time grid
+    # the pair must be the one of the time grid
     p = drive(2)
     g = ps.make_time_grid(p, 5)
     traj = ps.propagate_trajectory(p, g)
-    table = ps.build_correlator_grids(p, ps.make_time_grid(p, 6))
+    pair = ps.build_correlator_grids(p, ps.make_time_grid(p, 6))
     with pytest.raises(ps.GridMismatch):
-        ps.compute_numeric_spectrum(p, g, traj, table,
+        ps.compute_numeric_spectrum(p, g, traj, pair,
                                     ps.make_frequency_grid(p))
 
 

@@ -1,9 +1,9 @@
 """Module boundaries around `validate`.
 
 closed_form holds the closed-form engine alone; validation holds the
-checks of `validate` and the exact node references they read, and takes
-from the numeric engine only the values it checks, never the engine's
-own tables; and no engine module reaches the front end, its float
+checks of `validate` and the exact node references they read, imports
+only core and checks the arrays it is handed, never the engine's own
+derivation; and no engine module reaches the front end, its float
 kernels or the checks, so neither engine can lean on what checks it.
 """
 import ast
@@ -64,11 +64,8 @@ def test_node_references_keep_their_package_names():
         assert name in ps.__all__
 
 
-def test_validation_takes_only_the_checked_values_from_the_numeric_engine():
-    found = imports_from("validation")
-    assert {name: found[name] for name in found if name in NUMERIC} == {
-        "correlators": {"one_sided_limits"}}
-    assert not set(found) & CLOSED
+def test_validation_imports_only_core():
+    assert set(imports_from("validation")) == {"core"}
     names = set()
     for node in ast.walk(tree("validation")):
         if isinstance(node, ast.Name):
@@ -78,8 +75,8 @@ def test_validation_takes_only_the_checked_values_from_the_numeric_engine():
         elif isinstance(node, ast.alias):
             names.add(node.name)
     # guards the scan itself
-    assert "one_sided_limits" in names
-    assert "_free_map" not in names
+    assert "f_analytic" in names
+    assert not names & {"_free_map", "build_correlator_grids"}
 
 
 def test_no_engine_module_reaches_the_front_end_or_the_checks():
