@@ -310,9 +310,9 @@ def run_validate(cfg: dict, outdir: Path, written: list[Path]) -> int:
     fg = _freq_grid(cfg, p)
     g = make_time_grid(p, cfg.get("substeps"))
     traj = propagate_trajectory(p, g)
-    pair = build_correlator_grids(p, g)
-    checks = node_checks(p, g, traj, pair)
-    s_num = compute_numeric_spectrum(p, g, traj, pair, fg)
+    kernel = build_correlator_grids(p, g)
+    checks = node_checks(p, g, traj, kernel)
+    s_num = compute_numeric_spectrum(p, g, traj, kernel, fg)
     s_closed = closed_spectrum(p, fg)
     metrics = compare_spectra(s_num, s_closed)
     agreement, hint = agreement_checks(metrics, s_num, s_closed)

@@ -196,22 +196,20 @@ def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
     Without `substeps` each interval takes default_substeps(tau, delta)
     sub-steps. The grid spans p.n_intervals periods: [0, n_pulses*tau],
     or for the pulse-free mode at least free_time. Raises GridTooLarge
-    when the numeric engine's largest array would exceed MAX_ARRAY_CELLS.
-    That is either the pair arrays, which theta_sums forms at every train
-    length (a 3 x (n_sub + 1) x 2*n_sub split), counted as
-    4 x (n_sub + 1) x (2*n_sub + 1) cells, or the chirp-z buffer,
-    2 x fft_length(n_nodes, M) values: 4 x n_nodes within the budget
-    keeps it there for every M up to MAX_FREQUENCY_NODES.
+    when 4 x n_nodes cells exceed MAX_ARRAY_CELLS. That bounds the
+    chirp-z buffer, 2 x fft_length(n_nodes, M) values, for every M up to
+    MAX_FREQUENCY_NODES; every other array of the engine is O(n_nodes),
+    and the kernel table's 6 x n_sub cells are at most 1.5 times the
+    budget, on a one-interval grid.
     """
     n_sub = (default_substeps(p.tau, p.delta) if substeps is None
              else _count("substeps", substeps))
     if n_sub < 1:
         raise PulsespecError(f"substeps must be >= 1, got {n_sub}")
     n_nodes = p.n_intervals * n_sub + 1
-    cells = 4 * max((n_sub + 1) * (2 * n_sub + 1), n_nodes)
-    if cells > MAX_ARRAY_CELLS:
+    if 4 * n_nodes > MAX_ARRAY_CELLS:
         raise GridTooLarge(
-            f"{n_sub} substeps x {n_nodes} nodes need {cells} array "
+            f"{n_sub} substeps x {n_nodes} nodes need {4 * n_nodes} array "
             f"cells, above {MAX_ARRAY_CELLS}")
     return TimeGrid(substeps_per_interval=n_sub, dt=p.tau / n_sub,
                     n_intervals=p.n_intervals)

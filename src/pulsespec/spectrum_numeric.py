@@ -1,4 +1,4 @@
-"""Quadrature assembly of the numeric spectrum from propagator rows.
+"""Quadrature assembly of the numeric spectrum from the kernel table.
 
 The double integral over (t, theta) is a trapezoidal rule on both axes
 honoring the ragged theta ranges [0, T - t_i]. At pulse crossings the
@@ -7,27 +7,27 @@ average of the two one-sided limits, the final theta node of a row takes
 the left limit, and every interior pulse time combines the post-pulse
 row with its pre-pulse companion at half weight each. This keeps the
 composite rule second order in dt; sampling a single side of each jump
-degrades it to first order. `correlators.build_correlator_grids`
-returns both one-sided limits, the companion included, as one pair.
+degrades it to first order.
 
-Every correlator row is a population from the trajectory times one of
-the n_sub residue rows or the companion, which depend on the grid alone,
-so the sum over t at fixed theta_j groups by row: each propagator row is
-multiplied by the running sum of the weighted populations of the t nodes
-whose theta range reaches past j. The final node of each range carries a
-half weight and the left limit; it is the next node of its row, so it
-extends that row's running sum by one node. The rows are known over one
-pulse pair of P = 2*n_sub nodes, theta = dt..P*dt, and repeat with a
-factor per pair, so with j = 1 + q*P + c
+Every correlator is a population from the trajectory times one entry
+of the (3, P) kernel table of `correlators.build_correlator_grids`, P =
+2*n_sub, so the sum over t at fixed theta_j groups by entry. From a
+start node of residue r (the companion is residue n_sub), j = 1 + q*P +
+c reaches node u = r + c + 1 of the row past q pulse pairs and reads
+factor**q * kernel[f, c]: f = u // n_sub for the value, (u - 1) // n_sub
+for the left limit. n_int - 2q - f nodes of residue r reach j, and the
+left limit's floor counts one more where a range ends there. With
+running[m, r] the weighted populations of the first m nodes of residue r,
 
-    S[1 + q*P + c] = factor**q * sum_r (post[r, c] * running[m, r]
-                                        + before[r, c] * running[m', r]) / 2,
+    S[1 + q*P + c] = factor**q / 2 * sum_f kernel[f, c] * W_f,
 
-with post and before the two one-sided limits, m the number of t nodes
-of row r whose range passes j, and m' = m + 1 where a range ends at j,
-else m. m and m' take one of three values per q, so S is one matrix
-product of the running sums at those three counts with the rows split
-three ways, and nothing of size (n_sub + 1) x N is formed.
+W_f summing running[n_int - 2q - f, r] over the residues whose value has
+floor f, and again over those whose left limit has. For c = a*n_sub + b
+the value has floor a on r < n_sub - 1 - b, the left limit on r < n_sub
+- b, and both a + 1 above: W_a is two prefix sums over r, W_(a+1) two
+suffix sums, and the companion adds itself at floor 2. Each is a
+cumulative sum, never a difference, so no digits cancel, and S costs
+O(N) for N time nodes.
 
 On the uniform grid theta_j = j*dt the transform to omega is the
 polynomial sum_j S[j] z**j at z = exp(-i*omega_k*dt), at the nodes
@@ -55,23 +55,24 @@ from .lindblad import propagate_trajectory
 
 
 def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
-                             pair: np.ndarray, fg: FrequencyGrid) -> Spectrum:
-    """Assemble the numeric spectrum from the trajectory and the pair.
+                             kernel: np.ndarray,
+                             fg: FrequencyGrid) -> Spectrum:
+    """Assemble the numeric spectrum from the trajectory and the kernel.
 
-    traj is the propagate_trajectory output on g, pair the
+    traj is the propagate_trajectory output on g, kernel the
     build_correlator_grids output. Trapezoid over t of the per-row theta
     transforms. The summation is collapsed over t first (S[j] = sum_i of
     fully weighted samples), so the theta transform runs once, by chirp-z,
     instead of once per row; the reduction order is fixed, making the
     output reproducible bit for bit.
     """
-    n_sub = g.substeps_per_interval
-    shape = (2, n_sub + 1, 2 * n_sub)
-    if pair.shape != shape or traj.shape != (g.n_nodes, 2):
+    shape = (3, 2 * g.substeps_per_interval)
+    if kernel.shape != shape or traj.shape != (g.n_nodes, 2):
         raise GridMismatch(
-            f"pair has shape {pair.shape} and trajectory {traj.shape}, "
+            f"kernel has shape {kernel.shape} and trajectory {traj.shape}, "
             f"time grid needs {shape} and {(g.n_nodes, 2)}")
-    raw_p1, raw_p2 = theta_transform(theta_sums(p, g, traj, pair), g.dt, fg)
+    raw_p1, raw_p2 = theta_transform(theta_sums(p, g, traj, kernel), g.dt,
+                                     fg)
     # copies: with views of the complex arrays validate ran 8% slower
     return Spectrum(omegas=fg.omegas.copy(), p1=raw_p1.real.copy(),
                     p2=raw_p2.real.copy(), raw_p1=raw_p1, raw_p2=raw_p2,
@@ -79,58 +80,82 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
                     meta=build_meta(p, fg, "numeric", grid=g))
 
 
+def _doubled_windows(x: np.ndarray) -> np.ndarray:
+    """w[:, r] + w[:, r + 1], r = 0..n - 1, for w[:, r] the sum of x over
+    the rows r' < r of its axis 1: two prefix sums, never a difference."""
+    w = np.zeros((x.shape[0], x.shape[1] + 1) + x.shape[2:])
+    np.cumsum(x, axis=1, out=w[:, 1:])
+    return np.add(w[:, :-1], w[:, 1:])
+
+
 def theta_sums(p: DriveParams, g: TimeGrid, traj: np.ndarray,
-               pair: np.ndarray) -> np.ndarray:
+               kernel: np.ndarray) -> np.ndarray:
     """S[k, j], j = 0..N-1: the trapezoid over t and theta of the
     correlators of population k at theta_j = j*dt, from the trajectory
-    and the pair of matching shapes."""
+    and the kernel table of matching shapes."""
     n_sub, n_int = g.substeps_per_interval, g.n_intervals
     period = 2 * n_sub
-    rows, before = pair
     last = g.n_nodes - 1
-    dt = g.dt
     # t node i < last owns the theta range j = 0..last-i; node `last` has
-    # an empty range and a vanishing integral
-    nodes = np.arange(last)
-    pulse = (nodes % n_sub == 0) & (nodes > 0) & (p.n_pulses >= 1)
-    w_t = np.full(last, dt)
-    w_t[0] *= 0.5
-    w_t[pulse] *= 0.5
-    # pops[k, i] is population k of t node i, trapezoid-weighted, and
-    # running[k, m, r] sums the first m nodes i = m'*n_sub + r of row r; the
-    # companion's are the interior pulse nodes, populations swapped back
-    pops = w_t * traj[:last].T
+    # an empty range and a vanishing integral. Node 0 and the interior
+    # pulse nodes take half the weight. running[k, m, r] sums population
+    # k, weighted, over the first m nodes i = m'*n_sub + r of residue r;
+    # the companion's, column n_sub, are the interior pulse nodes,
+    # populations swapped back.
     running = np.zeros((2, n_int + 1, n_sub + 1))
-    running[:, 1:, :n_sub] = pops.reshape(2, n_int, n_sub)
-    running[:, 1:, n_sub] = pops[::-1, ::n_sub] * pulse[::n_sub]
+    w_t = np.full(last, g.dt)
+    w_t[0] *= 0.5
+    if p.n_pulses >= 1:
+        w_t[n_sub::n_sub] *= 0.5
+    np.multiply(traj[:last].T.reshape(2, n_int, n_sub),
+                w_t.reshape(n_int, n_sub), out=running[:, 1:, :n_sub])
+    if p.n_pulses >= 1:
+        running[:, 2:, n_sub] = running[::-1, 2:, 0]
     np.cumsum(running, axis=1, out=running)
-    # At j = 1 + q*P + c, row r (the companion is row n_sub, from node 0)
-    # is at node u = 1 + c + r of its march. The n_int - 2q - u // n_sub
-    # t nodes of its residue whose ranges pass j take factor**q times the
-    # mean of the two one-sided limits, which agree off a crossing. Where u
-    # is a multiple of n_sub, as the last node is, one more node ends its
-    # range at j, with half weight and the left limit, so half the left
-    # limit counts n_int - 2q - (u - 1) // n_sub nodes. Both floors take
-    # three values, so S is one product of the running sums at the three
-    # counts per q with the rows split by floor; running is real, so it is
-    # a real product with the rows' real and imaginary parts interleaved.
+    # at[k, r, f, q] holds the running sums at the count n_int - 2q - f of
+    # floor f; past j = last the count is 0 and the sums pad with zeros.
+    # q is the last axis, so every product below runs along it.
     n_q = (last - 1) // period + 1
     q = np.arange(n_q)
-    u = np.arange(1, period + 1) + np.append(np.arange(n_sub), 0)[:, None]
-    floor = np.arange(3)[:, None, None]
-    split = np.where(u // n_sub == floor, rows, 0.0)
-    np.add(split, before, out=split, where=(u - 1) // n_sub == floor)
-    split *= 0.5
-    count = np.maximum(n_int - 2 * q[:, None] - np.arange(3), 0)
-    # body[k, q, c] is s[k, 1 + q*P + c]; past j = last it pads with zeros
+    count = np.maximum(n_int - 2 * q - np.arange(3)[:, None], 0)
+    at = np.take(running, count, axis=1).transpose(0, 3, 1, 2)
+    del running, w_t
+    # On half a of the pair, c = a*n_sub + b, floor a reads the residues
+    # below n_sub - b (the left limit) and n_sub - 1 - b (the value), the
+    # windows of prefix n_sub - 1 - b read backwards, and floor a + 1 the
+    # residues above, the windows of suffix b read forwards.
+    prefix = _doubled_windows(at[:, :n_sub, :2])[:, ::-1]
+    suffix = _doubled_windows(at[:, n_sub - 1::-1, 1:])
+    # the companion's running sums count from node 0, one interval before
+    # its first node, so its floor 2 reads them at the count of floor 1;
+    # at q = 0, floor 0 counts every node, where every row is 1
+    companion = at[:, n_sub, 1].copy()
+    theta_zero = 0.5 * at[:, :, 0, 0].sum(axis=1)
+    del at
+    # body[k, c, q] is s[k, 1 + q*P + c] before the pair factor; each
+    # window adds value and left limit, so the kernel takes the 1/2 of
+    # their mean
+    body = np.empty((2, 2, n_sub, n_q), dtype=complex)
+    for a in (0, 1):
+        half = 0.5 * kernel[:, a * n_sub:(a + 1) * n_sub, None]
+        np.multiply(prefix[:, :, a], half[a], out=body[:, a])
+        body[:, a] += suffix[:, :, a] * half[a + 1]
+    del prefix, suffix
+    # the companion has floor 2 in its value from c = n_sub - 1 and in
+    # its left limit from c = n_sub, up to the end of the pair, where its
+    # value has floor 3: weight 1/2, then 1, then 1/2. Its other floor is
+    # 1, where kernel[1] is 0 on every train with a companion.
+    weight = np.ones(n_sub + 1)
+    weight[[0, -1]] = 0.5
+    body = body.reshape(2, period, n_q)
+    body[:, n_sub - 1:] += ((weight * kernel[2, n_sub - 1:])[:, None]
+                            * companion[:, None])
     s = np.empty((2, 1 + n_q * period), dtype=complex)
-    body = s[:, 1:].reshape(2, n_q, period)
-    np.matmul(np.take(running, count, axis=1).reshape(2, n_q, -1),
-              split.view(float).reshape(-1, 2 * period), out=body.view(float))
-    body *= (rows[0, -1] ** q)[:, None]
-    # the theta weight is dt, halved at j = 0, where every row is 1
-    s[:, 0] = 0.5 * running[:, n_int].sum(axis=1)
-    s *= dt
+    np.multiply(body.transpose(0, 2, 1), (kernel[2, -1] ** q)[:, None],
+                out=s[:, 1:].reshape(2, n_q, period))
+    # the theta weight is dt, halved at j = 0
+    s[:, 0] = theta_zero
+    s *= g.dt
     return s[:, :last + 1]
 
 
@@ -219,10 +244,10 @@ def theta_transform(s: np.ndarray, dt: float,
 
 def numeric_spectrum(p: DriveParams, fg: FrequencyGrid | None = None,
                      substeps: int | None = None) -> Spectrum:
-    """Convenience pipeline: trajectory, pair, then assembly."""
+    """Convenience pipeline: trajectory, kernel, then assembly."""
     g = make_time_grid(p, substeps)
     traj = propagate_trajectory(p, g)
-    pair = build_correlator_grids(p, g)
+    kernel = build_correlator_grids(p, g)
     if fg is None:
         fg = make_frequency_grid(p)
-    return compute_numeric_spectrum(p, g, traj, pair, fg)
+    return compute_numeric_spectrum(p, g, traj, kernel, fg)

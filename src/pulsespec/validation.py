@@ -96,39 +96,41 @@ def check_table(checks: dict) -> dict:
 
 
 def node_checks(p: DriveParams, g: TimeGrid,
-                traj: np.ndarray, pair: np.ndarray) -> dict:
+                traj: np.ndarray, kernel: np.ndarray) -> dict:
     """Node-level checks of the propagation against exact identities:
-    traj and pair are the arrays the quadrature reads, the outputs of
+    traj and kernel are the arrays the quadrature reads, the outputs of
     propagate_trajectory and build_correlator_grids on g, and are only
-    read."""
+    read. Every kernel entry is checked in O(n_sub) work and memory."""
     ee, gg = traj.T
     trace_dev = float(np.max(np.abs(ee + gg - 1.0)))
     population_dev = float(np.max(np.abs(gg - rho_gg_analytic(g.times, p))))
-    # Every t node of residue r shares row r, so row r marched from node r
-    # covers every value the quadrature reads, post-pulse values and left
-    # limits alike. The companion (row n_sub), the row of node 0 past
-    # the pulse at tau, is zero before the next pulse, then row 0's kernel
-    # one interval earlier times conj(free[0]): no division, which is 0/0
-    # once free[0] underflows. The left limits are the kernel one sub-step
-    # earlier times the free step. The kernel is one f_analytic call over
-    # the 1-D theta axis j*dt, j = 0..P, against the column of start times
-    # r*dt; its last row is then overwritten with the companion, made from
-    # row 0. Column c of the pair stands for theta = (c + 1)*dt.
+    # Entry (m, c), theta = (c + 1)*dt after m swaps, is read from start
+    # node r < n_sub as the value at node r + c + 1 where that node has
+    # floor m: r = m*n_sub - c - 1, clipped to a residue, reads it first.
+    # Elsewhere it is read as the left limit there, f_analytic at
+    # theta - dt times the free step: r = m*n_sub - c, clipped, reads it
+    # first. Row 2 at theta = tau is read by the companion alone, which
+    # starts before a pulse: swap, one interval, swap, so conj(free[0])
+    # once two pulses fire, with no division, which is 0/0 once free[0]
+    # underflows. No node reads row 0 past tau, the free rotation, which
+    # the last node, after every pulse, gives; nor row 2 below tau, 0
+    # with pulses, which its nearest node gives, one swap on.
     n_sub, last = g.substeps_per_interval, g.n_nodes - 1
     free = np.exp((1j * p.delta - 0.5 * p.gamma) * np.array([p.tau, g.dt]))
-    r = np.arange(n_sub + 1)[:, None]
-    c = np.arange(2 * n_sub + 1)
-    kernel = f_analytic(r * g.dt, c * g.dt, p)
-    kernel[n_sub, :n_sub] = 0.0
-    kernel[n_sub, n_sub:] = kernel[0, :n_sub + 1] * free[0].conj()
-    # a value counts where a t node's range reaches it; np.maximum and
-    # np.max keep a NaN, so it fails the check
-    in_range = c[1:] <= last - r
-    before = kernel[:, :-1] * free[1]
-    before -= pair[1]
-    post = np.subtract(kernel[:, 1:], pair[0], out=kernel[:, 1:])
-    dev = np.maximum(np.abs(post), np.abs(before))
-    factor_dev = float(np.max(dev, where=in_range, initial=0.0))
+    m = np.arange(3)[:, None]
+    c = np.arange(2 * n_sub)
+    start = np.clip(m * n_sub - c - 1, 0, n_sub - 1)
+    before = np.clip(m * n_sub - c, 0, n_sub - 1)
+    is_left = ((start + c + 1) // n_sub != m) & ((before + c) // n_sub == m)
+    start = np.where(is_left, before, start) * g.dt
+    start[0, n_sub:] = last * g.dt
+    ref = f_analytic(start, (c + 1 - is_left) * g.dt, p)
+    ref[is_left] *= free[1]
+    if p.n_pulses >= 2:
+        ref[2, n_sub - 1] = free[0].conj()
+    # np.max keeps a NaN, so it fails the check
+    ref -= kernel
+    factor_dev = float(np.max(np.abs(ref)))
     return check_table({
         "trace": (trace_dev, 1e-12),
         "population_vs_analytic": (population_dev, 1e-10),

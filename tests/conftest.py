@@ -9,11 +9,11 @@ def drive(n_pulses, delta=3.0, tau=0.2, free_time=None):
                           free_time=free_time)
 
 
-# (params, substeps) on which the trajectory and the pair's marched values
-# equal the reference march of whole matrices exactly: pulse-free, the one- and
-# two-pulse trains that end the pair march early, three pulses, one
-# substep, the benchmark grids, long trains, a negative detuning, and the
-# golden cases of test_spectrum_numeric
+# (params, substeps) on which the trajectory equals the reference march of
+# whole matrices exactly, and the kernel table its values within rounding:
+# pulse-free, the one- and two-pulse trains that end the march early,
+# three pulses, one substep, the benchmark grids, long trains, a negative
+# detuning, and the golden cases of test_spectrum_numeric
 MARCH_GRIDS = {
     "pulse_free": (drive(0, tau=0.3, free_time=2.0), 7),
     "pulse_free_short": (drive(0, free_time=0.3), 7),
@@ -31,17 +31,28 @@ MARCH_GRIDS = {
 }
 
 
-def unfold(pair, row, count, side=0):
-    """Row `row` over theta_j = j*dt, j < count, of `pair`, the (post,
-    before) one-sided limits that `build_correlator_grids` returns: 1 at
-    j = 0, then factor**((j - 1) // P) times column (j - 1) % P of
-    pair[side], with factor = pair[0, 0, -1], row 0 at theta = P*dt. Rows
-    below n_sub are the residue rows and row n_sub is the companion;
-    side=1 gives the left limits instead of the post-pulse values."""
+def floors(n_sub, row, side=0):
+    """The kernel row that row `row` reads at column c, theta = (c + 1)*dt,
+    of one pulse pair: the floor of node u = row + c + 1, or of u - 1 for
+    the left limits (side=1). Rows below n_sub are the residue rows and
+    row n_sub is the companion, whose value at the end of the pair has
+    floor 3, past the table."""
+    return (row + np.arange(2 * n_sub) + 1 - side) // n_sub
+
+
+def unfold(kernel, row, count, side=0):
+    """Row `row` over theta_j = j*dt, j < count, of the one-sided limits
+    that the (3, P) `kernel` table stands for: 1 at j = 0, then
+    factor**((j - 1) // P) times kernel[f, (j - 1) % P], with f the floor
+    of `floors` (0 at floor 3) and factor = kernel[2, -1], the
+    propagator over one pulse pair; side=1 gives the left limits instead
+    of the post-pulse values."""
+    period = kernel.shape[1]
+    one_pair = np.append(kernel, np.zeros((1, period)), axis=0)[
+        floors(period // 2, row, side), np.arange(period)]
     c = np.arange(count - 1)
-    period = pair.shape[2]
-    return np.append(1.0, pair[0, 0, -1] ** (c // period)
-                     * pair[side, row, c % period])
+    return np.append(1.0, kernel[2, -1] ** (c // period)
+                     * one_pair[c % period])
 
 
 def closed_at(n_pulses, delta=3.0, tau=0.2):

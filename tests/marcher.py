@@ -1,16 +1,17 @@
 """The generic 2 x 2 marcher: the reference of the trajectory and of the
-pair of one-sided limits.
+kernel table.
 
 A density matrix is a complex array of shape (..., 2, 2) in the layout
 [[ee, eg], [ge, gg]]; the maps below act on any such matrix, physical or
 not. The package builds each of its stages from the part of the matrix
 it reads, since the free map and the swap never mix populations with
 coherences. `march` advances whole matrices instead, with the same
-free-map tables and the same swap, so the package's trajectory and the
-marched post-pulse values of its pair must equal `march_trajectory` and
-`march_block` exactly, within the grid, not to a tolerance; the left
-limits that the package derives instead of marching match within
-rounding.
+free-map tables and the same swap, so the package's trajectory must
+equal `march_trajectory` exactly, not to a tolerance. The kernel table
+forms each propagator from one exponential where the march multiplies
+two or three, so `march_block` matches it within rounding, and bit for
+bit where both form the same products: the free rotation before the
+first pulse and the companion.
 Unlike `oracles`, this module uses the package's free map on purpose.
 """
 import numpy as np
@@ -91,16 +92,15 @@ def march_trajectory(p, g):
 
 
 def march_block(p, g):
-    """The (2, n_sub + 1, 2*n_sub) pair block, from one batched march of
-    whole matrices: [0] holds the post-pulse values and [1] the pre-swap
-    left limits, of the residue rows r < n_sub and of the companion, row
-    n_sub. Row r is the seed ge = 1 freely evolved from node r to node
-    n_sub, swapped there, and marched on; column c is theta = (c + 1)*dt.
-    Where a t node's range reaches it, the block is the pair that
-    `pulsespec.build_correlator_grids` returns: [0, :n_sub] bit for bit,
-    as the build marches it, and the derived rest within rounding. The
-    march runs on to node P at least, past the end of a one-interval
-    grid, where the pair holds zeros.
+    """The (2, n_sub + 1, 2*n_sub) block of one-sided limits, from one
+    batched march of whole matrices: [0] holds the post-pulse values and
+    [1] the pre-swap left limits, of the residue rows r < n_sub and of the
+    companion, row n_sub. Row r is the seed ge = 1 freely evolved from
+    node r to node n_sub, swapped there, and marched on; column c is
+    theta = (c + 1)*dt. Where a t node's range reaches it, entry [side, r,
+    c] is, within rounding, the `pulsespec.build_correlator_grids` table
+    entry that `conftest.floors` names. The march runs on to node P at
+    least, past the end of a one-interval grid.
     """
     n_nodes, n_sub = g.n_nodes, g.substeps_per_interval
     pair = 2 * n_sub

@@ -238,11 +238,11 @@ def test_randomized_propagation_invariants():
         analytic = np.array([ps.rho_gg_analytic(t, p) for t in g.times])
         assert float(np.max(np.abs(gg - analytic))) <= 1e-10
 
-        pair = ps.build_correlator_grids(p, g)
+        kernel = ps.build_correlator_grids(p, g)
         last = g.n_nodes - 1
         stride = max(1, last // 48)
         for i in range(0, last, stride):
-            row = unfold(pair, i % g.substeps_per_interval, last - i + 1)
+            row = unfold(kernel, i % g.substeps_per_interval, last - i + 1)
             for j in range(0, last - i + 1, stride):
                 f = ps.f_analytic(g.times[i], j * g.dt, p)
                 c1, c2 = np.array([ee[i], gg[i]]) * row[j]
@@ -255,7 +255,7 @@ def test_randomized_propagation_invariants():
         closed = ps.closed_spectrum(p, fg)
         assert float(np.max(np.abs(closed.p1 + closed.p2
                                    - closed.raw_p3.real))) <= 1e-12
-        numeric = ps.compute_numeric_spectrum(p, g, traj, pair, fg)
+        numeric = ps.compute_numeric_spectrum(p, g, traj, kernel, fg)
         total_numeric = (numeric.raw_p1 + numeric.raw_p2).real
         total_closed = closed.raw_p3.real
         rel = float(np.linalg.norm(total_numeric - total_closed)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import pulsespec as ps
-from conftest import closed_at, drive
+from conftest import closed_at, drive, floors
 from oracles import mp_pair_blocks
 from pulsespec import _digits, cli, validation
 
@@ -302,8 +302,9 @@ def test_pulse_count_above_2_53_exits_3_without_output(tmp_path, capsys):
 
 
 def test_oversized_numeric_grid_exits_3_without_output(tmp_path, capsys):
-    # 40000 substeps x 320001 nodes: the rows alone would take ~410 GB
-    cfg = write_cfg(tmp_path, "delta = 3\ntau = 400\nn_pulses = 8\n"
+    # 40000 substeps x 4400001 nodes: the chirp-z buffer alone would take
+    # 17.6M cells, above the 2**24 cap
+    cfg = write_cfg(tmp_path, "delta = 3\ntau = 400\nn_pulses = 110\n"
                               "engine = numeric\n")
     out = tmp_path / "out"
     start = time.perf_counter()
@@ -775,35 +776,45 @@ def test_validate_two_pulses_pass(tmp_path):
 
 
 def factorization_case(substeps=20, n_pulses=8):
-    p = drive(n_pulses)
+    p = drive(n_pulses, free_time=2.0 if n_pulses == 0 else None)
     g = ps.make_time_grid(p, substeps)
     return p, g, ps.propagate_trajectory(p, g), ps.build_correlator_grids(p, g)
 
 
-def factorization_passes(p, g, traj, pair):
-    check = validation.node_checks(p, g, traj, pair)["correlator_factorization"]
+def factorization_passes(p, g, traj, kernel):
+    check = validation.node_checks(p, g, traj, kernel)[
+        "correlator_factorization"]
     return check["pass"]
+
+
+def table_entry(n_sub, row, theta, side=0):
+    """The kernel entry that row `row` (the companion is row n_sub) reads
+    at theta*dt, theta <= 2*n_sub, as its post-pulse value or, side=1, as
+    its left limit."""
+    return floors(n_sub, row, side)[theta - 1], theta - 1
 
 
 def test_factorization_check_covers_every_row_value():
     # at 20 substeps of drive(8) a 1-in-2 stride over (t, theta) nodes
-    # never reaches the rows of odd residue
-    p, g, traj, pair = factorization_case()
-    assert factorization_passes(p, g, traj, pair)
-    pair[0, 1, 5 - 1] += 1e-6      # theta = 5*dt
-    assert not factorization_passes(p, g, traj, pair)
+    # never reaches the rows of odd residue; residue 1 at theta = 5*dt
+    p, g, traj, kernel = factorization_case()
+    assert factorization_passes(p, g, traj, kernel)
+    kernel[table_entry(20, 1, 5)] += 1e-6
+    assert not factorization_passes(p, g, traj, kernel)
 
 
 def test_factorization_check_covers_every_table_entry():
-    # every entry of the pair feeds the quadrature, post-pulse values and
-    # left limits of the residue rows and of the companion; at 4 substeps
-    # of drive(8) every t node's range reaches all
-    p, g, traj, pair = factorization_case(4)
-    assert factorization_passes(p, g, traj, pair)
-    for entry in np.ndindex(pair.shape):
-        changed = pair.copy()
-        changed[entry] += 1e-6
-        assert not factorization_passes(p, g, traj, changed), entry
+    # every entry of the table is checked, including the ones no node
+    # reads (row 0 past tau, row 2 below it), on trains that swap twice,
+    # once and never
+    for n_pulses in (8, 2, 1, 0):
+        p, g, traj, kernel = factorization_case(4, n_pulses)
+        assert factorization_passes(p, g, traj, kernel)
+        for entry in np.ndindex(kernel.shape):
+            changed = kernel.copy()
+            changed[entry] += 1e-6
+            assert not factorization_passes(p, g, traj, changed), (
+                n_pulses, entry)
 
 
 @pytest.mark.parametrize("values, row, theta", [
@@ -814,42 +825,42 @@ def test_factorization_check_covers_every_table_entry():
 def test_factorization_check_covers_companion_and_left_limits(
         values, row, theta):
     # the companion row and the pre-swap limits feed every crossing of the
-    # assembly; they are derived in the build, and the check reads the
-    # pair the quadrature reads, so a fault in the derivation fails it.
-    # theta*dt is column theta - 1 of the one-pair rows (P = 40),
-    # post-pulse values and left limits, with the companion as row 20.
-    p, g, traj, pair = factorization_case()
-    assert factorization_passes(p, g, traj, pair)
-    pair[("rows", "before").index(values), row, theta - 1] += 1e-6
-    assert not factorization_passes(p, g, traj, pair)
+    # assembly, and the check reads the table the quadrature reads, so a
+    # fault in an entry they read fails it. theta*dt is column theta - 1
+    # of the table (P = 40), read by the companion as row 20.
+    p, g, traj, kernel = factorization_case()
+    assert factorization_passes(p, g, traj, kernel)
+    kernel[table_entry(20, row, theta, ("rows", "before").index(values))] \
+        += 1e-6
+    assert not factorization_passes(p, g, traj, kernel)
 
 
 def test_factorization_check_covers_the_pair_factor():
-    # row 0 at theta = P*dt is the factor that carries every row past its
-    # first pulse pair
-    p, g, traj, pair = factorization_case()
-    assert factorization_passes(p, g, traj, pair)
-    pair[0, 0, -1] += 1e-6
-    assert not factorization_passes(p, g, traj, pair)
+    # the propagator over one pulse pair, kernel[2, -1], is the factor
+    # that carries every row past its first pulse pair
+    p, g, traj, kernel = factorization_case()
+    assert factorization_passes(p, g, traj, kernel)
+    kernel[2, -1] += 1e-6
+    assert not factorization_passes(p, g, traj, kernel)
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["rows", "before"])
 def test_factorization_check_fails_on_nan(side):
     # max(dev, nan) kept the earlier value, so a NaN passed the check: a
-    # NaN in a post-pulse value, or in a left limit
-    p, g, traj, pair = factorization_case()
-    pair[side, 3, 7] = np.nan
-    assert not factorization_passes(p, g, traj, pair)
+    # NaN in the entry a post-pulse value or a left limit reads
+    p, g, traj, kernel = factorization_case()
+    kernel[table_entry(20, 3, 8, side)] = np.nan
+    assert not factorization_passes(p, g, traj, kernel)
 
 
 @pytest.mark.parametrize("n_pulses, substeps", [(8, 20), (1, 7), (20, 80)])
 def test_node_checks_only_read_their_inputs(n_pulses, substeps):
     # the checks subtract into arrays of their own: the trajectory and the
-    # pair go on to the quadrature unchanged
-    p, g, traj, pair = factorization_case(substeps, n_pulses)
-    kept = traj.tobytes(), pair.tobytes()
-    validation.node_checks(p, g, traj, pair)
-    assert (traj.tobytes(), pair.tobytes()) == kept
+    # kernel go on to the quadrature unchanged
+    p, g, traj, kernel = factorization_case(substeps, n_pulses)
+    kept = traj.tobytes(), kernel.tobytes()
+    validation.node_checks(p, g, traj, kernel)
+    assert (traj.tobytes(), kernel.tobytes()) == kept
 
 
 @pytest.mark.filterwarnings("error")
@@ -911,20 +922,36 @@ def test_validate_without_closed_form_runs_the_node_checks(tmp_path, text):
 def test_default_grid_bounds_the_detuning_phase_step(tmp_path, capsys):
     # dt <= 0.01 whatever the detuning used to leave delta*dt unbounded:
     # at delta 300 validate failed (l2_rel 0.60, sum rule 1.02), and at
-    # delta 1e5 spectrum wrote its files and exited 0
+    # delta 1e5 spectrum wrote its files and exited 0. Bounding delta*dt
+    # takes 4*|delta|*tau substeps, and at delta 1e7 the grid is too large
     cfg = write_cfg(tmp_path, "delta = 300\ntau = 0.2\nn_pulses = 20\n")
     out = tmp_path / "val"
     assert cli.main(["validate", "--config", cfg,
                      "--output-dir", str(out)]) == 0
     report = json.loads((out / "validation_report.json").read_text())
     assert report["checks"]["l2_rel"]["value"] <= 0.01
-    big = write_cfg(tmp_path, "delta = 1e5\ntau = 0.2\nn_pulses = 20\n"
+    big = write_cfg(tmp_path, "delta = 1e7\ntau = 0.2\nn_pulses = 20\n"
                               "engine = numeric\n", "big.cfg")
     out = tmp_path / "big"
     assert cli.main(["spectrum", "--config", big,
                      "--output-dir", str(out)]) == 3
     assert "GridTooLarge" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("delta", [3, 25], ids=["tau", "detuning"])
+def test_validate_on_the_default_grid_at_2000_substeps(tmp_path, delta):
+    # tau = 20 takes 2000 substeps, and so does delta*tau = 500; both were
+    # GridTooLarge while the engine held (substeps + 1) x 2*substeps
+    # tables. Measured l2_rel 7.8e-5 and 5.1e-3, each check well within its
+    # tolerance
+    cfg = write_cfg(tmp_path, f"delta = {delta}\ntau = 20\nn_pulses = 8\n")
+    out = tmp_path / "val"
+    assert cli.main(["validate", "--config", cfg,
+                     "--output-dir", str(out)]) == 0
+    report = json.loads((out / "validation_report.json").read_text())
+    assert report["passed"] is True
+    assert report["checks"]["l2_rel"]["tolerance"] == 0.05
 
 
 def test_console_scripts_resolve_to_callables():

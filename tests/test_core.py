@@ -160,23 +160,29 @@ def test_time_grid_substeps_override():
 
 
 def test_time_grid_cell_budget():
-    # the pair arrays, which theta_sums forms at every train length, are
-    # counted as 4*(n_sub + 1)*(2*n_sub + 1) cells, and the chirp-z buffer,
-    # 2*fft_length(n_nodes, M) values, as 4*n_nodes; the trajectory's
-    # 2*n_nodes populations are below both
+    # the chirp-z buffer, 2*fft_length(n_nodes, M) values, is counted as
+    # 4*n_nodes cells; the trajectory's 2*n_nodes populations are below
+    # it, and so are the kernel table's 6*n_sub cells but on one interval,
+    # where they reach 1.5 times the budget
     budget = ps.core.MAX_ARRAY_CELLS
     largest = budget // 4, ps.core.MAX_FREQUENCY_NODES
     assert 2 * fft_length(*largest) <= budget
-    assert 4 * 1448 * 2895 <= budget < 4 * 1449 * 2897
-    assert ps.make_time_grid(drive(8), 1447).n_nodes == 8 * 1447 + 1
+    assert 4 * (8 * 524287 + 1) <= budget < 4 * (8 * 524288 + 1)
+    assert ps.make_time_grid(drive(8), 524287).n_nodes == 8 * 524287 + 1
     with pytest.raises(ps.GridTooLarge):
-        ps.make_time_grid(drive(8), 1448)
-    # a one-interval grid has the same pair arrays: at 2000 substeps its
-    # split would be 24.0M cells
+        ps.make_time_grid(drive(8), 524288)
+    # a one-interval grid has no n_sub**2 array left: 4194303 substeps are
+    # 4194304 nodes, and the refusal one substep on allocates nothing
     for p in (drive(1), drive(0, free_time=0.2)):
-        assert ps.make_time_grid(p, 1447).n_nodes == 1448
-        with pytest.raises(ps.GridTooLarge):
-            ps.make_time_grid(p, 1448)
+        assert ps.make_time_grid(p, 4194303).n_nodes == 4194304
+        tracemalloc.start()
+        try:
+            with pytest.raises(ps.GridTooLarge):
+                ps.make_time_grid(p, 4194304)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
     assert 4 * 4194301 <= budget < 4 * 4194321
     assert ps.make_time_grid(drive(209715), 20).n_nodes == 4194301
     with pytest.raises(ps.GridTooLarge):

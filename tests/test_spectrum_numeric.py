@@ -130,12 +130,12 @@ def test_long_train_peak_memory():
     p = drive(10_000)
     g = ps.make_time_grid(p)
     traj = ps.propagate_trajectory(p, g)
-    pair = ps.build_correlator_grids(p, g)
+    kernel = ps.build_correlator_grids(p, g)
     fg = ps.make_frequency_grid(p)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        ps.compute_numeric_spectrum(p, g, traj, pair, fg)
+        ps.compute_numeric_spectrum(p, g, traj, kernel, fg)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -155,17 +155,17 @@ def test_zero_grids_give_zero_spectrum():
     p = drive(2)
     g = ps.make_time_grid(p, 5)
     traj = ps.propagate_trajectory(p, g)
-    pair = ps.build_correlator_grids(p, g)
+    kernel = ps.build_correlator_grids(p, g)
     fg = ps.make_frequency_grid(p)
     # zero populations with the real rows give zero
-    s = ps.compute_numeric_spectrum(p, g, np.zeros_like(traj), pair, fg)
+    s = ps.compute_numeric_spectrum(p, g, np.zeros_like(traj), kernel, fg)
     assert np.all(s.p1 == 0.0)
     assert np.all(s.p2 == 0.0)
     assert np.all(s.q == 0.0)
-    # zero rows past theta = 0, left limits and companion included, with the
-    # real populations leave the theta = 0 term alone, where every row is 1:
-    # a flat spectrum
-    s = ps.compute_numeric_spectrum(p, g, traj, np.zeros_like(pair), fg)
+    # a zero table, rows past theta = 0 with their left limits and the
+    # companion, with the real populations leaves the theta = 0 term alone,
+    # where every row is 1: a flat spectrum
+    s = ps.compute_numeric_spectrum(p, g, traj, np.zeros_like(kernel), fg)
     for part in (s.p1, s.p2):
         assert part[0] > 0.0 and np.all(part == part[0])
 
@@ -254,20 +254,20 @@ def test_grid_mismatch_detected():
     p = drive(8)
     g = ps.make_time_grid(p)
     traj = ps.propagate_trajectory(p, g)
-    pair = ps.build_correlator_grids(p, g)
+    kernel = ps.build_correlator_grids(p, g)
     with pytest.raises(ps.GridMismatch):
-        ps.compute_numeric_spectrum(p, g, traj[:-1], pair,
+        ps.compute_numeric_spectrum(p, g, traj[:-1], kernel,
                                     ps.make_frequency_grid(p))
 
 
 def test_grid_mismatch_between_grids():
-    # the pair must be the one of the time grid
+    # the kernel table must be the one of the time grid
     p = drive(2)
     g = ps.make_time_grid(p, 5)
     traj = ps.propagate_trajectory(p, g)
-    pair = ps.build_correlator_grids(p, ps.make_time_grid(p, 6))
+    kernel = ps.build_correlator_grids(p, ps.make_time_grid(p, 6))
     with pytest.raises(ps.GridMismatch):
-        ps.compute_numeric_spectrum(p, g, traj, pair,
+        ps.compute_numeric_spectrum(p, g, traj, kernel,
                                     ps.make_frequency_grid(p))
 
 
