@@ -53,8 +53,10 @@ class TooManyPulses(PulsespecError):
 
 
 DEFAULT_GAMMA = 2.0
-# Largest number of cells any array of the numeric engine may have
-# (2**24 complex values take 256 MiB).
+# The time grid's size rule: 4 x n_nodes cells at most (2**24 complex
+# values take 256 MiB). Arrays in n_sub pass it on one interval: the
+# kernel table's 6 x n_sub cells by 1.5 times, and validate's node checks
+# (about 0.5 kB a substep, traced) by about 8.
 MAX_ARRAY_CELLS = 2**24
 # Largest frequency grid: a closed-form spectrum run with JSON output peaks
 # at about 0.26 kB per frequency node above the interpreter's ~30 MB, so
@@ -93,14 +95,13 @@ class DriveParams:
     @property
     def n_intervals(self) -> int:
         """Periods of tau the protocol spans: n_pulses, or free_time rounded
-        up to whole periods; GridTooLarge above MAX_ARRAY_CELLS of them."""
+        up to whole periods, however many; GridTooLarge only where
+        free_time / tau overflows to inf, which has no ceiling."""
         if self.n_pulses >= 1:
             return self.n_pulses
-        # free_time / tau may overflow to inf, which has no ceiling
         intervals = self.free_time / self.tau
-        if intervals > MAX_ARRAY_CELLS:
-            raise GridTooLarge(f"free_time / tau = {intervals} intervals, "
-                               f"above {MAX_ARRAY_CELLS}")
+        if intervals == math.inf:
+            raise GridTooLarge("free_time / tau overflows a double")
         # a horizon within 1e-9 intervals of zero still takes one interval
         return max(1, math.ceil(intervals - 1e-9))
 
@@ -157,14 +158,13 @@ def default_substeps(tau: float, delta: float) -> int:
 
     The second bound keeps the phase the ge element turns in one step
     small at any detuning. The small slack inside ceil absorbs cases like
-    0.2/0.01 evaluating to 20.000000000000004 in floating point. Raises
-    GridTooLarge above MAX_ARRAY_CELLS substeps: tau/0.01 and
-    4*|delta|*tau may overflow to inf, which has no ceiling.
+    0.2/0.01 evaluating to 20.000000000000004 in floating point. The
+    count is not bounded here, make_time_grid is; GridTooLarge only where
+    tau/0.01 or 4*|delta|*tau overflows to inf, which has no ceiling.
     """
     steps = max(tau / 0.01, 4.0 * abs(delta) * tau)
-    if steps > MAX_ARRAY_CELLS:
-        raise GridTooLarge(f"{steps} substeps per interval, above "
-                           f"{MAX_ARRAY_CELLS}")
+    if steps == math.inf:
+        raise GridTooLarge("substeps per interval overflow a double")
     return max(20, math.ceil(steps - 1e-9))
 
 
@@ -196,11 +196,11 @@ def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
     Without `substeps` each interval takes default_substeps(tau, delta)
     sub-steps. The grid spans p.n_intervals periods: [0, n_pulses*tau],
     or for the pulse-free mode at least free_time. Raises GridTooLarge
-    when 4 x n_nodes cells exceed MAX_ARRAY_CELLS. That bounds the
-    chirp-z buffer, 2 x fft_length(n_nodes, M) values, for every M up to
-    MAX_FREQUENCY_NODES; every other array of the engine is O(n_nodes),
-    and the kernel table's 6 x n_sub cells are at most 1.5 times the
-    budget, on a one-interval grid.
+    when 4 x n_nodes cells exceed MAX_ARRAY_CELLS, the time grid's one
+    size rule, compared in exact integers. That bounds the chirp-z buffer,
+    2 x fft_length(n_nodes, M) values, for every M up to
+    MAX_FREQUENCY_NODES, and every array in n_nodes; arrays in n_sub pass
+    it on one interval, as MAX_ARRAY_CELLS states.
     """
     n_sub = (default_substeps(p.tau, p.delta) if substeps is None
              else _count("substeps", substeps))

@@ -7,8 +7,8 @@ exponentials of that linear map, not an Euler or Runge-Kutta step, so the
 only numerical error in a march is floating-point rounding. A pulse is an
 instantaneous swap of ee with gg and of eg with ge. Neither map mixes
 populations with coherences, and the emitter starts with none, so the
-physical state is its two populations alone; the correlator rows march
-the (ge, eg) pair alone.
+physical state is its two populations alone; the correlators read the
+ge-propagator alone, from the rotation table of _free_map.
 """
 from __future__ import annotations
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import pulsespec as ps
 
@@ -53,6 +54,11 @@ def unfold(kernel, row, count, side=0):
     c = np.arange(count - 1)
     return np.append(1.0, kernel[2, -1] ** (c // period)
                      * one_pair[c % period])
+
+
+def log_uniform(low, high):
+    """10**u for u uniform in [low, high]."""
+    return st.floats(low, high).map(lambda u: 10.0 ** u)
 
 
 def closed_at(n_pulses, delta=3.0, tau=0.2):

@@ -164,3 +164,62 @@ def mp_pair_blocks(omega, delta, tau, n_pulses, n_intervals, gamma=2.0):
                     if factors[b - a]:
                         blocks[k] += weight * factors[b - a] * cross[k]
         return complex(blocks[0]), complex(blocks[1])
+
+
+def mp_closed_blocks(omega, delta, tau, n_pulses, n_intervals, gamma=2.0,
+                     digits=None):
+    """P1 and P3 at one frequency, as mpmath complex numbers, from the
+    interval-pair algebra that closed_blocks sums: over the pairs of
+    intervals a <= b < n, the same-interval integrals times the
+    populations, plus every even gap 2*m times E**m, E = exp(-2*g1*tau).
+    Each geometric series is summed by its exact formula, q*(1 - q**K)/(1
+    - q) and the one with weights j, with no expm1 and no Taylor branch.
+    A pulse-free run is the one-pulse train over its horizon, the double
+    n_intervals*tau.
+
+    The factors that cancel are 1 - E, 1 - E/x**2, 1 - x**K, g0*tau and
+    the difference of the two transient series, each at least about
+    gamma*tau/3 (|E| = x = exp(-gamma*tau) < 1); the weighted series loses
+    twice their digits. So the default precision is 90 digits plus twice
+    the decades of 1/(gamma*tau), 690 at gamma*tau = 1e-300.
+    """
+    n, tau = (n_pulses, tau) if n_pulses else (1, n_intervals * tau)
+    if digits is None:
+        decades = -mpmath.log10(mpmath.mpf(gamma) * mpmath.mpf(tau))
+        digits = 90 + 2 * max(0, int(mpmath.ceil(decades)))
+    with mpmath.workdps(digits):
+        tau, gamma = mpmath.mpf(tau), mpmath.mpf(gamma)
+        g0 = mpmath.mpc(gamma / 2, mpmath.mpf(omega) - mpmath.mpf(delta))
+        g1 = mpmath.mpc(gamma / 2, omega)
+        g2 = g0 - gamma
+        x = mpmath.exp(-gamma * tau)
+        r, c0 = -x, 1 / (1 + x)
+        e = mpmath.exp(-2 * g1 * tau)
+
+        def geometric(q, k):
+            """sum_{j=1..k} q**j"""
+            return q * (1 - q ** k) / (1 - q)
+
+        def weighted(q, k):
+            """sum_{j=1..k} j*q**j"""
+            return (q * (1 - (k + 1) * q ** k + k * q ** (k + 1))
+                    / (1 - q) ** 2)
+
+        def pops(k):
+            """sum_{a<k} pop(a), pop(a) = c0 + (1 - c0)*r**a"""
+            return c0 * k + (1 - c0) * (1 - r ** k) / (1 - r)
+
+        a1 = (mpmath.exp(g2 * tau) - 1) / g2
+        a3 = (mpmath.exp(g0 * tau) - 1) / g0
+        b = (1 - mpmath.exp(-g0 * tau)) / g0
+        same1 = ((1 - x) / gamma - mpmath.exp(-g0 * tau) * a1) / g0
+        same3 = (tau - b) / g0
+        m = (n - 1) // 2
+        # sum_{j=1..M} E**j (n - 2*j), and sum_{j=1..M} E**j (1 - r**(n -
+        # 2*j)), r**2 = x**2
+        counts = n * geometric(e, m) - 2 * weighted(e, m)
+        transient = geometric(e, m) - r ** n * geometric(e / x ** 2, m)
+        p1 = (same1 * pops(n)
+              + a1 * b * (c0 * counts + (1 - c0) / (1 - r) * transient))
+        p3 = same3 * n + a3 * b * counts
+        return p1, p3

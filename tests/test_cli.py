@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import pulsespec as ps
-from conftest import closed_at, drive, floors
+from conftest import closed_at, drive, floors, log_uniform
 from oracles import mp_pair_blocks
 from pulsespec import _digits, cli, validation
 
@@ -286,6 +286,45 @@ def test_pulse_free_horizon_overflow_exits_3_without_output(tmp_path, capsys):
     assert cli.main(["spectrum", "--config", cfg,
                      "--output-dir", str(out)]) == 3
     assert "GridTooLarge" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+LONG_FREE_RUN = "delta = 3\ntau = 1e-3\nn_pulses = 0\nfree_time = 1e5\n"
+
+
+def test_pulse_free_horizon_of_any_length_runs_in_closed_form(tmp_path):
+    # 1e8 periods exited 3 with GridTooLarge from the time grid's budget,
+    # which the closed form never builds
+    cfg = write_cfg(tmp_path, LONG_FREE_RUN + "engine = closed_form\n")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", cfg,
+                     "--output-dir", str(out)]) == 0
+    assert np.all(np.isfinite(csv_rows(out / "spectrum_closed_form.csv")))
+    # one interval over the same double horizon as 1e5 periods of tau = 1,
+    # so the same spectrum on the same frequencies
+    grid = "omega_min = -10\nomega_max = 10\nomega_step = 0.05\n"
+    rows = []
+    for tau in ("1e-3", "1"):
+        text = LONG_FREE_RUN.replace("tau = 1e-3", f"tau = {tau}")
+        cfg = write_cfg(tmp_path, text + grid + "engine = closed_form\n",
+                        f"{tau}.cfg")
+        out = tmp_path / tau
+        assert cli.main(["spectrum", "--config", cfg,
+                         "--output-dir", str(out)]) == 0
+        rows.append(csv_rows(out / "spectrum_closed_form.csv"))
+    assert np.array_equal(rows[0], rows[1])
+
+
+def test_pulse_free_horizon_past_the_time_grid_exits_3_numerically(tmp_path,
+                                                                    capsys):
+    # the numeric engine still refuses the 1e8-period grid, before any work
+    cfg = write_cfg(tmp_path, LONG_FREE_RUN + "engine = numeric\n")
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert cli.main(["spectrum", "--config", cfg,
+                     "--output-dir", str(out)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("GridTooLarge: ")
     assert list(out.iterdir()) == []
 
 
@@ -965,11 +1004,6 @@ def test_console_scripts_resolve_to_callables():
         for attr in attrs.split("."):
             obj = getattr(obj, attr)
         assert callable(obj), name
-
-
-def log_uniform(low, high):
-    """10**u for u uniform in [low, high]."""
-    return st.floats(low, high).map(lambda u: 10.0 ** u)
 
 
 @st.composite

@@ -1,14 +1,16 @@
 import cmath
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pulsespec as ps
-from conftest import closed_at, drive
-from oracles import mp_pair_blocks, oracle_rho0, where_kernel
+from conftest import closed_at, drive, log_uniform
+from oracles import (mp_closed_blocks, mp_pair_blocks, oracle_rho0,
+                     where_kernel)
 
 
 def test_rho0_values():
@@ -346,3 +348,115 @@ def test_one_pulse_is_the_pulse_free_run_over_one_period():
         for name in ("p1", "p2", "raw_p1", "raw_p3"):
             a, b = getattr(one, name), getattr(free, name)
             assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("long, short", [
+    ((1e-3, 1e5), (1.0, 1e5)),
+    # 2e8 periods
+    ((1e-7, 20.0), (0.2, 20.0)),
+])
+def test_pulse_free_horizon_of_any_length(long, short):
+    # the closed form builds no time grid: both used to be GridTooLarge
+    # from the time grid's cell budget. A pulse-free run is one interval
+    # over its horizon, here the same double, so the spectra are the same
+    fg = ps.make_frequency_grid(omega_min=-10.0, omega_max=10.0,
+                                omega_step=0.01)
+    spectra = [ps.closed_spectrum(drive(0, tau=tau, free_time=free_time), fg)
+               for tau, free_time in (long, short)]
+    assert np.all(np.isfinite(spectra[0].q))
+    for name in ("q", "raw_p1", "raw_p3"):
+        assert np.array_equal(getattr(spectra[0], name),
+                              getattr(spectra[1], name))
+
+
+@pytest.mark.parametrize("gamma", [2.0, 50.0, 1e-17, 1e-300])
+@pytest.mark.parametrize("tau", [0.25, 0.2])
+def test_closed_form_oracle_matches_pair_sum(tau, gamma):
+    # two high-precision evaluations rounded to doubles, so one rounding
+    # of each apart; the pair sum's same-interval integrals cancel at
+    # omega = delta once gamma is tiny, so that point runs at gamma >= 2
+    points = [(0.7, 3.0), (math.pi / tau, 3.0),
+              (-2.0 * math.pi / tau + 1e-3, -1.0)]
+    if gamma >= 2.0:
+        points.append((3.0, 3.0))
+    for n in [*range(13), 24]:
+        for omega, delta in points:
+            n_intervals = n or 3
+            exact = mp_closed_blocks(omega, delta, tau, n, n_intervals, gamma)
+            pair = mp_pair_blocks(omega, delta, tau, n, n_intervals, gamma)
+            for value, ref in zip(exact, pair):
+                assert abs(complex(value) - ref) <= 4e-16 * abs(ref)
+
+
+def test_closed_form_oracle_precision_suffices():
+    # the default precision agrees with 1000 digits where the cancellations
+    # are deepest: gamma*tau = 1e-300 at omega = delta and on a harmonic,
+    # the longest train and a pulse-free run of 2**60 periods; measured
+    # 6e-283
+    for n, n_intervals, omega in ((2**53, 2**53, 0.0),
+                                  (2**53 - 1, 2**53 - 1, 5.0 * math.pi),
+                                  (0, 2**60, 0.0), (3, 3, 1e-9)):
+        args = (omega, omega, 0.2, n, n_intervals, 5e-300)
+        default = mp_closed_blocks(*args)
+        with mpmath.workdps(1000):
+            finer = mp_closed_blocks(*args, digits=1000)
+            for value, ref in zip(default, finer):
+                assert abs(value - ref) <= 1e-250 * abs(ref)
+
+
+@st.composite
+def long_runs(draw):
+    """(DriveParams, omega): trains up to 2**53 pulses and pulse-free
+    horizons up to 2**60 periods, gamma*tau down to 1e-300, and omega
+    near a harmonic k*pi/tau, off it by 1e-3 to 1e3 times 1/(M*tau), M
+    the pair gaps summed (the periods for a pulse-free run); delta far,
+    at omega, or as near."""
+    tau = draw(log_uniform(-3, 1))
+    gamma = draw(st.one_of(st.just(2.0),
+                           log_uniform(-300, 1).map(lambda g: g / tau)))
+    n = draw(st.one_of(st.integers(1, 30),
+                       log_uniform(1.5, math.log10(2.0**53)).map(int),
+                       st.sampled_from([2**53, 2**53 - 1, 0])))
+    free_time = (draw(log_uniform(-2, math.log10(2.0**60))) * tau
+                 if n == 0 else None)
+    p = ps.DriveParams(delta=0.0, tau=tau, n_pulses=n, gamma=gamma,
+                       free_time=free_time)
+    scale = max(1, (n - 1) // 2 if n else p.n_intervals)
+    offset = draw(st.sampled_from([-1.0, 1.0])) * draw(log_uniform(-3, 3))
+    omega = (draw(st.integers(-40, 40)) * math.pi + offset / scale) / tau
+    delta = draw(st.one_of(st.floats(-10.0, 10.0), st.just(omega),
+                           log_uniform(-3, 3).map(
+                               lambda d: omega + d / (scale * tau))))
+    return dataclasses.replace(p, delta=delta), omega
+
+
+# the change in P1 or P3 that a one-ulp shift of omega causes, plus one
+# rounding of the value, bounds closed_blocks' error times this constant
+# (a mixed forward-backward error); measured 3.8, at five ulps of P1 on
+# a one-pulse train
+ULP_SHIFT_ERROR_BOUND = 5.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(long_runs())
+# long trains at small gamma, a few hundred 1/(M*tau) off a harmonic:
+# measured 4e-15 and 9.7e-14 relative, where a one-ulp shift of omega
+# moves the value by 7e-3 and 3e-11
+@example((ps.DriveParams(delta=3.0, tau=0.01, n_pulses=2**53, gamma=1e-17),
+          (2.0 * math.pi + 612.0 / (2**52 - 1)) / 0.01))
+@example((ps.DriveParams(delta=3.0, tau=1e-3, n_pulses=10**9, gamma=1e-9),
+          (2.0 * math.pi + 300.0 / 499999999) / 1e-3))
+# gamma*tau = 1e-300 on the longest train, and over 2**60 periods at
+# omega = delta
+@example((ps.DriveParams(delta=3.0, tau=0.2, n_pulses=2**53, gamma=5e-300),
+          (5.0 * math.pi + 37.5 / (2**52 - 1)) / 0.2))
+@example((ps.DriveParams(delta=3.0, tau=0.2, n_pulses=0, gamma=5e-300,
+                         free_time=0.2 * 2**60), 3.0))
+def test_closed_blocks_within_its_conditioning(run):
+    p, omega = run
+    args = (p.delta, p.tau, p.n_pulses, p.n_intervals, p.gamma)
+    exact = mp_closed_blocks(omega, *args)
+    shifted = mp_closed_blocks(float(np.nextafter(omega, np.inf)), *args)
+    for value, ref, moved in zip(ps.closed_blocks(omega, p), exact, shifted):
+        scale = abs(moved - ref) + 2.0**-53 * abs(ref)
+        assert abs(complex(value) - ref) <= ULP_SHIFT_ERROR_BOUND * scale

@@ -189,6 +189,34 @@ def test_time_grid_cell_budget():
         ps.make_time_grid(drive(209716), 20)
 
 
+def test_default_substeps_counts_every_finite_step():
+    # the count is bounded by make_time_grid alone
+    assert ps.default_substeps(1.0, 1e300) == math.ceil(4e300)
+
+
+@pytest.mark.parametrize("p, digits", [
+    # 4e300 substeps a period, of 8 periods
+    (drive(8, delta=1e300, tau=1.0), 302),
+    # 1e308 periods of 20 substeps: the node count passes the double range
+    (drive(0, tau=1e-300, free_time=1e8), 310),
+])
+def test_time_grid_refuses_any_count_as_an_exact_integer(p, digits):
+    # make_time_grid compares the exact counts, allocates nothing and
+    # names them as integers, which no double holds
+    n_sub = ps.default_substeps(p.tau, p.delta)
+    n_nodes = p.n_intervals * n_sub + 1
+    assert len(str(n_nodes)) == digits
+    tracemalloc.start()
+    try:
+        with pytest.raises(ps.GridTooLarge) as refused:
+            ps.make_time_grid(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert f"{n_sub} substeps x {n_nodes} nodes" in str(refused.value)
+
+
 def test_time_grid_holds_no_array():
     # the largest grid the budget admits: 4194301 nodes, whose times alone
     # would take 33.5 MB
