@@ -1,5 +1,8 @@
 """Exact numpy kernels for the floats of the spectrum files: the text of
-"%.17g" for CSV and of repr for JSON, with a per-value % fallback."""
+"%.17g" for CSV and of repr for JSON, with a per-value % fallback. Both
+take their digits from one decimal split of each value (`_scaled`), and
+`_csv_rows` can make a table's repr text from the split it makes for the
+CSV, so a run writing both formats splits each value once."""
 from __future__ import annotations
 
 import numpy as np
@@ -12,7 +15,7 @@ from .core import two_prod
 # exact for k <= 22, and 10**16 <= p + e < 10**17. The CSV takes the 17
 # digits that "%.17g" prints, D = p + rint(e): p >= 2**53 is an even
 # integer, so rint rounds ties to even, as CPython's dtoa does. JSON takes
-# the shortest digits that read back as x, as repr does (see _repr_cells).
+# the shortest digits that read back as x, as repr does (see _shortest).
 # Each value fills a cell of six uint64 words of ASCII and NUL bytes, each
 # word one take from _WORDS: sign, "0.000" prefix (X < 0), lead digit and
 # decimal point; four words of four digits, each followed by a slot for
@@ -78,8 +81,9 @@ _REPR_MASKS = _cell_masks(16, 1)
 
 def _scaled(x: np.ndarray):
     """|x| (1.0 where the value takes the fallback), k in 0..22, 10**k,
-    and p, e with |x| * 10**k = p + e exactly, for a value x of decimal
-    exponent X = 16 - k; and whether the value takes the fallback."""
+    e and the 17-digit integer d = p + rint(e), where |x| * 10**k = p + e
+    exactly for a value x of decimal exponent X = 16 - k; and whether the
+    value takes the fallback. d holds the digits "%.17g" prints."""
     a = np.abs(x)
     # the double 1e-6 lies below 10**-6, so these values have -6 <= X <= 16
     fallback = (a <= 1e-6) | (a >= 1e17)
@@ -99,7 +103,12 @@ def _scaled(x: np.ndarray):
         k[moved] += 1 - above[:, moved].sum(axis=0)
         b[moved] = _POW10.take(k[moved])
         p[moved], e[moved] = two_prod(a[moved], b[moved])
-    return a, k, b, p, e, fallback
+    # no double with X in -6..16 rounds up to 10**17: that takes |x|
+    # within 5e-18 of a power of ten, and the doubles nearest
+    # 10**-5..10**17 are exact or above it
+    d = p.astype(np.int64)
+    d += np.rint(e).astype(np.int64)
+    return a, k, b, e, d, fallback
 
 
 def _cells(x: np.ndarray, d: np.ndarray, k: np.ndarray,
@@ -136,19 +145,23 @@ def _cells(x: np.ndarray, d: np.ndarray, k: np.ndarray,
     return cell
 
 
-def _csv_rows(table: np.ndarray) -> bytes:
+def _csv_rows(table: np.ndarray, *reprs: list) -> bytes:
     """The rows of a 2-D float table as bytes: each value as
     "%.17g" % value, a comma between columns and a newline after each
-    row."""
+    row. Given one list per column, also appends to each the repr text
+    of that column's values, a comma after each, from the same split."""
     rows, cols = table.shape
     x = table.ravel()
-    _, k, _, p, e, fallback = _scaled(x)
-    # no double with X in -6..16 rounds up to 10**17: that takes |x|
-    # within 5e-18 of a power of ten, and the doubles nearest
-    # 10**-5..10**17 are exact or above it
-    d = p.astype(np.int64)
-    d += np.rint(e).astype(np.int64)
-    del _, p, e
+    a, k, b, e, d, fallback = _scaled(x)
+    if reprs:
+        digits, shortest_fallback = _shortest(a, b, e, d, fallback)
+        cell = _cells(x, digits, k, shortest_fallback, _REPR_MASKS, "r")
+        del digits, shortest_fallback
+        for texts, column in zip(reprs, cell.reshape(rows, cols, -1)
+                                 .transpose(1, 0, 2)):
+            texts.append(column.tobytes().translate(None, b"\0 "))
+        del cell
+    del a, b, e
     cell = _cells(x, d, k, fallback, _CSV_MASKS, ".17g")
     cell.view(np.uint8).reshape(rows, cols, -1)[:, -1, 44] = ord("\n")
     text = cell.tobytes()
@@ -158,7 +171,16 @@ def _csv_rows(table: np.ndarray) -> bytes:
 
 def _repr_cells(x: np.ndarray) -> np.ndarray:
     """The cells of repr(value) for a 1-D float array, each followed by
-    a comma: bytes.translate(None, b"\\0 ") of the cells gives the text.
+    a comma: bytes.translate(None, b"\\0 ") of the cells gives the text."""
+    a, k, b, e, d, fallback = _scaled(x)
+    d, fallback = _shortest(a, b, e, d, fallback)
+    return _cells(x, d, k, fallback, _REPR_MASKS, "r")
+
+
+def _shortest(a, b, e, d, fallback) -> tuple[np.ndarray, np.ndarray]:
+    """The digits of repr from the split of `_scaled`, as new arrays: a
+    17-digit integer whose digits, trailing zeros dropped, repr prints,
+    and where a value takes the fallback.
 
     x rounds to v = |x| * 10**k = p + e. The doubles that read back as x
     fill [v - h, v + h], h = ulp(x) * 10**k / 2 (exact: 10**k has 5**k
@@ -175,15 +197,13 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     each of the 76 powers of two of exponent -6..16 the wider interval
     gives the same digits, so h serves for both sides.
     """
-    a, k, b, p, e, fallback = _scaled(x)
     bits = a.view(np.int64)
     # h * 2**54 = 10**k * 2**(E - 1022) for the biased exponent E of x;
     # the endpoints drop out for an odd mantissa
     h = b * ((bits & (2047 << 52)) + (1 << 52)).view(np.float64)
     h = h.astype(np.int64) - (bits & 1)
-    near = np.rint(e)
-    d = p.astype(np.int64) + near.astype(np.int64)   # the integer nearest v
-    r = ((near - e) * 2.0**54).astype(np.int64)      # (d - v) * 2**54
+    # d is the integer nearest v, and r = (d - v) * 2**54
+    r = ((np.rint(e) - e) * 2.0**54).astype(np.int64)
     # the interval holds the integers d - down .. d + up
     down = (h + r) >> 54
     up = (h - r) >> 54
@@ -203,5 +223,4 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     # no d reaches 10**17: x would then be the double nearest 10**(X + 1)
     # and lie below it, and for X = -6..16 each of these doubles is the
     # power or above it
-    fallback |= ~hundreds & tie
-    return _cells(x, d, k, fallback, _REPR_MASKS, "r")
+    return d, fallback | (~hundreds & tie)

@@ -129,90 +129,129 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_spectrum_csv(path: Path, s: Spectrum) -> None:
+def write_spectrum_csv(f, s: Spectrum, reprs: dict | None = None) -> None:
     """Emit `omega,P1,P2,Q` rows after a comment header carrying the
-    resolved parameters. Every float is exactly "%.17g" % value; rows
-    go through `_csv_rows` in chunks of _CSV_CHUNK_ROWS (640): memory
-    stays flat, and each chunk's arrays under glibc's mmap threshold."""
+    resolved parameters to the binary file f. Every float is exactly
+    "%.17g" % value; rows go through `_csv_rows` in chunks of
+    _CSV_CHUNK_ROWS (640), each chunk's arrays under glibc's mmap
+    threshold, so the writer holds one chunk at a time.
+
+    With a dict `reprs`, the same digit split also gives the repr text of
+    the four columns, which goes there under omega, p1, p2 and q for
+    write_spectrum_json: a list of chunk texts per column, a comma after
+    each value, about 80 B per omega node in all.
+    """
     header = "".join(f"# {key} = {_fmt(s.meta[key])}\n"
                      for key in sorted(s.meta))
     columns = (s.omegas, s.p1, s.p2, s.q)
-    with path.open("wb") as f:
-        f.write((header + "omega,P1,P2,Q\n").encode())
-        for start in range(0, s.omegas.size, _CSV_CHUNK_ROWS):
-            rows = slice(start, start + _CSV_CHUNK_ROWS)
-            f.write(_csv_rows(np.column_stack([c[rows] for c in columns])))
+    texts = ([reprs.setdefault(key, []) for key in ("omega", "p1", "p2", "q")]
+             if reprs is not None else [])
+    f.write((header + "omega,P1,P2,Q\n").encode())
+    for start in range(0, s.omegas.size, _CSV_CHUNK_ROWS):
+        rows = slice(start, start + _CSV_CHUNK_ROWS)
+        f.write(_csv_rows(np.column_stack([c[rows] for c in columns]),
+                          *texts))
 
 
-def write_spectrum_json(path: Path, s: Spectrum) -> None:
-    """Write `s` as json.dumps(doc, indent=2, sort_keys=True) would, byte
-    for byte.
+def _repr_texts(arrays: list[np.ndarray]):
+    """The repr text of the arrays' values, a comma after each, as (text,
+    last) pieces in order; last marks an array's final piece. The values
+    go through `_repr_cells` in chunks of _JSON_CHUNK_VALUES (2560) that
+    run on from one array into the next, each chunk formatted only when
+    its first piece is asked for."""
+    ends = list(accumulate([values.size for values in arrays], initial=0))
+    for start in range(0, ends[-1], _JSON_CHUNK_VALUES):
+        stop = start + _JSON_CHUNK_VALUES
+        runs = [(i, max(start, ends[i]) - ends[i],
+                 min(stop, ends[i + 1]) - ends[i])
+                for i in range(len(arrays))
+                if ends[i] < stop and ends[i + 1] > start]
+        cells = _repr_cells(np.concatenate(
+            [arrays[i][first:last] for i, first, last in runs]))
+        for i, first, last in runs:
+            yield (cells[:last - first].tobytes().translate(None, b"\0 "),
+                   last == arrays[i].size)
+            cells = cells[last - first:]
+
+
+def write_spectrum_json(f, s: Spectrum, reprs: dict | None = None) -> None:
+    """Write `s` to the binary file f as json.dumps(doc, indent=2,
+    sort_keys=True) would, byte for byte.
 
     json.dumps with an indent runs the pure-Python encoder, one chunk per
     float, so only `meta` goes through it. Every float of the arrays is
     repr(value), as json writes a finite float (Spectrum admits no
-    other), from the numpy kernel `_repr_cells` with a per-value %r
-    fallback. The arrays go in chunks of _JSON_CHUNK_VALUES (2560) values
-    that run on from one array into the next, each written before the next
-    is formatted: memory stays flat, and each chunk's arrays under glibc's
-    mmap threshold.
+    other). A list whose text `reprs` holds (write_spectrum_csv's, for
+    omega, p1, p2 and q) is written from it; a raw part's real list that
+    is bit for bit p1 (p2) is written from p1's (p2's) text, which is kept
+    until then, about 40 B per omega node for both. The other lists go
+    through `_repr_texts`, each piece written before the next chunk is
+    formatted, so the writer holds one chunk besides the kept text.
     Keys go out in sorted order: meta, omega, p1, p2, q, then raw_p1,
     raw_p2, raw_p3 as present, each with imag before real.
     """
-    items = [(f',\n  "{key}": ', arr, "  ", "") for key, arr in
+    reprs = {} if reprs is None else reprs
+    # (name, values, text up to the list, its indent, text after it)
+    lists = [(key, values, f',\n  "{key}": ', "  ", "") for key, values in
              (("omega", s.omegas), ("p1", s.p1), ("p2", s.p2), ("q", s.q))]
     for key in ("raw_p1", "raw_p2", "raw_p3"):
         arr = getattr(s, key)
         if arr is not None:
-            items += [(f',\n  "{key}": {{\n    "imag": ', arr.imag,
-                       "    ", ""),
-                      (',\n    "real": ', arr.real, "    ", "\n  }")]
-    # (text up to the list's first value, its values, its indent); the
-    # text after the last value goes into `text`
-    lists = []
+            lists += [(key + ".imag", arr.imag,
+                       f',\n  "{key}": {{\n    "imag": ', "    ", ""),
+                      (key + ".real", arr.real, ',\n    "real": ', "    ",
+                       "\n  }")]
+    # compared as bits: -0.0 == 0.0, but their reprs differ
+    same = {f"raw_{key}.real": key for key in ("p1", "p2")
+            if getattr(s, "raw_" + key) is not None
+            and np.array_equal(getattr(s, "raw_" + key).real.view(np.int64),
+                               getattr(s, key).view(np.int64))}
+    fresh = _repr_texts([values for name, values, *_ in lists
+                         if name not in reprs and name not in same])
     meta = json.dumps(s.meta, indent=2, sort_keys=True).replace("\n", "\n  ")
     text = '{\n  "meta": ' + meta
-    for head, values, indent, tail in items:
-        if values.size:
-            lists.append((text + head + "[\n  " + indent, values, indent))
-            text = "\n" + indent + "]" + tail
-        else:
+    for name, values, head, indent, tail in lists:
+        if not values.size:
             text += head + "[]" + tail
-    ends = list(accumulate([values.size for _, values, _ in lists],
-                           initial=0))
-    with path.open("wb") as f:
-        for start in range(0, ends[-1], _JSON_CHUNK_VALUES):
-            stop = start + _JSON_CHUNK_VALUES
-            runs = [(i, max(start, ends[i]) - ends[i],
-                     min(stop, ends[i + 1]) - ends[i])
-                    for i in range(len(lists))
-                    if ends[i] < stop and ends[i + 1] > start]
-            cells = _repr_cells(np.concatenate(
-                [lists[i][1][first:last] for i, first, last in runs]))
-            for i, first, last in runs:
-                head, values, indent = lists[i]
-                out = cells[:last - first].tobytes().translate(None, b"\0 ")
-                cells = cells[last - first:]
-                if first == 0:
-                    f.write(head.encode())
-                if last == values.size:
-                    out = out[:-1]    # no comma after the last value
-                f.write(out.replace(b",", (",\n  " + indent).encode()))
-        f.write((text + "\n}\n").encode())
+            continue
+        f.write((text + head + "[\n  " + indent).encode())
+        text = "\n" + indent + "]" + tail
+        sep = (",\n  " + indent).encode()
+        source = same.get(name, name)
+        if source not in reprs and name in same.values():
+            # formatted in full, as a raw real list will reuse the text
+            texts = reprs[name] = []
+            for piece, last in fresh:
+                texts.append(piece)
+                if last:
+                    break
+        if source in reprs:
+            texts = reprs[source]
+            pieces = zip(texts, [False] * (len(texts) - 1) + [True])
+        else:
+            pieces = fresh
+        for piece, last in pieces:
+            f.write((piece[:-1] if last else piece).replace(b",", sep))
+            if last:
+                break
+    f.write((text + "\n}\n").encode())
 
 
 def _write_outputs(written: list[Path], outdir: Path, stem: str,
                    s: Spectrum, fmt: str) -> list[Path]:
-    """Write `s` as `stem`.csv and/or `stem`.json; each file goes into
-    `written` once it is created. Returns the files written here."""
+    """Write `s` as `stem`.csv and/or `stem`.json, each file opened once;
+    each file goes into `written` once it is created. With both formats
+    the JSON writer takes the CSV writer's repr text of the four columns.
+    Returns the files written here."""
     start = len(written)
+    reprs = {} if fmt == "both" else None
     for ext, write in (("csv", write_spectrum_csv),
                        ("json", write_spectrum_json)):
         if fmt in (ext, "both"):
             path = outdir / f"{stem}.{ext}"
-            path.open("wb").close()
-            written.append(path)
-            write(path, s)
+            with path.open("wb") as f:
+                written.append(path)
+                write(f, s, reprs)
     return written[start:]
 
 

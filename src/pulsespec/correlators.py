@@ -48,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DriveParams, TimeGrid
-from .lindblad import _free_map
+from .lindblad import _free_rotation
 
 
 def build_correlator_grids(p: DriveParams, g: TimeGrid) -> np.ndarray:
@@ -60,7 +60,7 @@ def build_correlator_grids(p: DriveParams, g: TimeGrid) -> np.ndarray:
     then one product per sub-step.
     """
     n_sub = g.substeps_per_interval
-    rot = _free_map(np.arange(2 * n_sub + 1) * g.dt, p)[1]
+    rot = _free_rotation(np.arange(2 * n_sub + 1) * g.dt, p)
     kernel = np.zeros((3, 2 * n_sub), dtype=complex)
     kernel[0] = rot[1:]
     if p.n_pulses == 0:

@@ -8,7 +8,7 @@ only numerical error in a march is floating-point rounding. A pulse is an
 instantaneous swap of ee with gg and of eg with ge. Neither map mixes
 populations with coherences, and the emitter starts with none, so the
 physical state is its two populations alone; the correlators read the
-ge-propagator alone, from the rotation table of _free_map.
+ge-propagator alone, from the rotation table of _free_rotation.
 """
 from __future__ import annotations
 
@@ -17,13 +17,17 @@ import numpy as np
 from .core import DriveParams, TimeGrid
 
 
-def _free_map(dt, p: DriveParams) -> tuple[np.ndarray, np.ndarray]:
-    """(decay, rot) of the free map over the elapsed times dt >= 0: ee is
-    multiplied by decay and feeds gg by 1 - decay, so ee + gg is conserved
-    exactly; ge is multiplied by rot and eg by its conjugate."""
-    dt = np.asarray(dt, dtype=float)
-    return (np.exp(-p.gamma * dt),
-            np.exp((1j * p.delta - 0.5 * p.gamma) * dt))
+def _free_decay(dt: np.ndarray, p: DriveParams) -> np.ndarray:
+    """The free map's decay over the elapsed times dt >= 0: ee is
+    multiplied by it and feeds gg by 1 - decay, so ee + gg is conserved
+    exactly."""
+    return np.exp(-p.gamma * dt)
+
+
+def _free_rotation(dt: np.ndarray, p: DriveParams) -> np.ndarray:
+    """The free map's rotation over the elapsed times dt >= 0: ge is
+    multiplied by it and eg by its conjugate."""
+    return np.exp((1j * p.delta - 0.5 * p.gamma) * dt)
 
 
 def propagate_trajectory(p: DriveParams, g: TimeGrid) -> np.ndarray:
@@ -36,7 +40,7 @@ def propagate_trajectory(p: DriveParams, g: TimeGrid) -> np.ndarray:
     map and the swap, and then fill the interval's nodes in place.
     """
     n_sub, n_int, pulses = g.substeps_per_interval, g.n_intervals, p.n_pulses
-    decay = _free_map(np.arange(n_sub + 1) * g.dt, p)[0]
+    decay = _free_decay(np.arange(n_sub + 1) * g.dt, p)
     feed = 1.0 - decay
     d, f = float(decay[n_sub]), float(feed[n_sub])
     e, q, ee, gg = 1.0, 0.0, [1.0], [0.0]

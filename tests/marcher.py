@@ -17,7 +17,7 @@ Unlike `oracles`, this module uses the package's free map on purpose.
 import numpy as np
 
 from pulsespec import PulsespecError
-from pulsespec.lindblad import _free_map as _free_tables
+from pulsespec.lindblad import _free_decay, _free_rotation
 
 
 class NegativeDt(PulsespecError):
@@ -30,7 +30,7 @@ def _free_map(dt, p):
     dt = np.asarray(dt, dtype=float)
     if np.any(dt < 0):
         raise NegativeDt(f"dt must be >= 0, got {dt}")
-    decay, rot = _free_tables(dt, p)
+    decay, rot = _free_decay(dt, p), _free_rotation(dt, p)
     factor = np.stack([decay, rot.conj(), rot, np.ones_like(decay)], axis=-1)
     return factor.reshape(dt.shape + (2, 2)), 1.0 - decay
 

@@ -6,8 +6,8 @@ so the engines can be checked against an outside reference. The
 two-dimensional trapezoid averages the one-sided limits at every pulse
 crossing on both axes; without that the rule degrades to first order in
 dt at the jumps and the comparison is meaningless at these tolerances.
-The 60-digit pair sum does the same integrals exactly, interval by
-interval.
+The high-precision pair sum does the same integrals exactly, interval
+by interval.
 """
 import math
 
@@ -122,9 +122,9 @@ def brute_integrals(omegas, delta, tau, n_pulses, n_sub, gamma=2.0):
 
 
 def mp_pair_blocks(omega, delta, tau, n_pulses, n_intervals, gamma=2.0):
-    """P1 and P3 at one frequency in 60-digit arithmetic, summed term by
-    term over every pair of intervals a <= b < n_intervals: O(n**2) terms
-    and no geometric resummation.
+    """P1 and P3 at one frequency in high-precision arithmetic, summed
+    term by term over every pair of intervals a <= b < n_intervals: O(n**2)
+    terms and no geometric resummation.
 
     Pair (a, b) integrates, over s and u in [0, tau] with u >= s when
     a == b, the excited population at a*tau + s (for P1; 1 for P3) times
@@ -132,8 +132,15 @@ def mp_pair_blocks(omega, delta, tau, n_pulses, n_intervals, gamma=2.0):
     - s. With pulses the population is oracle_rho0(a)*exp(-gamma*s) and
     the kernel is oracle_kernel on branch b - a; without pulses they are
     exp(-gamma*(a*tau + s)) and exp((i*delta - gamma/2)*theta).
+
+    The same-interval integrals are differences of order g0*tau**2 between
+    terms of order tau, g0 = i*(omega - delta) + gamma/2, so they lose the
+    decades of 1/|g0*tau|: the precision is 60 digits plus those decades,
+    361 at omega = delta, gamma*tau = 2.5e-301.
     """
-    with mpmath.workdps(60):
+    g0 = mpmath.mpc(gamma / 2, omega - delta)
+    decades = -mpmath.log10(abs(g0) * tau)
+    with mpmath.workdps(60 + max(0, int(mpmath.ceil(decades)))):
         tau, gamma = mpmath.mpf(tau), mpmath.mpf(gamma)
         g0 = 1j * (mpmath.mpf(omega) - mpmath.mpf(delta)) + gamma / 2
         g1 = 1j * mpmath.mpf(omega) + gamma / 2

@@ -457,7 +457,8 @@ def test_csv_rows_match_per_value_formatting(tmp_path, closed8):
     p2 = p1 + rng.normal(size=n)
     s = ps.Spectrum(omegas=omegas, p1=p1, p2=p2, meta=closed8.meta)
     path = tmp_path / "s.csv"
-    cli.write_spectrum_csv(path, s)
+    with path.open("wb") as f:
+        cli.write_spectrum_csv(f, s)
     lines = [f"# {key} = {cli._fmt(s.meta[key])}" for key in sorted(s.meta)]
     lines.append("omega,P1,P2,Q")
     for j in range(n):
@@ -482,7 +483,8 @@ def test_json_matches_per_value_writer(tmp_path, closed8, raw_names):
     raws = dict(zip(raw_names, (raw, raw[::-1])))
     s = ps.Spectrum(omegas=omegas, p1=p1, p2=p2, meta=closed8.meta, **raws)
     path = tmp_path / "s.json"
-    cli.write_spectrum_json(path, s)
+    with path.open("wb") as f:
+        cli.write_spectrum_json(f, s)
     # Python floats from tolist(): repr(np.float64(x)) is not repr(x)
     doc = {"meta": s.meta, "omega": s.omegas.tolist(), "p1": s.p1.tolist(),
            "p2": s.p2.tolist(), "q": s.q.tolist()}
@@ -498,7 +500,8 @@ def test_json_short_arrays_match_json_dumps(tmp_path, n):
     s = ps.Spectrum(omegas=np.full(n, 2.5), p1=np.zeros(n), p2=np.ones(n),
                     raw_p3=np.full(n, 1 - 2j), meta={"n_omega": n})
     path = tmp_path / "s.json"
-    cli.write_spectrum_json(path, s)
+    with path.open("wb") as f:
+        cli.write_spectrum_json(f, s)
     doc = {"meta": s.meta, "omega": [2.5] * n, "p1": [0.0] * n,
            "p2": [1.0] * n, "q": [1.0] * n,
            "raw_p3": {"real": [1.0] * n, "imag": [-2.0] * n}}
@@ -544,22 +547,31 @@ def test_closed_form_sweep_json_matches_json_dumps(tmp_path):
         assert path.read_bytes() == expected.encode()
 
 
-def test_json_writer_peak_memory_is_bounded(tmp_path):
-    # 30,000 nodes with raw_p1 and raw_p2: eight float arrays, 6.1 MB of
-    # JSON; measured 0.76 MB, one chunk's text at a time (the json.dumps
-    # writer peaked at 33.8 MB, a joined string at 18.4 MB)
-    n = 30_000
+def numeric_like(n):
+    """A spectrum of n random nodes with raw_p1 and raw_p2, whose real
+    parts are p1 and p2, as the numeric engine's are."""
     rng = np.random.default_rng(3)
     raw1 = rng.normal(size=n) + 1j * rng.normal(size=n)
     raw2 = rng.normal(size=n) + 1j * rng.normal(size=n)
-    s = ps.Spectrum(omegas=np.linspace(-50.0, 50.0, n), p1=raw1.real.copy(),
-                    p2=raw2.real.copy(), raw_p1=raw1, raw_p2=raw2,
-                    meta={"engine": "numeric", "n_omega": n})
+    return ps.Spectrum(omegas=np.linspace(-50.0, 50.0, n),
+                       p1=raw1.real.copy(), p2=raw2.real.copy(),
+                       raw_p1=raw1, raw_p2=raw2,
+                       meta={"engine": "numeric", "n_omega": n})
+
+
+def test_json_writer_peak_memory_is_bounded(tmp_path):
+    # 30,000 nodes with raw_p1 and raw_p2: eight float arrays, 6.1 MB of
+    # JSON; measured 1.76 MB, one chunk's text at a time plus the text of
+    # p1 and p2, which the real parts of raw_p1 and raw_p2 reuse (0.76 MB
+    # without it; the json.dumps writer peaked at 33.8 MB, a joined string
+    # at 18.4 MB)
+    s = numeric_like(30_000)
     path = tmp_path / "s.json"
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        cli.write_spectrum_json(path, s)
+        with path.open("wb") as f:
+            cli.write_spectrum_json(f, s)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -579,12 +591,95 @@ def test_csv_writer_peak_memory_is_bounded(tmp_path):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        cli.write_spectrum_csv(path, s)
+        with path.open("wb") as f:
+            cli.write_spectrum_csv(f, s)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert path.stat().st_size > 2.3e6
     assert peak <= 0.4e6
+
+
+def test_both_formats_peak_memory_is_bounded(tmp_path):
+    # the spectrum of test_json_writer_peak_memory_is_bounded as CSV and
+    # JSON; measured 2.92 MB, mostly the repr text of the four columns
+    # that the CSV pass makes and the JSON writer takes
+    s = numeric_like(30_000)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cli._write_outputs([], tmp_path, "s", s, "both")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "s.json").stat().st_size > 6e6
+    assert peak <= 4e6
+
+
+def written_files(tmp_path, s, fmt):
+    """The bytes of each file `_write_outputs` writes for `s` in `fmt`."""
+    out = tmp_path / fmt
+    out.mkdir()
+    return {f.name: f.read_bytes()
+            for f in cli._write_outputs([], out, "s", s, fmt)}
+
+
+def with_imag(real, imag):
+    """A complex array keeping the sign of every real zero (adding a
+    complex number to -0.0 gives 0.0)."""
+    out = real.astype(complex)
+    out.imag = imag
+    return out
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["p1_plus", "p1_minus"])
+def test_json_real_part_differing_by_a_zero_sign_keeps_its_repr(tmp_path,
+                                                               zero):
+    # raw_p1.real equals p1 as values but not as bits; raw_p2.real is p2
+    # bit for bit, and is written from p2's text
+    p1 = np.array([1.5, zero, -2.25])
+    p2 = np.array([0.25, -0.0, 0.0])
+    s = ps.Spectrum(omegas=np.arange(3.0), p1=p1, p2=p2,
+                    raw_p1=with_imag(np.array([1.5, -zero, -2.25]), 0.5),
+                    raw_p2=with_imag(p2, -1.0), meta={"n_omega": 3})
+    assert written_files(tmp_path, s, "json") == {
+        "s.json": spectrum_doc(s).encode()}
+    assert written_files(tmp_path, s, "both")["s.json"] == (
+        spectrum_doc(s).encode())
+
+
+def special_spectrum():
+    """Signed zeros, subnormals, 1e300 and the fallback's bounds in every
+    column, raw_p1.real bit for bit p1 and raw_p2.real p2 but for the
+    sign of a zero."""
+    special = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-6,
+                        1e17, 1.0 / 3.0])
+    p1, p2 = special, special[::-1].copy()
+    return ps.Spectrum(omegas=special[::-1] * 3.0, p1=p1, p2=p2,
+                       raw_p1=with_imag(p1, p2),
+                       raw_p2=with_imag(np.where(p2 == 0, -p2, p2), p1),
+                       raw_p3=with_imag(p2, special), meta={"n_omega": 9})
+
+
+TRAINS = {"pulse_free": "n_pulses = 0\nfree_time = 2.0",
+          "one_pulse": "n_pulses = 1", "fine": "n_pulses = 20\nsubsteps = 1447"}
+
+
+@pytest.mark.parametrize("case", [f"{engine}-{train}" for train in TRAINS
+                                  for engine in ("numeric", "closed_form")]
+                         + ["special"])
+def test_both_formats_write_the_bytes_of_each_format_alone(tmp_path, case):
+    if case == "special":
+        s = special_spectrum()
+    else:
+        engine, train = case.split("-")
+        cfg = cli.parse_config(write_cfg(
+            tmp_path, f"delta = 3\ntau = 0.2\n{TRAINS[train]}\n"))
+        s = cli._spectrum_for(engine, cli._params_from(cfg), cfg)
+    both = written_files(tmp_path, s, "both")
+    assert both == written_files(tmp_path, s, "csv") | written_files(
+        tmp_path, s, "json")
+    assert both["s.json"] == spectrum_doc(s).encode()
 
 
 def test_output_dir_from_config(tmp_path):
@@ -697,9 +792,9 @@ def test_chunks_keep_their_cells_under_the_mmap_threshold(tmp_path,
         blocks.append(out.nbytes)
         return out
 
-    def csv_rows(table):
+    def csv_rows(table, *reprs):
         rows.append(len(table))
-        return rows_of(table)
+        return rows_of(table, *reprs)
     monkeypatch.setattr(_digits, "_cells", cells)
     monkeypatch.setattr(cli, "_csv_rows", csv_rows)
     cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\nn_pulses = 8\n"

@@ -373,12 +373,9 @@ def test_pulse_free_horizon_of_any_length(long, short):
 @pytest.mark.parametrize("tau", [0.25, 0.2])
 def test_closed_form_oracle_matches_pair_sum(tau, gamma):
     # two high-precision evaluations rounded to doubles, so one rounding
-    # of each apart; the pair sum's same-interval integrals cancel at
-    # omega = delta once gamma is tiny, so that point runs at gamma >= 2
+    # of each apart
     points = [(0.7, 3.0), (math.pi / tau, 3.0),
-              (-2.0 * math.pi / tau + 1e-3, -1.0)]
-    if gamma >= 2.0:
-        points.append((3.0, 3.0))
+              (-2.0 * math.pi / tau + 1e-3, -1.0), (3.0, 3.0)]
     for n in [*range(13), 24]:
         for omega, delta in points:
             n_intervals = n or 3
@@ -386,6 +383,17 @@ def test_closed_form_oracle_matches_pair_sum(tau, gamma):
             pair = mp_pair_blocks(omega, delta, tau, n, n_intervals, gamma)
             for value, ref in zip(exact, pair):
                 assert abs(complex(value) - ref) <= 4e-16 * abs(ref)
+
+
+def test_pair_sum_keeps_its_digits_at_resonance():
+    # at omega = delta and gamma*tau = 2.5e-301 the same-interval integrals
+    # are differences of order g0*tau**2, g0 = gamma/2, between terms of
+    # order tau; at a fixed 60 digits they cancelled to nothing, and P3
+    # read 0, 0 and 0.1875
+    for n, n_intervals, p3 in ((1, 1, 0.03125), (2, 2, 0.0625),
+                               (0, 3, 0.28125)):
+        assert mp_pair_blocks(3.0, 3.0, 0.25, n, n_intervals,
+                              1e-300)[1] == p3
 
 
 def test_closed_form_oracle_precision_suffices():

@@ -76,7 +76,8 @@ def test_validation_imports_only_core():
             names.add(node.name)
     # guards the scan itself
     assert "f_analytic" in names
-    assert not names & {"_free_map", "build_correlator_grids"}
+    assert not names & {"_free_decay", "_free_rotation",
+                        "build_correlator_grids"}
 
 
 def test_no_engine_module_reaches_the_front_end_or_the_checks():
