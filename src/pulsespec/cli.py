@@ -9,10 +9,11 @@ neither engine nor format: it runs the numeric engine and the checks of
 `validation`, the comparison with the closed form among them.
 
 Exit codes: 0 success, 1 validation tolerance failure, 2 config parse
-error (a repeated key included), 3 parameter error, 4 output error (the
-output directory cannot be made or a file cannot be written). A command
-that fails with any error removes every file it had written; exit 1 is
-not such a failure and keeps its report. CSV and JSON spectrum files are
+error (a repeated key included), 3 parameter error (or a sweep process
+that sent no result), 4 output error (the output directory cannot be made
+or a file cannot be written). A command that fails with any error removes
+every file it had written; exit 1 is not such a failure and keeps its
+report. CSV and JSON spectrum files are
 byte-identical for identical configs: summation order and the float
 kernels of `_digits` are fixed, and every file carries the full resolved
 parameter set (the CSV header, the JSON `meta`).
@@ -21,7 +22,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import threading
 from dataclasses import asdict, fields
 from itertools import accumulate
 from pathlib import Path
@@ -208,7 +211,7 @@ def write_spectrum_json(f, s: Spectrum, reprs: dict | None = None) -> None:
                                getattr(s, key).view(np.int64))}
     fresh = _repr_texts([values for name, values, *_ in lists
                          if name not in reprs and name not in same])
-    meta = json.dumps(s.meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+    meta = _json_text(s.meta, "  ")
     text = '{\n  "meta": ' + meta
     for name, values, head, indent, tail in lists:
         if not values.size:
@@ -255,10 +258,17 @@ def _write_outputs(written: list[Path], outdir: Path, stem: str,
     return written[start:]
 
 
-def _write_report(written: list[Path], path: Path, doc: dict) -> None:
+def _json_text(doc, indent: str = "") -> str:
+    """json.dumps(doc, indent=2, sort_keys=True), each line after the first
+    indented further by `indent`, as doc sits nested at that depth."""
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    return text.replace("\n", "\n" + indent)
+
+
+def _write_report(written: list[Path], path: Path, text: str) -> None:
     with path.open("w", encoding="utf-8") as f:
         written.append(path)
-        f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        f.write(text + "\n")
 
 
 def _peak_table(s: Spectrum) -> list[dict]:
@@ -280,18 +290,33 @@ def run_spectrum(cfg: dict, outdir: Path, written: list[Path]) -> int:
         report = {"params": asdict(p),
                   "metrics": compare_spectra(spectra["numeric"],
                                              spectra["closed_form"])}
-        _write_report(written, outdir / "comparison.json", report)
+        _write_report(written, outdir / "comparison.json", _json_text(report))
     return 0
+
+
+def _sweep_workers(engine: str, n_points: int) -> int:
+    """Processes for a sweep: one per usable CPU for the closed form, whose
+    points take O(n_omega) time and memory each, and one for the numeric
+    engine, whose points may each take GBs. One also where os.fork or the
+    affinity mask is missing, or off the main thread, which alone can set
+    the SIGINT handler that the forked shares need."""
+    if (engine != "closed_form" or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")
+            or threading.current_thread() is not threading.main_thread()):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_points)
 
 
 def run_sweep(cfg: dict, outdir: Path, written: list[Path]) -> int:
     """One spectrum file per Cartesian-product point plus a manifest.
 
     Sweeps run a single engine per invocation so every output file has an
-    unambiguous provenance; the default is the closed-form engine. Files
-    are written in point order, the manifest last. File names keep 6
-    significant digits of delta and tau, so points whose names coincide
-    are rejected before any point runs.
+    unambiguous provenance; the default is the closed-form engine. File
+    names keep 6 significant digits of delta and tau, so points whose names
+    coincide are rejected before any point runs. A closed-form sweep runs
+    its points in one process per usable CPU (`_shares`), a numeric
+    sweep in this one, in point order; the files, the manifest (written
+    last) and the error raised are the same either way.
     """
     engine = cfg.get("engine", "closed_form")
     if engine == "both":
@@ -322,19 +347,34 @@ def run_sweep(cfg: dict, outdir: Path, written: list[Path]) -> int:
                 f"sweep points {points[stem]} and {point} both write {stem}")
         points[stem] = point
 
-    manifest_points = []
-    for stem, (d, t, n) in points.items():
+    jobs = [(index, stem, point)
+            for index, (stem, point) in enumerate(points.items())]
+
+    def run_point(written: list[Path], stem: str, point: tuple) -> str:
+        """One point: its spectrum, its files (each into `written` once
+        created) and its manifest entry, encoded as it sits in the
+        manifest."""
+        d, t, n = point
         p = _params_from(cfg, delta=d, tau=t, n_pulses=n)
         s = _spectrum_for(engine, p, cfg)
         files = _write_outputs(written, outdir, stem, s, fmt)
-        manifest_points.append({
+        return _json_text({
             "files": [f.name for f in files],
             "params": s.meta,
             "positive_weight_fraction": positive_weight_fraction(s),
             "peaks": _peak_table(s),
-        })
-    manifest = {"engine": engine, "format": fmt, "points": manifest_points}
-    _write_report(written, outdir / "manifest.json", manifest)
+        }, "    ")
+    workers = _sweep_workers(engine, len(jobs))
+    if workers == 1:
+        entries = [run_point(written, stem, point) for _, stem, point in jobs]
+    else:
+        from ._shares import run_shares
+        entries = run_shares(jobs, workers, run_point, written)
+    # each entry encoded where its point ran; joined as json.dumps would
+    # nest them
+    text = (_json_text({"engine": engine, "format": fmt})[:-2]
+            + ',\n  "points": [\n    ' + ",\n    ".join(entries) + "\n  ]\n}")
+    _write_report(written, outdir / "manifest.json", text)
     return 0
 
 
@@ -360,7 +400,8 @@ def run_validate(cfg: dict, outdir: Path, written: list[Path]) -> int:
     report = {"params": asdict(p), "checks": checks, "metrics": metrics,
               "peaks": _peak_table(s_closed), "passed": passed,
               "hint": hint}
-    _write_report(written, outdir / "validation_report.json", report)
+    _write_report(written, outdir / "validation_report.json",
+                  _json_text(report))
     return 0 if passed else 1
 
 

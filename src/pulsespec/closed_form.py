@@ -29,7 +29,7 @@ def closed_blocks(omega, p: DriveParams):
     (c0, r) = (1/(1 + x), -x), x = exp(-gamma*tau). The kernel vanishes
     across an odd number of pulses and gains E = exp(-2*g1*tau) every 2
     intervals. With g0 = i*(omega - delta) + gamma/2, g1 = i*omega +
-    gamma/2, g2 = g0 - gamma, M = (n - 1)//2,
+    gamma/2, M = (n - 1)//2,
 
         P1 = same1 sum_{a<n} pop(a)
              + a1*b sum_{m=1..M} E**m sum_{a<n-2*m} pop(a),
@@ -37,21 +37,23 @@ def closed_blocks(omega, p: DriveParams):
 
     same1 = int_0^tau ds exp(-gamma*s) int_s^tau du exp(-g0*(u - s)),
     same3 the same without exp(-gamma*s), and a1, a3, b the integrals over
-    [0, tau] of exp(g2*s), exp(g0*s), exp(-g0*u). The sums are geometric,
-    and x**2/E = conj(E). a3*b*E = exp((g0 - 2*g1)*tau)*b**2: no exponent
-    has a positive real part, so nothing overflows at large tau. P3
-    behaves as n*tau/g0 at large |omega|.
+    [0, tau] of exp((g0 - gamma)*s), exp(g0*s), exp(-g0*u). g0 - gamma is
+    -conj(g0), exactly in floating point, and expm1 and the division keep
+    conjugates, so a1 is conj(b) bit for bit and costs no second expm1.
+    The sums are geometric, and x**2/E = conj(E).
+    a3*b*E = exp((g0 - 2*g1)*tau)*b**2: no exponent has a positive real
+    part, so nothing overflows at large tau. P3 behaves as n*tau/g0 at
+    large |omega|.
     """
     gamma = p.gamma
     tau, n = (p.tau, p.n_pulses) if p.n_pulses else (p.n_intervals * p.tau, 1)
     omega = np.asarray(omega, dtype=float)
     g0 = 1j * (omega - p.delta) + 0.5 * gamma
-    g2 = g0 - gamma
     x = math.exp(-gamma * tau)
     # 1 - x and 1 - exp(-g0*tau) from expm1, exact as tau -> 0
     x_gap = -math.expm1(-gamma * tau)
     b = -np.expm1(-g0 * tau) / g0
-    a1 = np.expm1(g2 * tau) / g2
+    a1 = b.conj()
     same1 = (x_gap / gamma - (1.0 - g0 * b) * a1) / g0
     same3 = (tau - b) / g0
     if 0.5 * gamma * tau < 0.1:

@@ -54,18 +54,22 @@ from .lindblad import _free_rotation
 def build_correlator_grids(p: DriveParams, g: TimeGrid) -> np.ndarray:
     """The (3, 2*n_sub) complex kernel table of the module docstring.
 
-    Row 0 is the free rotation table at theta = dt..2*tau. Row 2 is
-    conj(rot(tau)) times the rotation table from theta = tau on, formed
-    as the companion's march forms it: the swapped-in conj(rot(tau)),
-    then one product per sub-step.
+    Row 0 is the free rotation table at theta = dt..2*tau, formed in place
+    from the elapsed times written into its real part, so no second table
+    is alive beside the result. Row 2 is conj(rot(tau)) times the rotation
+    table from theta = tau on, formed as the companion's march forms it:
+    the swapped-in conj(rot(tau)) times rot(0) = 1, then one product per
+    sub-step.
     """
     n_sub = g.substeps_per_interval
-    rot = _free_rotation(np.arange(2 * n_sub + 1) * g.dt, p)
     kernel = np.zeros((3, 2 * n_sub), dtype=complex)
-    kernel[0] = rot[1:]
+    rot = kernel[0]
+    np.multiply(np.arange(1, 2 * n_sub + 1), g.dt, out=rot.real)
+    _free_rotation(rot, p, out=rot)
     if p.n_pulses == 0:
-        kernel[1:] = rot[1:]
+        kernel[1:] = rot
     elif p.n_pulses >= 2:
-        np.multiply(rot[n_sub].conj(), rot[:n_sub + 1],
-                    out=kernel[2, n_sub - 1:])
+        swapped = rot[n_sub - 1].conj()
+        kernel[2, n_sub - 1] = np.multiply(swapped, 1.0 + 0.0j)
+        np.multiply(swapped, rot[:n_sub], out=kernel[2, n_sub:])
     return kernel

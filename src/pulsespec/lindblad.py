@@ -24,10 +24,13 @@ def _free_decay(dt: np.ndarray, p: DriveParams) -> np.ndarray:
     return np.exp(-p.gamma * dt)
 
 
-def _free_rotation(dt: np.ndarray, p: DriveParams) -> np.ndarray:
+def _free_rotation(dt: np.ndarray, p: DriveParams,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """The free map's rotation over the elapsed times dt >= 0: ge is
-    multiplied by it and eg by its conjugate."""
-    return np.exp((1j * p.delta - 0.5 * p.gamma) * dt)
+    multiplied by it and eg by its conjugate. A complex `out` may be dt
+    itself, which then holds the times in its real part."""
+    rate = np.multiply(1j * p.delta - 0.5 * p.gamma, dt, out=out)
+    return np.exp(rate, out=out)
 
 
 def propagate_trajectory(p: DriveParams, g: TimeGrid) -> np.ndarray:
