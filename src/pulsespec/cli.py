@@ -353,10 +353,15 @@ def run_sweep(cfg: dict, outdir: Path, written: list[Path]) -> int:
     def run_point(written: list[Path], stem: str, point: tuple) -> str:
         """One point: its spectrum, its files (each into `written` once
         created) and its manifest entry, encoded as it sits in the
-        manifest."""
+        manifest. A PulsespecError names the point."""
         d, t, n = point
-        p = _params_from(cfg, delta=d, tau=t, n_pulses=n)
-        s = _spectrum_for(engine, p, cfg)
+        try:
+            p = _params_from(cfg, delta=d, tau=t, n_pulses=n)
+            s = _spectrum_for(engine, p, cfg)
+        except PulsespecError as exc:
+            exc.args = (f"sweep point delta = {d}, tau = {t}, n_pulses = "
+                        f"{n}: {exc}",)
+            raise
         files = _write_outputs(written, outdir, stem, s, fmt)
         return _json_text({
             "files": [f.name for f in files],

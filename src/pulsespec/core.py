@@ -55,8 +55,8 @@ class TooManyPulses(PulsespecError):
 DEFAULT_GAMMA = 2.0
 # The time grid's size rule: 4 x n_nodes cells at most (2**24 complex
 # values take 256 MiB). Arrays in n_sub pass it on one interval: the
-# kernel table's 6 x n_sub cells by 1.5 times, and validate's node checks
-# (about 0.5 kB a substep, traced) by about 8.
+# kernel table's 6 x n_sub cells by 1.5 times, and validate's check of
+# that table (about 0.5 kB a substep, traced) by about 8.
 MAX_ARRAY_CELLS = 2**24
 # Largest frequency grid: a closed-form spectrum run with JSON output peaks
 # at about 0.26 kB per frequency node above the interpreter's ~30 MB, so
@@ -123,9 +123,11 @@ def validate_params(p: DriveParams) -> DriveParams:
             raise PulsespecError(f"{name} must be finite, got {value}")
     n_pulses = _count("n_pulses", p.n_pulses)
     if n_pulses < 0:
-        # a count past Python's 4300-digit limit cannot be formatted
-        raise PulsespecError(f"n_pulses must be >= 0, got a negative "
-                             f"count of {n_pulses.bit_length()} bits")
+        try:
+            count = str(n_pulses)
+        except ValueError:  # past Python's int-to-str digit limit
+            count = f"a negative count of {n_pulses.bit_length()} bits"
+        raise PulsespecError(f"n_pulses must be >= 0, got {count}")
     if n_pulses > 2**53:
         # counts up to 2**53 are exact doubles, as the phase reductions need
         raise TooManyPulses(f"n_pulses must be <= 2**53, got "

@@ -1,4 +1,4 @@
-"""The free map's tables and the physical trajectory of populations.
+"""The free map's tables and the populations at the interval starts.
 
 Between pulses the excited population ee relaxes at rate gamma into the
 ground population gg, and the coherence ge rotates at the detuning while
@@ -34,35 +34,22 @@ def _free_rotation(dt: np.ndarray, p: DriveParams,
 
 
 def propagate_trajectory(p: DriveParams, g: TimeGrid) -> np.ndarray:
-    """March the populations from ee = 1 across every grid node.
+    """March the populations from ee = 1 across the interval starts.
 
-    Returns an (n_nodes, 2) float array of (ee, gg); nodes at pulse
-    instants store the post-pulse populations. The nominal pulse at the
-    final node is applied too; it carries no weight in any time integral.
-    Each interval's starting populations are stepped as floats by the free
-    map and the swap, and then fill the interval's nodes in place.
+    Returns an (n_intervals + 1, 2) float array of (ee, gg) at the nodes
+    m*n_sub, post-pulse at the pulse instants; the nominal pulse at the
+    final node is applied too, and carries no weight in any time
+    integral. Node r of an interval holds (ee*decay_r, gg + ee*feed_r) of
+    its start, which the quadrature forms itself. Each start is stepped
+    as floats by the free map and the swap, in place in the result.
     """
-    n_sub, n_int, pulses = g.substeps_per_interval, g.n_intervals, p.n_pulses
-    decay = _free_decay(np.arange(n_sub + 1) * g.dt, p)
-    feed = 1.0 - decay
-    d, f = float(decay[n_sub]), float(feed[n_sub])
-    e, q, ee, gg = 1.0, 0.0, [1.0], [0.0]
-    for n in range(1, n_int + 1):
+    d = float(_free_decay(g.substeps_per_interval * g.dt, p))
+    f = 1.0 - d
+    out = np.empty((g.n_intervals + 1, 2))
+    e, q = out[0, 0], out[0, 1] = 1.0, 0.0
+    for n in range(1, g.n_intervals + 1):
         e, q = e * d, q + e * f
-        if n <= pulses:
+        if n <= p.n_pulses:
             e, q = q, e
-        ee.append(e)
-        gg.append(q)
-    ee, gg = np.array(ee), np.array(gg)
-    # node k of an interval holds (ee*decay_k, gg + ee*feed_k) of its start.
-    # A ufunc buffers a broadcast operand on a strided view, so the outer
-    # products go through einsum and gg is copied in before the one add of
-    # equal shapes.
-    out = np.empty((g.n_nodes, 2))
-    cells = out[:-1].reshape(n_int, n_sub, 2)
-    np.einsum("i,j->ij", ee[:-1], feed[:n_sub], out=cells[..., 0])
-    np.copyto(cells[..., 1], gg[:-1, None])
-    cells[..., 1] += cells[..., 0]
-    np.einsum("i,j->ij", ee[:-1], decay[:n_sub], out=cells[..., 0])
-    out[-1] = ee[-1], gg[-1]
+        out[n, 0], out[n, 1] = e, q
     return out

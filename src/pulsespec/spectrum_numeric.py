@@ -9,25 +9,27 @@ row with its pre-pulse companion at half weight each. This keeps the
 composite rule second order in dt; sampling a single side of each jump
 degrades it to first order.
 
-Every correlator is a population from the trajectory times one entry
-of the (3, P) kernel table of `correlators.build_correlator_grids`, P =
-2*n_sub, so the sum over t at fixed theta_j groups by entry. From a
-start node of residue r (the companion is residue n_sub), j = 1 + q*P +
-c reaches node u = r + c + 1 of the row past q pulse pairs and reads
-factor**q * kernel[f, c]: f = u // n_sub for the value, (u - 1) // n_sub
-for the left limit. n_int - 2q - f nodes of residue r reach j, and the
-left limit's floor counts one more where a range ends there. With
-running[m, r] the weighted populations of the first m nodes of residue r,
+Every correlator is a node's population times one entry of the (3, P)
+kernel table of `correlators.build_correlator_grids`, P = 2*n_sub, so
+the sum over t at fixed theta_j groups by entry. From a start node of
+residue r (the companion is residue n_sub), j = 1 + q*P + c reaches node
+u = r + c + 1 of the row past q pulse pairs and reads factor**q *
+kernel[f, c]: f = u // n_sub for the value, (u - 1) // n_sub for the
+left limit. n_int - 2q - f nodes of residue r reach j, and the left
+limit's floor counts one more where a range ends there. So
 
     S[1 + q*P + c] = factor**q / 2 * sum_f kernel[f, c] * W_f,
 
-W_f summing running[n_int - 2q - f, r] over the residues whose value has
-floor f, and again over those whose left limit has. For c = a*n_sub + b
-the value has floor a on r < n_sub - 1 - b, the left limit on r < n_sub
-- b, and both a + 1 above: W_a is two prefix sums over r, W_(a+1) two
-suffix sums, and the companion adds itself at floor 2. Each is a
-cumulative sum, never a difference, so no digits cancel, and S costs
-O(N) for N time nodes.
+W_f summing the weighted populations of the first n_int - 2q - f nodes
+of the residues whose value has floor f, and again of those whose left
+limit has: for c = a*n_sub + b, floor a on r < n_sub - 1 - b (value)
+and r < n_sub - b (left limit), a + 1 above, and the companion at floor
+2. A node holds its interval start's populations after r free steps, so
+W_f is three per-count sources (ee and gg summed over the starts, and
+the count) times prefix or suffix sums of per-residue coefficients. No
+sum is a difference, so no digits cancel. The trajectory is
+O(n_intervals), the windows O(n_sub), and S, formed in O(N) for N time
+nodes, is the only O(N) array.
 
 On the uniform grid theta_j = j*dt the transform to omega is the
 polynomial sum_j S[j] z**j at z = exp(-i*omega_k*dt), at the nodes
@@ -51,7 +53,7 @@ from .core import (DriveParams, FrequencyGrid, GridMismatch, Spectrum,
                    TimeGrid, build_meta, make_frequency_grid, make_time_grid,
                    two_prod)
 from .correlators import build_correlator_grids
-from .lindblad import propagate_trajectory
+from .lindblad import _free_decay, propagate_trajectory
 
 
 def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
@@ -63,14 +65,14 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
     build_correlator_grids output. Trapezoid over t of the per-row theta
     transforms. The summation is collapsed over t first (S[j] = sum_i of
     fully weighted samples), so the theta transform runs once, by chirp-z,
-    instead of once per row; the reduction order is fixed, making the
-    output reproducible bit for bit.
+    instead of once per row; the reduction order is fixed and no product
+    goes through BLAS, so the output is reproducible bit for bit.
     """
     shape = (3, 2 * g.substeps_per_interval)
-    if kernel.shape != shape or traj.shape != (g.n_nodes, 2):
+    if kernel.shape != shape or traj.shape != (g.n_intervals + 1, 2):
         raise GridMismatch(
             f"kernel has shape {kernel.shape} and trajectory {traj.shape}, "
-            f"time grid needs {shape} and {(g.n_nodes, 2)}")
+            f"time grid needs {shape} and {(g.n_intervals + 1, 2)}")
     raw_p1, raw_p2 = theta_transform(theta_sums(p, g, traj, kernel), g.dt,
                                      fg)
     # copies: with views of the complex arrays validate ran 8% slower
@@ -80,82 +82,83 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
                     meta=build_meta(p, fg, "numeric", grid=g))
 
 
+# columns per block of theta_sums' rows, small at any substep count
+_BLOCK = 4096
+
+
 def _doubled_windows(x: np.ndarray) -> np.ndarray:
-    """w[:, r] + w[:, r + 1], r = 0..n - 1, for w[:, r] the sum of x over
-    the rows r' < r of its axis 1: two prefix sums, never a difference."""
-    w = np.zeros((x.shape[0], x.shape[1] + 1) + x.shape[2:])
-    np.cumsum(x, axis=1, out=w[:, 1:])
-    return np.add(w[:, :-1], w[:, 1:])
+    """w[..., b] + w[..., b + 1], b = 0..n - 1, for w[..., b] the sum of x
+    over its last axis below b: two prefix sums, never a difference."""
+    w = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum(x, axis=-1, out=w[..., 1:])
+    return np.add(w[..., :-1], w[..., 1:])
 
 
 def theta_sums(p: DriveParams, g: TimeGrid, traj: np.ndarray,
                kernel: np.ndarray) -> np.ndarray:
     """S[k, j], j = 0..N-1: the trapezoid over t and theta of the
-    correlators of population k at theta_j = j*dt, from the trajectory
-    and the kernel table of matching shapes."""
+    correlators of population k at theta_j = j*dt, from the interval
+    starts and the kernel table of matching shapes."""
     n_sub, n_int = g.substeps_per_interval, g.n_intervals
-    period = 2 * n_sub
     last = g.n_nodes - 1
-    # t node i < last owns the theta range j = 0..last-i; node `last` has
-    # an empty range and a vanishing integral. Node 0 and the interior
-    # pulse nodes take half the weight. running[k, m, r] sums population
-    # k, weighted, over the first m nodes i = m'*n_sub + r of residue r;
-    # the companion's, column n_sub, are the interior pulse nodes,
-    # populations swapped back.
-    running = np.zeros((2, n_int + 1, n_sub + 1))
-    w_t = np.full(last, g.dt)
-    w_t[0] *= 0.5
-    if p.n_pulses >= 1:
-        w_t[n_sub::n_sub] *= 0.5
-    np.multiply(traj[:last].T.reshape(2, n_int, n_sub),
-                w_t.reshape(n_int, n_sub), out=running[:, 1:, :n_sub])
-    if p.n_pulses >= 1:
-        running[:, 2:, n_sub] = running[::-1, 2:, 0]
-    np.cumsum(running, axis=1, out=running)
-    # at[k, r, f, q] holds the running sums at the count n_int - 2q - f of
-    # floor f; past j = last the count is 0 and the sums pad with zeros.
-    # q is the last axis, so every product below runs along it.
-    n_q = (last - 1) // period + 1
+    # sources[m, s] at the count m: ee and gg summed over the starts
+    # 1..m-1, about the last start c as cumsum(start - c) + (m - 1)*c so
+    # that each rounds once, and m >= 1, which carries node 0
+    sources = np.zeros((n_int + 1, 3))
+    centre = traj[-1]
+    np.cumsum(traj[1:n_int] - centre, axis=0, out=sources[2:, :2])
+    sources[2:, :2] += np.arange(1, n_int)[:, None] * centre
+    sources[1:, 2] = 1.0
+    # at[q, f]: the sources at the count n_int - 2q - f, 0 past j = last
+    n_q = (last - 1) // (2 * n_sub) + 1
     q = np.arange(n_q)
-    count = np.maximum(n_int - 2 * q - np.arange(3)[:, None], 0)
-    at = np.take(running, count, axis=1).transpose(0, 3, 1, 2)
-    del running, w_t
-    # On half a of the pair, c = a*n_sub + b, floor a reads the residues
-    # below n_sub - b (the left limit) and n_sub - 1 - b (the value), the
-    # windows of prefix n_sub - 1 - b read backwards, and floor a + 1 the
-    # residues above, the windows of suffix b read forwards.
-    prefix = _doubled_windows(at[:, :n_sub, :2])[:, ::-1]
-    suffix = _doubled_windows(at[:, n_sub - 1::-1, 1:])
-    # the companion's running sums count from node 0, one interval before
-    # its first node, so its floor 2 reads them at the count of floor 1;
-    # at q = 0, floor 0 counts every node, where every row is 1
-    companion = at[:, n_sub, 1].copy()
-    theta_zero = 0.5 * at[:, :, 0, 0].sum(axis=1)
-    del at
-    # body[k, c, q] is s[k, 1 + q*P + c] before the pair factor; each
-    # window adds value and left limit, so the kernel takes the 1/2 of
-    # their mean
-    body = np.empty((2, 2, n_sub, n_q), dtype=complex)
-    for a in (0, 1):
-        half = 0.5 * kernel[:, a * n_sub:(a + 1) * n_sub, None]
-        np.multiply(prefix[:, :, a], half[a], out=body[:, a])
-        body[:, a] += suffix[:, :, a] * half[a + 1]
-    del prefix, suffix
-    # the companion has floor 2 in its value from c = n_sub - 1 and in
-    # its left limit from c = n_sub, up to the end of the pair, where its
-    # value has floor 3: weight 1/2, then 1, then 1/2. Its other floor is
-    # 1, where kernel[1] is 0 on every train with a companion.
-    weight = np.ones(n_sub + 1)
-    weight[[0, -1]] = 0.5
-    body = body.reshape(2, period, n_q)
-    body[:, n_sub - 1:] += ((weight * kernel[2, n_sub - 1:])[:, None]
-                            * companion[:, None])
-    s = np.empty((2, 1 + n_q * period), dtype=complex)
-    np.multiply(body.transpose(0, 2, 1), (kernel[2, -1] ** q)[:, None],
-                out=s[:, 1:].reshape(2, n_q, period))
-    # the theta weight is dt, halved at j = 0
-    s[:, 0] = theta_zero
-    s *= g.dt
+    at = sources[np.maximum(n_int - 2 * q[:, None] - np.arange(3), 0)]
+    # coef[k, s, r]: population k of a node of residue r per unit of
+    # source s (of the count: the first interval's nodes), times its
+    # weight, dt in t times dt in theta, halved at node 0 and the interior
+    # pulse nodes, and for the mean of value and left limit in a window
+    decay = _free_decay(np.arange(n_sub) * g.dt, p)
+    coef = np.zeros((2, 3, n_sub))
+    coef[:, 0] = decay, 1.0 - decay
+    coef[1, 1] = 1.0
+    coef[:, 2] = coef[:, 0] * traj[0, 0] + coef[:, 1] * traj[0, 1]
+    coef[:, 2, 0] *= 0.5
+    if p.n_pulses >= 1:
+        coef[:, :2, 0] *= 0.5
+    coef *= 0.5 * g.dt * g.dt
+    # The companion, the interior pulse nodes with populations swapped
+    # back, reads source 1 - k at half weight. Its value has floor 2 from
+    # c = n_sub - 1, its left limit from c = n_sub, up to floor 3 at the
+    # pair's end: weight 1/2, then 1, then 1/2. Counting from node 0, an
+    # interval before its first node, it reads the count of floor 1, row
+    # 4 - 3a - k of half a, where kernel[1] is 0 with a companion.
+    swapped = 0.5 * g.dt * g.dt * (p.n_pulses >= 1)
+    share = np.full((2, n_sub), swapped)
+    share[0, :-1] = 0.0
+    share[:, -1] *= 0.5
+    s = np.empty((2, 1 + 2 * n_q * n_sub), dtype=complex)
+    # the theta weight is halved at j = 0, where every row is 1
+    s[:, 0] = ((coef.sum(axis=2) * sources[n_int]).sum(axis=1)
+               + 0.5 * swapped * sources[n_int, 1::-1])
+    halves = kernel.reshape(3, 2, n_sub)
+    rows = np.empty((6, min(n_sub, _BLOCK)), dtype=complex)
+    for k in (0, 1):
+        # floor a reads the windows of prefix n_sub - 1 - b backwards,
+        # floor a + 1 those of suffix b forwards
+        prefix = _doubled_windows(coef[k])[:, ::-1]
+        suffix = _doubled_windows(coef[k, :, ::-1])
+        body = s[k, 1:].reshape(n_q, 2, n_sub)
+        for a in (0, 1):
+            for start in range(0, n_sub, _BLOCK):
+                b = slice(start, start + _BLOCK)
+                part = rows[:, :min(_BLOCK, n_sub - start)]
+                np.multiply(prefix[:, b], halves[a, a, b], out=part[:3])
+                np.multiply(suffix[:, b], halves[a + 1, a, b], out=part[3:])
+                part[4 - 3 * a - k] += share[a, b] * halves[2, a, b]
+                # real sources times complex rows as one real einsum
+                np.einsum("qj,jx->qx", at[:, a:a + 2].reshape(n_q, 6),
+                          part.view(float), out=body[:, a, b].view(float))
+        body *= (kernel[2, -1] ** q)[:, None, None]
     return s[:, :last + 1]
 
 

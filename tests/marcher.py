@@ -1,5 +1,6 @@
-"""The generic 2 x 2 marcher: the reference of the trajectory and of the
-kernel table.
+"""The generic 2 x 2 marcher: the reference of the trajectory, of the
+kernel table and, through the populations at every node, of the theta
+sums.
 
 A density matrix is a complex array of shape (..., 2, 2) in the layout
 [[ee, eg], [ge, gg]]; the maps below act on any such matrix, physical or
@@ -7,7 +8,8 @@ not. The package builds each of its stages from the part of the matrix
 it reads, since the free map and the swap never mix populations with
 coherences. `march` advances whole matrices instead, with the same
 free-map tables and the same swap, so the package's trajectory must
-equal `march_trajectory` exactly, not to a tolerance. The kernel table
+equal `march_trajectory` at the interval starts exactly, not to a
+tolerance. The kernel table
 forms each propagator from one exponential where the march multiplies
 two or three, so `march_block` matches it within rounding, and bit for
 bit where both form the same products: the free rotation before the
@@ -126,3 +128,72 @@ def march_block(p, g):
     block[:, np.broadcast_to(r[:, None], theta.shape)[in_pair],
           theta[in_pair] - 1] = marched[:, in_pair]
     return block
+
+
+def march_populations(p, g):
+    """The (n_nodes, 2) populations (ee, gg) of `march_trajectory` at every
+    grid node, post-pulse at the pulse instants."""
+    return march_trajectory(p, g).real.diagonal(axis1=1, axis2=2).copy()
+
+
+def _doubled_windows(x):
+    """w[:, r] + w[:, r + 1], r = 0..n - 1, for w[:, r] the sum of x over
+    the rows r' < r of its axis 1: two prefix sums, never a difference."""
+    w = np.zeros((x.shape[0], x.shape[1] + 1) + x.shape[2:], dtype=x.dtype)
+    np.cumsum(x, axis=1, out=w[:, 1:])
+    return np.add(w[:, :-1], w[:, 1:])
+
+
+def node_theta_sums(p, g, nodes, kernel):
+    """The theta sums S[k, j] of `pulsespec.spectrum_numeric.theta_sums`,
+    read from the populations at every node, `march_populations`, where
+    the package reads the interval starts: running[k, m, r] sums the
+    weighted population k over the first m nodes of residue r, and S[1 +
+    q*P + c] is factor**q / 2 times the kernel entries times prefix and
+    suffix windows of running over r, at the counts n_int - 2q - f. The
+    sums are formed in the dtype of `nodes`, float64 or long double, and
+    the kernel is cast to match."""
+    real = nodes.dtype
+    kernel = kernel.astype(np.result_type(real, np.complex64))
+    n_sub, n_int = g.substeps_per_interval, g.n_intervals
+    period = 2 * n_sub
+    last = g.n_nodes - 1
+    # t node i < last owns the theta range j = 0..last-i; node 0 and the
+    # interior pulse nodes take half the weight; the companion's column
+    # n_sub holds the interior pulse nodes, populations swapped back
+    running = np.zeros((2, n_int + 1, n_sub + 1), dtype=real)
+    w_t = np.full(last, g.dt, dtype=real)
+    w_t[0] *= 0.5
+    if p.n_pulses >= 1:
+        w_t[n_sub::n_sub] *= 0.5
+    np.multiply(nodes[:last].T.reshape(2, n_int, n_sub),
+                w_t.reshape(n_int, n_sub), out=running[:, 1:, :n_sub])
+    if p.n_pulses >= 1:
+        running[:, 2:, n_sub] = running[::-1, 2:, 0]
+    np.cumsum(running, axis=1, out=running)
+    # at[k, r, f, q]: the running sums at the count n_int - 2q - f
+    n_q = (last - 1) // period + 1
+    q = np.arange(n_q)
+    count = np.maximum(n_int - 2 * q - np.arange(3)[:, None], 0)
+    at = np.take(running, count, axis=1).transpose(0, 3, 1, 2)
+    prefix = _doubled_windows(at[:, :n_sub, :2])[:, ::-1]
+    suffix = _doubled_windows(at[:, n_sub - 1::-1, 1:])
+    # the companion's floor 2 reads its sums at the count of floor 1
+    companion = at[:, n_sub, 1].copy()
+    theta_zero = 0.5 * at[:, :, 0, 0].sum(axis=1)
+    body = np.empty((2, 2, n_sub, n_q), dtype=kernel.dtype)
+    for a in (0, 1):
+        half = 0.5 * kernel[:, a * n_sub:(a + 1) * n_sub, None]
+        np.multiply(prefix[:, :, a], half[a], out=body[:, a])
+        body[:, a] += suffix[:, :, a] * half[a + 1]
+    weight = np.ones(n_sub + 1, dtype=real)
+    weight[[0, -1]] = 0.5
+    body = body.reshape(2, period, n_q)
+    body[:, n_sub - 1:] += ((weight * kernel[2, n_sub - 1:])[:, None]
+                            * companion[:, None])
+    s = np.empty((2, 1 + n_q * period), dtype=kernel.dtype)
+    np.multiply(body.transpose(0, 2, 1), (kernel[2, -1] ** q)[:, None],
+                out=s[:, 1:].reshape(2, n_q, period))
+    s[:, 0] = theta_zero
+    s *= real.type(g.dt)
+    return s[:, :last + 1]

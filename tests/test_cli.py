@@ -997,6 +997,21 @@ def test_node_checks_only_read_their_inputs(n_pulses, substeps):
     assert (traj.tobytes(), kernel.tobytes()) == kept
 
 
+def test_node_checks_memory_follows_the_starts():
+    # the populations are checked at the 100,001 interval starts, not at
+    # the 2,000,001 nodes: measured 4.97 MB traced, where checking every
+    # node traced 98.1 MB
+    p, g, traj, kernel = factorization_case(20, 100_000)
+    tracemalloc.start()
+    try:
+        checks = validation.node_checks(p, g, traj, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(check["pass"] for check in checks.values())
+    assert peak <= 6e6
+
+
 @pytest.mark.filterwarnings("error")
 def test_validate_at_large_gamma_tau_checks_the_companion(tmp_path, capsys):
     # exp((i*delta - gamma/2)*tau) underflows to 0 at tau 1000: dividing by

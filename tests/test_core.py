@@ -70,11 +70,21 @@ def test_pulse_count_is_bounded_by_2_53():
 
 
 def test_negative_pulse_counts_are_named():
-    # the message used to format the count, and a count past Python's
-    # 4300-digit limit then raised a plain ValueError
+    # the message names the count itself; past Python's 4300-digit limit,
+    # where formatting it raised a plain ValueError, its bit length
     for n_pulses in (-1, -10**400, -10**5000):
         with pytest.raises(ps.PulsespecError, match="n_pulses must be >= 0"):
             drive(n_pulses)
+    messages = []
+    for n_pulses in (-8, -10):
+        with pytest.raises(ps.PulsespecError) as info:
+            drive(n_pulses)
+        messages.append(str(info.value))
+    assert messages == ["n_pulses must be >= 0, got -8",
+                        "n_pulses must be >= 0, got -10"]
+    with pytest.raises(ps.PulsespecError, match="negative count of 16610 "
+                                                "bits"):
+        drive(-10**5000)
 
 
 def test_numpy_integer_counts_are_kept_as_ints():
@@ -161,9 +171,10 @@ def test_time_grid_substeps_override():
 
 def test_time_grid_cell_budget():
     # the chirp-z buffer, 2*fft_length(n_nodes, M) values, is counted as
-    # 4*n_nodes cells; the trajectory's 2*n_nodes populations are below
-    # it, and so are the kernel table's 6*n_sub cells but on one interval,
-    # where they reach 1.5 times the budget
+    # 4*n_nodes cells; the theta sums' 2*n_nodes values are below it, the
+    # trajectory's 2*(n_intervals + 1) starts far below, and so are the
+    # kernel table's 6*n_sub cells but on one interval, where they reach
+    # 1.5 times the budget
     budget = ps.core.MAX_ARRAY_CELLS
     largest = budget // 4, ps.core.MAX_FREQUENCY_NODES
     assert 2 * fft_length(*largest) <= budget

@@ -8,23 +8,24 @@ from hypothesis import given, settings, strategies as st
 import pulsespec as ps
 from pulsespec.spectrum_numeric import theta_sums
 from conftest import MARCH_GRIDS, drive, floors, unfold
-from marcher import apply_pi_pulse, march, march_block
+from marcher import apply_pi_pulse, march, march_block, march_populations
 
 
 @pytest.fixture(scope="module")
 def fig_grid():
     p = drive(8)
     g = ps.make_time_grid(p)
-    return p, g, ps.propagate_trajectory(p, g), ps.build_correlator_grids(p, g)
+    return p, g, march_populations(p, g), ps.build_correlator_grids(p, g)
 
 
-def correlators(traj, kernel, i, side=0):
+def correlators(nodes, kernel, i, side=0):
     """C1 and C2 of t node i over its theta range, as a 2 x (last-i+1)
-    array: its populations times its row of the kernel table; side=1
-    gives the pre-swap limits instead of the post-pulse values."""
+    array: its populations, from `march_populations`, times its row of
+    the kernel table; side=1 gives the pre-swap limits instead of the
+    post-pulse values."""
     n_sub = kernel.shape[1] // 2
-    last = len(traj) - 1
-    return traj[i, :, None] * unfold(kernel, i % n_sub, last - i + 1, side)
+    last = len(nodes) - 1
+    return nodes[i, :, None] * unfold(kernel, i % n_sub, last - i + 1, side)
 
 
 def in_grid(g):
@@ -37,15 +38,15 @@ def in_grid(g):
 
 
 def test_initial_condition_identity(fig_grid):
-    p, g, traj, kernel = fig_grid
+    p, g, nodes, kernel = fig_grid
     for i in range(g.n_nodes):
-        c1, c2 = correlators(traj, kernel, i)
-        assert c1[0] == traj[i, 0]
-        assert c2[0] == traj[i, 1]
+        c1, c2 = correlators(nodes, kernel, i)
+        assert c1[0] == nodes[i, 0]
+        assert c2[0] == nodes[i, 1]
 
 
 def test_rows_span_one_pulse_pair(fig_grid):
-    p, g, traj, kernel = fig_grid
+    p, g, nodes, kernel = fig_grid
     n_sub = g.substeps_per_interval
     period = 2 * n_sub
     assert kernel.shape == (3, period)
@@ -100,7 +101,7 @@ def assert_rows_periodic(p, g, kernel):
 
 
 def test_rows_are_periodic_in_the_start_node(fig_grid):
-    p, g, traj, kernel = fig_grid
+    p, g, nodes, kernel = fig_grid
     assert_rows_periodic(p, g, kernel)
 
 
@@ -220,20 +221,21 @@ def test_derived_limits_match_reference_march(delta, tau, n_pulses,
 def test_same_interval_rotation(fig_grid):
     # inside one inter-pulse interval the c2 value is just the seeded
     # population times the free coherence factor
-    p, g, traj, kernel = fig_grid
+    p, g, nodes, kernel = fig_grid
     i = 7          # t = 0.07, interval 0
-    c2 = correlators(traj, kernel, i)[1]
+    c2 = correlators(nodes, kernel, i)[1]
     for j in range(12):
         theta = j * g.dt
-        expected = traj[i, 1] * cmath.exp((1j * p.delta - p.gamma / 2) * theta)
+        expected = nodes[i, 1] * cmath.exp((1j * p.delta - p.gamma / 2)
+                                           * theta)
         assert abs(c2[j] - expected) <= 1e-12
 
 
 def test_odd_separation_vanishes(fig_grid):
-    p, g, traj, kernel = fig_grid
+    p, g, nodes, kernel = fig_grid
     n_sub = g.substeps_per_interval
     i = 7
-    c1, c2 = correlators(traj, kernel, i)
+    c1, c2 = correlators(nodes, kernel, i)
     # t + theta in interval 1: exactly one pulse crossed
     for j in range(n_sub - i + 1, 2 * n_sub - i):
         assert c2[j] == 0.0
@@ -241,22 +243,22 @@ def test_odd_separation_vanishes(fig_grid):
 
 
 def test_factorization_against_analytic_kernel(fig_grid):
-    p, g, traj, kernel = fig_grid
+    p, g, nodes, kernel = fig_grid
     worst = 0.0
     for i in range(0, g.n_nodes - 1, 7):
-        c1, c2 = correlators(traj, kernel, i)
+        c1, c2 = correlators(nodes, kernel, i)
         for j in range(0, c1.size, 5):
             f = ps.f_analytic(g.times[i], j * g.dt, p)
             worst = max(worst,
-                        abs(c1[j] - f * traj[i, 0]),
-                        abs(c2[j] - f * traj[i, 1]))
+                        abs(c1[j] - f * nodes[i, 0]),
+                        abs(c2[j] - f * nodes[i, 1]))
     assert worst <= 1e-9
 
 
 def test_magnitude_decay(fig_grid):
-    p, g, traj, kernel = fig_grid
+    p, g, nodes, kernel = fig_grid
     for i in (0, 13, 55):
-        row = correlators(traj, kernel, i)[1]
+        row = correlators(nodes, kernel, i)[1]
         ref = abs(row[0])
         for j in range(row.size):
             value = abs(row[j])
@@ -267,33 +269,33 @@ def test_magnitude_decay(fig_grid):
 
 
 def test_bounded_by_one(fig_grid):
-    p, g, traj, kernel = fig_grid
+    p, g, nodes, kernel = fig_grid
     for i in range(g.n_nodes):
-        assert np.max(np.abs(correlators(traj, kernel, i))) <= 1.0 + 1e-12
-        assert np.max(np.abs(correlators(traj, kernel, i, 1))) <= 1.0 + 1e-12
+        assert np.max(np.abs(correlators(nodes, kernel, i))) <= 1.0 + 1e-12
+        assert np.max(np.abs(correlators(nodes, kernel, i, 1))) <= 1.0 + 1e-12
 
 
 def test_before_values_hold_left_limit(fig_grid):
-    p, g, traj, kernel = fig_grid
+    p, g, nodes, kernel = fig_grid
     n_sub = g.substeps_per_interval
     i = 7
     j = n_sub - i      # theta lands exactly on the first pulse after t
-    expected = traj[i, 1] * cmath.exp((1j * p.delta - p.gamma / 2) * j * g.dt)
-    assert abs(correlators(traj, kernel, i, 1)[1][j] - expected) <= 1e-12
+    expected = nodes[i, 1] * cmath.exp((1j * p.delta - p.gamma / 2) * j * g.dt)
+    assert abs(correlators(nodes, kernel, i, 1)[1][j] - expected) <= 1e-12
     # stored value at the crossing is post-pulse: the swapped-in component
-    assert correlators(traj, kernel, i)[1][j] == 0.0
+    assert correlators(nodes, kernel, i)[1][j] == 0.0
 
 
 def test_pre_rows_cover_interior_pulse_nodes(fig_grid):
-    p, g, traj, kernel = fig_grid
+    p, g, nodes, kernel = fig_grid
     n_sub = g.substeps_per_interval
     last = g.n_nodes - 1
     for i in range(n_sub, last, n_sub):
         # the companion row starts from the pre-pulse state: populations
         # of the stored (post-pulse) node swapped back
-        pre = traj[i, ::-1]
+        pre = nodes[i, ::-1]
         c2 = pre[1] * unfold(kernel, n_sub, last - i + 1)
-        assert c2[0] == traj[i, 0]
+        assert c2[0] == nodes[i, 0]
         # the swap right after theta = 0 empties the first interval
         assert np.all(c2[1:n_sub] == 0.0)
         assert np.all(unfold(kernel, n_sub, n_sub, 1)[1:] == 0.0)
@@ -302,11 +304,11 @@ def test_pre_rows_cover_interior_pulse_nodes(fig_grid):
 def test_no_pulse_rows_follow_free_kernel():
     p = drive(0, free_time=1.0)
     g = ps.make_time_grid(p)
-    traj = ps.propagate_trajectory(p, g)
+    nodes = march_populations(p, g)
     i = 30
-    row = correlators(traj, ps.build_correlator_grids(p, g), i)[0]
+    row = correlators(nodes, ps.build_correlator_grids(p, g), i)[0]
     for j in (0, 11, row.size - 1):
-        expected = traj[i, 0] * cmath.exp((1j * p.delta - p.gamma / 2)
+        expected = nodes[i, 0] * cmath.exp((1j * p.delta - p.gamma / 2)
                                        * j * g.dt)
         assert abs(row[j] - expected) <= 1e-12
 

@@ -8,7 +8,7 @@ import pytest
 import pulsespec as ps
 from conftest import MARCH_GRIDS, drive
 from marcher import (NegativeDt, apply_pi_pulse, free_evolve, march,
-                     march_trajectory)
+                     march_populations, march_trajectory)
 
 
 def dm(ee, eg, ge, gg):
@@ -74,35 +74,36 @@ def test_trajectory_pulse_node_values():
     p = drive(8)
     g = ps.make_time_grid(p)
     traj = ps.propagate_trajectory(p, g)
-    assert traj.shape == (g.n_nodes, 2)
+    assert traj.shape == (g.n_intervals + 1, 2)
     assert traj.dtype == np.float64
-    assert len(traj) == g.n_nodes
-    n_sub = g.substeps_per_interval
+    assert len(traj) == g.n_intervals + 1
     # stored value at t = tau is post-pulse: populations just swapped
-    assert traj[n_sub, 0] == pytest.approx(1.0 - math.exp(-0.4), abs=1e-12)
+    assert traj[1, 0] == pytest.approx(1.0 - math.exp(-0.4), abs=1e-12)
     # pre-pulse value at t = 2 tau recovered by one inverse swap
-    pre = traj[2 * n_sub, ::-1]
+    pre = traj[2, ::-1]
     assert pre[0] == pytest.approx((1.0 - math.exp(-0.4)) * math.exp(-0.4),
                                    abs=1e-12)
     assert pre[0] == pytest.approx(0.220991, abs=1e-6)
 
 
 def test_trajectory_invariants():
+    # at the interval starts, and at every node of the reference march
     p = drive(8)
     g = ps.make_time_grid(p)
-    traj = ps.propagate_trajectory(p, g)
-    for ee, gg in traj:
-        assert abs(ee + gg - 1.0) <= 1e-12
-        assert -1e-12 <= ee <= 1.0 + 1e-12
+    for traj in (ps.propagate_trajectory(p, g), march_populations(p, g)):
+        for ee, gg in traj:
+            assert abs(ee + gg - 1.0) <= 1e-12
+            assert -1e-12 <= ee <= 1.0 + 1e-12
 
 
 def test_trajectory_no_pulse_decay():
     p = drive(0, free_time=4.0)
     g = ps.make_time_grid(p)
-    traj = ps.propagate_trajectory(p, g)
-    expected = np.exp(-p.gamma * g.times)
-    worst = float(np.max(np.abs(traj[:, 0] - expected)))
-    assert worst <= 1e-12
+    times = g.times[::g.substeps_per_interval]
+    for traj, t in ((ps.propagate_trajectory(p, g), times),
+                    (march_populations(p, g), g.times)):
+        worst = float(np.max(np.abs(traj[:, 0] - np.exp(-p.gamma * t))))
+        assert worst <= 1e-12
 
 
 @pytest.mark.parametrize("p, substeps", [
@@ -144,13 +145,15 @@ def test_trajectory_matches_reference_march(name):
     # imaginary parts of its populations stay exactly 0
     assert np.all(reference[:, [0, 1], [1, 0]] == 0.0)
     assert np.all(reference.imag == 0.0)
+    # the package keeps the interval starts, every n_sub-th node
+    starts = reference[::g.substeps_per_interval]
     assert np.array_equal(ps.propagate_trajectory(p, g),
-                          reference.real.diagonal(axis1=1, axis2=2))
+                          starts.real.diagonal(axis1=1, axis2=2))
 
 
 @pytest.mark.parametrize("n_pulses", [80, 5000])
 def test_trajectory_peak_memory_is_its_result(n_pulses):
-    # the nodes are filled in place: no second copy of the result
+    # the starts are written in place: no second copy of the result
     p = drive(n_pulses)
     g = ps.make_time_grid(p, 20)
     tracemalloc.start()

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pulsespec as ps
-from conftest import drive, nearest_peak
-from marcher import apply_pi_pulse, march
-from pulsespec.spectrum_numeric import fft_length, theta_transform
+from conftest import MARCH_GRIDS, drive, nearest_peak
+from marcher import (apply_pi_pulse, march, march_populations,
+                     node_theta_sums)
+from pulsespec.lindblad import _free_decay
+from pulsespec.spectrum_numeric import fft_length, theta_sums, theta_transform
 
 GOLDEN = Path(__file__).parent / "data" / "numeric_golden.npz"
 
@@ -142,6 +144,46 @@ def test_long_train_peak_memory():
     assert peak <= 30e6
 
 
+@pytest.mark.parametrize("name", sorted(MARCH_GRIDS))
+def test_theta_sums_match_the_node_reference(name):
+    # the sums from the interval starts against the window sums over the
+    # populations of every node of the reference march
+    p, substeps = MARCH_GRIDS[name]
+    g = ps.make_time_grid(p, substeps)
+    kernel = ps.build_correlator_grids(p, g)
+    got = theta_sums(p, g, ps.propagate_trajectory(p, g), kernel)
+    ref = node_theta_sums(p, g, march_populations(p, g), kernel)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def long_double_nodes(p, g, starts):
+    """The populations at every node from the interval starts, (ee*decay,
+    gg + ee*feed) with the float64 tables of the free map, in long double."""
+    decay = _free_decay(np.arange(g.substeps_per_interval) * g.dt, p)
+    feed = (1.0 - decay).astype(np.longdouble)
+    ee, gg = starts[:-1, :, None].astype(np.longdouble).transpose(1, 0, 2)
+    nodes = np.empty((g.n_nodes, 2), dtype=np.longdouble)
+    nodes[:-1, 0] = (ee * decay.astype(np.longdouble)).ravel()
+    nodes[:-1, 1] = (gg + ee * feed).ravel()
+    nodes[-1] = starts[-1]
+    return nodes
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than float64 here")
+def test_theta_sums_round_like_long_double():
+    # 10,000 pulses x 20 substeps: measured 2.5e-16 of max|S| from the sums
+    # evaluated in long double; the window sums over every node's
+    # population in float64, node_theta_sums, read 5.7e-14
+    p = drive(10_000)
+    g = ps.make_time_grid(p, 20)
+    kernel = ps.build_correlator_grids(p, g)
+    starts = ps.propagate_trajectory(p, g)
+    ref = node_theta_sums(p, g, long_double_nodes(p, g, starts), kernel)
+    got = theta_sums(p, g, starts, kernel)
+    assert np.max(np.abs(got - ref)) <= 5e-16 * np.max(np.abs(ref))
+
+
 def test_observed_dt_order_is_two():
     p = drive(8)
     fg = ps.make_frequency_grid(p)
@@ -176,8 +218,7 @@ def reference_raw(p, g, fg):
     of the weighted populations per row and node, and the direct
     transform."""
     n_sub, last = g.substeps_per_interval, g.n_nodes - 1
-    traj = ps.propagate_trajectory(p, g)
-    pops = traj.T
+    pops = march_populations(p, g).T
     seed = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     rows = np.zeros((n_sub + 1, g.n_nodes), dtype=complex)
     before = np.zeros_like(rows)
@@ -250,7 +291,7 @@ def test_numeric_spectrum_peak_layout(numeric8):
 
 
 def test_grid_mismatch_detected():
-    # the trajectory must cover the time grid
+    # the trajectory must hold every interval start of the time grid
     p = drive(8)
     g = ps.make_time_grid(p)
     traj = ps.propagate_trajectory(p, g)

@@ -147,6 +147,21 @@ def test_failing_point_fails_as_in_one_process(tmp_path, monkeypatch, capsys,
     assert files(out) == {}
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_failing_point_is_named(tmp_path, capsys, cpus, workers):
+    # the bad point sits in the middle of the list, so that on two and
+    # three CPUs a forked process runs it; the message names the point
+    # and the count, the same as on one CPU
+    forks = cpus(workers)
+    code, err = run(tmp_path, FAILING.format("2,-8,4"), tmp_path / "out",
+                    capsys)
+    assert code == 3
+    assert err == ("PulsespecError: sweep point delta = 3.0, tau = 0.2, "
+                   "n_pulses = -8: n_pulses must be >= 0, got -8\n")
+    assert len(forks) == workers - 1 and no_child_left(tmp_path)
+    assert files(tmp_path / "out") == {}
+
+
 @pytest.mark.parametrize("index", [2, 3], ids=["parent", "child"])
 def test_point_raising_keyboard_interrupt_propagates(tmp_path, monkeypatch,
                                                      cpus, index):
