@@ -7,12 +7,13 @@ two-time correlators, and exact closed-form expressions for any train
 length, the pulse-free run included. The analysis layer compares the two
 and extracts peak structure.
 """
-from .core import (DEFAULT_GAMMA, ConflictingFreeTime, DriveParams,
-                   FrequencyGrid, GridMismatch, GridTooLarge, MissingFreeTime,
-                   NonFiniteSpectrum, NonPositiveGamma, NonPositiveTau,
-                   PulsespecError, Spectrum, TimeGrid, TooManyPulses,
-                   build_meta, default_substeps, make_frequency_grid,
-                   make_time_grid, validate_params)
+from .core import (DEFAULT_GAMMA, AliasedWindow, ConflictingFreeTime,
+                   DriveParams, FrequencyGrid, GridMismatch, GridTooLarge,
+                   MissingFreeTime, NonFiniteSpectrum, NonPositiveGamma,
+                   NonPositiveTau, PulsespecError, Spectrum, TimeGrid,
+                   TooManyPulses, build_meta, default_substeps,
+                   make_frequency_grid, make_time_grid, refuse_aliasing,
+                   validate_params)
 from .lindblad import propagate_trajectory
 from .correlators import build_correlator_grids
 from .spectrum_numeric import compute_numeric_spectrum, numeric_spectrum
@@ -25,11 +26,12 @@ from .analysis import (ZeroSpectrum, compare_spectra, find_peaks,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_GAMMA", "ConflictingFreeTime", "DriveParams",
+    "DEFAULT_GAMMA", "AliasedWindow", "ConflictingFreeTime", "DriveParams",
     "FrequencyGrid", "GridMismatch", "GridTooLarge", "MissingFreeTime", "NonFiniteSpectrum",
     "NonPositiveGamma", "NonPositiveTau", "PulsespecError", "Spectrum",
     "TimeGrid", "TooManyPulses", "build_meta", "default_substeps",
-    "make_frequency_grid", "make_time_grid", "validate_params",
+    "make_frequency_grid", "make_time_grid", "refuse_aliasing",
+    "validate_params",
     "propagate_trajectory",
     "build_correlator_grids",
     "compute_numeric_spectrum", "numeric_spectrum",

@@ -2,8 +2,12 @@
 "%.17g" for CSV and of repr for JSON, with a per-value % fallback. Both
 take their digits from one decimal split of each value (`_scaled`), and
 `_csv_rows` can make a table's repr text from the split it makes for the
-CSV, so a run writing both formats splits each value once."""
+CSV, so a run writing both formats splits each value once. The writers
+take the text as streams of chunks, `_csv_texts` and `_repr_texts`, each
+chunk's arrays under glibc's mmap threshold."""
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -175,6 +179,37 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     a, k, b, e, d, fallback = _scaled(x)
     d, fallback = _shortest(a, b, e, d, fallback)
     return _cells(x, d, k, fallback, _REPR_MASKS, "r")
+
+
+def _csv_texts(columns: tuple[np.ndarray, ...], *reprs: list):
+    """The CSV rows of equal-length float columns, as `_csv_rows` writes
+    them, in byte chunks of _CSV_CHUNK_ROWS (640) rows, each formatted only
+    when it is asked for. Given one list per column, `_csv_rows` also
+    appends to each the repr text of that column's chunk."""
+    for start in range(0, columns[0].size, _CSV_CHUNK_ROWS):
+        rows = slice(start, start + _CSV_CHUNK_ROWS)
+        yield _csv_rows(np.column_stack([c[rows] for c in columns]), *reprs)
+
+
+def _repr_texts(arrays: list[np.ndarray]):
+    """The repr text of the arrays' values, a comma after each, as (text,
+    last) pieces in order; last marks an array's final piece. The values
+    go through `_repr_cells` in chunks of _JSON_CHUNK_VALUES (2560) that
+    run on from one array into the next, each chunk formatted only when
+    its first piece is asked for."""
+    ends = list(accumulate([values.size for values in arrays], initial=0))
+    for start in range(0, ends[-1], _JSON_CHUNK_VALUES):
+        stop = start + _JSON_CHUNK_VALUES
+        runs = [(i, max(start, ends[i]) - ends[i],
+                 min(stop, ends[i + 1]) - ends[i])
+                for i in range(len(arrays))
+                if ends[i] < stop and ends[i + 1] > start]
+        cells = _repr_cells(np.concatenate(
+            [arrays[i][first:last] for i, first, last in runs]))
+        for i, first, last in runs:
+            yield (cells[:last - first].tobytes().translate(None, b"\0 "),
+                   last == arrays[i].size)
+            cells = cells[last - first:]
 
 
 def _shortest(a, b, e, d, fallback) -> tuple[np.ndarray, np.ndarray]:

@@ -1,18 +1,20 @@
-"""Forked shares of a closed-form sweep's points.
+"""The one loop of every sweep, and the number of processes it runs in.
 
-`run_shares` runs a sweep's points in W processes: process k, the caller
-0, runs points k, k + W, k + 2W, ... through the caller's per-point
-function, which writes the point's files and returns its manifest entry.
-Each forked process sends back its entries, the files it created and its
-first failure, pickled through a pipe, and leaves by os._exit. `cli`
-imports this module only for a sweep that forks, so a command that does
-not pays nothing for it.
+`run_shares` runs a sweep's points in W processes (`_sweep_workers`):
+process k, the caller 0, runs points k, k + W, k + 2W, ... through the
+caller's per-point function, which writes the point's files and returns
+its manifest entry. Each forked process sends back its entries, the
+files it created and its first failure, pickled through a pipe, and
+leaves by os._exit. With W = 1 the caller runs every point itself, in
+order. `cli` imports this module only for a sweep, so a command that is
+not one pays nothing for it.
 """
 from __future__ import annotations
 
 import os
 import pickle
 import signal
+import threading
 import warnings
 from pathlib import Path
 
@@ -76,21 +78,38 @@ def _fork_share(jobs: list, run_point, stop: list) -> tuple[int, int]:
             os._exit(code)
 
 
-def run_shares(jobs: list, workers: int, run_point,
-               written: list[Path]) -> list[str]:
-    """The manifest entries of the sweep's points, in point order, from
-    `workers` processes: process k, this one 0, runs points k, k + workers,
-    k + 2*workers, ... and stops at its first failure. The files of every
-    process go into `written`, and every forked process is reaped before
-    this returns or raises. Raises as the serial loop would, the failure of
-    the lowest point; KeyboardInterrupt, once this process takes SIGINT;
-    and SweepProcessError, once a forked share sends no result.
+def _sweep_workers(engine: str, n_points: int) -> int:
+    """Processes for a sweep: one per usable CPU for the closed form, whose
+    points take O(n_omega) time and memory each, and one for the numeric
+    engine, whose points may each take GBs. One also where os.fork or the
+    affinity mask is missing, or off the main thread, which alone can set
+    the SIGINT handler that the forked shares need."""
+    if (engine != "closed_form" or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")
+            or threading.current_thread() is not threading.main_thread()):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_points)
 
-    While the shares run, SIGINT stops each process at its next point
-    instead of raising in it, so that no forked process leaves by any path
-    but os._exit and each reports the files it wrote."""
+
+def run_shares(jobs: list, engine: str, run_point,
+               written: list[Path]) -> list[str]:
+    """The manifest entries of the sweep's points, (index, stem, point)
+    each in `jobs`, in point order, from W = _sweep_workers(engine, points)
+    processes: process k, this one 0, runs points k, k + W, k + 2W, ...
+    and stops at its first failure. The files of every process go into
+    `written`, and every forked process is reaped before this returns or
+    raises. Raises the failure of the lowest point, as one process running
+    them in order would; KeyboardInterrupt, once this process takes
+    SIGINT; and SweepProcessError, once a forked share sends no result.
+
+    With W > 1, while the shares run, SIGINT stops each process at its
+    next point instead of raising in it, so that no forked process leaves
+    by any path but os._exit and each reports the files it wrote. With
+    W = 1 the handler stays as it is, so SIGINT raises at once."""
+    workers = _sweep_workers(engine, len(jobs))
     stop: list = []
-    previous = signal.signal(signal.SIGINT, lambda *_: stop.append(True))
+    if workers > 1:
+        previous = signal.signal(signal.SIGINT, lambda *_: stop.append(True))
     children: list[tuple[int, int, int]] = []
     try:
         for k in range(1, workers):
@@ -120,7 +139,8 @@ def run_shares(jobs: list, workers: int, run_point,
             written += files
             failures += [share_failure] if share_failure else []
     finally:
-        signal.signal(signal.SIGINT, previous)
+        if workers > 1:
+            signal.signal(signal.SIGINT, previous)
         # only an error outside the points gets here with children left;
         # the files they wrote may stay
         for _, pid, fd in children:

@@ -9,8 +9,9 @@ neither engine nor format: it runs the numeric engine and the checks of
 `validation`, the comparison with the closed form among them.
 
 Exit codes: 0 success, 1 validation tolerance failure, 2 config parse
-error (a repeated key included), 3 parameter error (or a sweep process
-that sent no result), 4 output error (the output directory cannot be made
+error (a repeated key included), 3 parameter error (a numeric window
+that the time grid aliases included, or a sweep process that sent no
+result), 4 output error (the output directory cannot be made
 or a file cannot be written). A command that fails with any error removes
 every file it had written; exit 1 is not such a failure and keeps its
 report. CSV and JSON spectrum files are
@@ -22,21 +23,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import threading
 from dataclasses import asdict, fields
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-from ._digits import (_CSV_CHUNK_ROWS, _JSON_CHUNK_VALUES, _csv_rows,
-                      _repr_cells)
+from ._digits import _csv_texts, _repr_texts
 from .analysis import compare_spectra, find_peaks, positive_weight_fraction
 from .closed_form import closed_spectrum
 from .core import (DriveParams, FrequencyGrid, PulsespecError, Spectrum,
-                   make_frequency_grid, make_time_grid)
+                   make_frequency_grid, make_time_grid, refuse_aliasing)
 from .correlators import build_correlator_grids
 from .lindblad import propagate_trajectory
 from .spectrum_numeric import compute_numeric_spectrum
@@ -122,6 +119,7 @@ def _spectrum_for(engine: str, p: DriveParams, cfg: dict) -> Spectrum:
     if engine == "closed_form":
         return closed_spectrum(p, fg)
     g = make_time_grid(p, cfg.get("substeps"))
+    refuse_aliasing(p, g, fg)
     return compute_numeric_spectrum(p, g, propagate_trajectory(p, g),
                                     build_correlator_grids(p, g), fg)
 
@@ -135,9 +133,8 @@ def _fmt(value) -> str:
 def write_spectrum_csv(f, s: Spectrum, reprs: dict | None = None) -> None:
     """Emit `omega,P1,P2,Q` rows after a comment header carrying the
     resolved parameters to the binary file f. Every float is exactly
-    "%.17g" % value; rows go through `_csv_rows` in chunks of
-    _CSV_CHUNK_ROWS (640), each chunk's arrays under glibc's mmap
-    threshold, so the writer holds one chunk at a time.
+    "%.17g" % value; the rows come from `_digits._csv_texts`, and the
+    writer holds one chunk of them at a time.
 
     With a dict `reprs`, the same digit split also gives the repr text of
     the four columns, which goes there under omega, p1, p2 and q for
@@ -146,35 +143,10 @@ def write_spectrum_csv(f, s: Spectrum, reprs: dict | None = None) -> None:
     """
     header = "".join(f"# {key} = {_fmt(s.meta[key])}\n"
                      for key in sorted(s.meta))
-    columns = (s.omegas, s.p1, s.p2, s.q)
     texts = ([reprs.setdefault(key, []) for key in ("omega", "p1", "p2", "q")]
              if reprs is not None else [])
     f.write((header + "omega,P1,P2,Q\n").encode())
-    for start in range(0, s.omegas.size, _CSV_CHUNK_ROWS):
-        rows = slice(start, start + _CSV_CHUNK_ROWS)
-        f.write(_csv_rows(np.column_stack([c[rows] for c in columns]),
-                          *texts))
-
-
-def _repr_texts(arrays: list[np.ndarray]):
-    """The repr text of the arrays' values, a comma after each, as (text,
-    last) pieces in order; last marks an array's final piece. The values
-    go through `_repr_cells` in chunks of _JSON_CHUNK_VALUES (2560) that
-    run on from one array into the next, each chunk formatted only when
-    its first piece is asked for."""
-    ends = list(accumulate([values.size for values in arrays], initial=0))
-    for start in range(0, ends[-1], _JSON_CHUNK_VALUES):
-        stop = start + _JSON_CHUNK_VALUES
-        runs = [(i, max(start, ends[i]) - ends[i],
-                 min(stop, ends[i + 1]) - ends[i])
-                for i in range(len(arrays))
-                if ends[i] < stop and ends[i + 1] > start]
-        cells = _repr_cells(np.concatenate(
-            [arrays[i][first:last] for i, first, last in runs]))
-        for i, first, last in runs:
-            yield (cells[:last - first].tobytes().translate(None, b"\0 "),
-                   last == arrays[i].size)
-            cells = cells[last - first:]
+    f.writelines(_csv_texts((s.omegas, s.p1, s.p2, s.q), *texts))
 
 
 def write_spectrum_json(f, s: Spectrum, reprs: dict | None = None) -> None:
@@ -188,8 +160,9 @@ def write_spectrum_json(f, s: Spectrum, reprs: dict | None = None) -> None:
     omega, p1, p2 and q) is written from it; a raw part's real list that
     is bit for bit p1 (p2) is written from p1's (p2's) text, which is kept
     until then, about 40 B per omega node for both. The other lists go
-    through `_repr_texts`, each piece written before the next chunk is
-    formatted, so the writer holds one chunk besides the kept text.
+    through `_digits._repr_texts`, each piece written before the next
+    chunk is formatted, so the writer holds one chunk besides the kept
+    text.
     Keys go out in sorted order: meta, omega, p1, p2, q, then raw_p1,
     raw_p2, raw_p3 as present, each with imag before real.
     """
@@ -294,19 +267,6 @@ def run_spectrum(cfg: dict, outdir: Path, written: list[Path]) -> int:
     return 0
 
 
-def _sweep_workers(engine: str, n_points: int) -> int:
-    """Processes for a sweep: one per usable CPU for the closed form, whose
-    points take O(n_omega) time and memory each, and one for the numeric
-    engine, whose points may each take GBs. One also where os.fork or the
-    affinity mask is missing, or off the main thread, which alone can set
-    the SIGINT handler that the forked shares need."""
-    if (engine != "closed_form" or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity")
-            or threading.current_thread() is not threading.main_thread()):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_points)
-
-
 def run_sweep(cfg: dict, outdir: Path, written: list[Path]) -> int:
     """One spectrum file per Cartesian-product point plus a manifest.
 
@@ -369,12 +329,8 @@ def run_sweep(cfg: dict, outdir: Path, written: list[Path]) -> int:
             "positive_weight_fraction": positive_weight_fraction(s),
             "peaks": _peak_table(s),
         }, "    ")
-    workers = _sweep_workers(engine, len(jobs))
-    if workers == 1:
-        entries = [run_point(written, stem, point) for _, stem, point in jobs]
-    else:
-        from ._shares import run_shares
-        entries = run_shares(jobs, workers, run_point, written)
+    from ._shares import run_shares
+    entries = run_shares(jobs, engine, run_point, written)
     # each entry encoded where its point ran; joined as json.dumps would
     # nest them
     text = (_json_text({"engine": engine, "format": fmt})[:-2]

@@ -52,6 +52,10 @@ class TooManyPulses(PulsespecError):
     pass
 
 
+class AliasedWindow(PulsespecError):
+    pass
+
+
 DEFAULT_GAMMA = 2.0
 # The time grid's size rule: 4 x n_nodes cells at most (2**24 complex
 # values take 256 MiB). Arrays in n_sub pass it on one interval: the
@@ -215,6 +219,22 @@ def make_time_grid(p: DriveParams, substeps: int | None = None) -> TimeGrid:
             f"cells, above {MAX_ARRAY_CELLS}")
     return TimeGrid(substeps_per_interval=n_sub, dt=p.tau / n_sub,
                     n_intervals=p.n_intervals)
+
+
+def refuse_aliasing(p: DriveParams, g: TimeGrid, fg: FrequencyGrid) -> None:
+    """Raise AliasedWindow where the numeric engine's transform cannot
+    estimate the window: max(|omega_min - delta|, |omega_max - delta|) * dt
+    reaches pi. The engine samples theta at dt, so its sum is periodic in
+    omega - delta with period 2*pi/dt, and from pi on a node takes the
+    value of a frequency nearer delta. Below pi the error still grows with
+    |omega - delta| * dt; `validate` measures it."""
+    reach = max(abs(fg.omega_min - p.delta), abs(fg.omega_max - p.delta))
+    if reach * g.dt >= math.pi:
+        raise AliasedWindow(
+            f"omega window [{fg.omega_min:g}, {fg.omega_max:g}] reaches "
+            f"|omega - delta| * dt = {reach * g.dt:.3g} >= pi at "
+            f"{g.substeps_per_interval} substeps; it needs more than "
+            f"{reach * p.tau / math.pi:.6g} substeps")
 
 
 @dataclass(frozen=True)

@@ -385,6 +385,61 @@ def test_oversized_frequency_grid_exits_3_without_output(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+# at the default 20 substeps (dt = 0.01) the window reaches
+# |omega - delta| * dt = 5.97 rad; the numeric spectrum was written, at
+# l2_rel 0.995 from the closed form
+ALIASED = ("delta = 3\ntau = 0.2\nn_pulses = 20\nomega_min = 550\n"
+           "omega_max = 600\n")
+
+
+@pytest.mark.parametrize("engine", ["numeric", "both"])
+def test_aliased_window_exits_3_without_output(tmp_path, capsys, engine):
+    cfg = write_cfg(tmp_path, ALIASED + f"engine = {engine}\nformat = both\n")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", cfg,
+                     "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("AliasedWindow: omega window [550, 600] reaches |omega - "
+                   "delta| * dt = 5.97 >= pi at 20 substeps; it needs more "
+                   "than 38.0062 substeps\n")
+    assert list(out.iterdir()) == []
+
+
+def test_validate_measures_an_aliased_window(tmp_path):
+    # validate reports how far the engines part there, rather than refusing
+    out = tmp_path / "val"
+    assert cli.main(["validate", "--config", write_cfg(tmp_path, ALIASED),
+                     "--output-dir", str(out)]) == 1
+    report = json.loads((out / "validation_report.json").read_text())
+    assert not report["checks"]["l2_rel"]["pass"]
+    assert "substeps" in report["hint"]
+
+
+def test_aliased_sweep_point_is_named(tmp_path, capsys):
+    # at 20 substeps the window reaches 1.97 rad at tau 0.2 and 3.94 at
+    # tau 0.4; the first point's file is removed with the failure
+    cfg = write_cfg(tmp_path, "delta = 3\ntau_list = 0.2,0.4\nn_pulses = 2\n"
+                              "substeps = 20\nomega_min = 0\nomega_max = 200\n"
+                              "omega_step = 1\nengine = numeric\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("AliasedWindow: sweep point delta = 3.0, tau = 0.4, "
+                          "n_pulses = 2: omega window [0, 200] reaches ")
+    assert err.count("\n") == 1 and list(out.iterdir()) == []
+
+
+def test_oversized_grid_takes_precedence_over_an_aliased_window(tmp_path,
+                                                                capsys):
+    # both grids are built before the window is checked against dt
+    cfg = write_cfg(tmp_path, ALIASED.replace("n_pulses = 20",
+                                              "n_pulses = 300000")
+                    + "engine = numeric\n")
+    assert cli.main(["spectrum", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("GridTooLarge: ")
+
+
 def test_long_train_beyond_old_phase_budget(tmp_path):
     # 14001 time nodes x 1201 frequencies: more cells than any one array
     # may have, but the transform never holds them all at once
@@ -759,7 +814,7 @@ def test_write_failing_part_way_leaves_no_file(tmp_path, monkeypatch, capsys,
     # a disk that fills after the writer's first chunk; the file it had
     # opened used to stay behind, truncated (22,454 bytes of CSV, 50,957
     # of JSON), because it counted as written only once its writer returned
-    formatted = getattr(cli, kernel)
+    formatted = getattr(_digits, kernel)
     calls = []
 
     def filling(values):
@@ -767,7 +822,7 @@ def test_write_failing_part_way_leaves_no_file(tmp_path, monkeypatch, capsys,
         if len(calls) == 2:
             raise OSError(errno.ENOSPC, "No space left on device")
         return formatted(values)
-    monkeypatch.setattr(cli, kernel, filling)
+    monkeypatch.setattr(_digits, kernel, filling)
     cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\nn_pulses = 8\n"
                               f"engine = closed_form\nformat = {fmt}\n")
     out = tmp_path / "out"
@@ -784,7 +839,7 @@ def test_chunks_keep_their_cells_under_the_mmap_threshold(tmp_path,
     # every chunk; and the default 1201-row grid goes out in 2 or 3 CSV
     # chunks: more cost per-call dispatch, and one would leave
     # test_write_failing_part_way_leaves_no_file no second chunk to fail
-    cells_of, rows_of = _digits._cells, cli._csv_rows
+    cells_of, rows_of = _digits._cells, _digits._csv_rows
     blocks, rows = [], []
 
     def cells(*args):
@@ -796,7 +851,7 @@ def test_chunks_keep_their_cells_under_the_mmap_threshold(tmp_path,
         rows.append(len(table))
         return rows_of(table, *reprs)
     monkeypatch.setattr(_digits, "_cells", cells)
-    monkeypatch.setattr(cli, "_csv_rows", csv_rows)
+    monkeypatch.setattr(_digits, "_csv_rows", csv_rows)
     cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\nn_pulses = 8\n"
                               "engine = closed_form\nformat = both\n")
     assert cli.main(["spectrum", "--config", cfg,

@@ -241,6 +241,34 @@ def test_time_grid_holds_no_array():
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize("delta", [3.0, -3.0])
+def test_window_is_refused_where_it_reaches_pi(delta):
+    # 20 substeps of tau 0.2: dt = 0.01 and pi / dt = 314.16, counted from
+    # delta at either end of the window
+    p = ps.DriveParams(delta=delta, tau=0.2, n_pulses=8)
+    g = ps.make_time_grid(p, 20)
+    for low, high, refused in [(-314, 314, False), (-1, 315, True),
+                               (-315, 1, True)]:
+        fg = ps.make_frequency_grid(omega_min=delta + low,
+                                    omega_max=delta + high, omega_step=1.0)
+        if refused:
+            with pytest.raises(ps.AliasedWindow, match=">= pi at 20 substeps"):
+                ps.refuse_aliasing(p, g, fg)
+        else:
+            ps.refuse_aliasing(p, g, fg)
+
+
+@pytest.mark.parametrize("tau, delta", [(0.2, 3.0), (20.0, 3.0),
+                                        (0.2, -1e4), (1e-3, 0.0)])
+def test_default_grids_stay_below_the_aliasing_bound(tau, delta):
+    # 3*pi/substeps + |delta|*dt <= 3*pi/20 + 1/4 = 0.72 rad
+    p = ps.DriveParams(delta=delta, tau=tau, n_pulses=8)
+    g, fg = ps.make_time_grid(p), ps.make_frequency_grid(p)
+    reach = max(abs(fg.omega_min - delta), abs(fg.omega_max - delta))
+    assert reach * g.dt <= 3 * math.pi / 20 + 0.25
+    ps.refuse_aliasing(p, g, fg)
+
+
 def test_frequency_grid_defaults():
     p = drive(8)
     fg = ps.make_frequency_grid(p)

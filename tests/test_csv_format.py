@@ -1,6 +1,6 @@
 """The CSV writer prints every float exactly as CPython's "%.17g" does.
 
-`cli._csv_rows` takes the 17 digits from an error-free product and a byte
+`_digits._csv_rows` takes the 17 digits from an error-free product and a byte
 mask for values of decimal exponent -6..16 and sends zeros, subnormals and
 every other magnitude through one % call; each case here compares its
 output with "%.17g" % value.
@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from pulsespec import cli
+from pulsespec import _digits
 
 FLOAT_MAX = float(np.finfo(float).max)
 
@@ -21,7 +21,7 @@ def check(values, cols=1):
     that differ (a diff of the whole text would take minutes)."""
     table = np.asarray(values, dtype=float).reshape(-1, cols)
     expected = [",".join("%.17g" % v for v in row) for row in table.tolist()]
-    lines = cli._csv_rows(table).decode().split("\n")
+    lines = _digits._csv_rows(table).decode().split("\n")
     assert lines.pop() == "" and len(lines) == len(expected)
     wrong = [(row, got, want) for row, got, want
              in zip(table.tolist(), lines, expected) if got != want]

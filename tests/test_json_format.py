@@ -1,6 +1,6 @@
 """The JSON writer prints every float exactly as CPython's repr does.
 
-`cli._repr_cells` takes the shortest digits that read back as the value
+`_digits._repr_cells` takes the shortest digits that read back as the value
 from an error-free product, its rounding interval and a byte mask for
 values of decimal exponent -6..16, and sends zeros, subnormals, every
 other magnitude and ties between two shortest forms through one %r call;
@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from pulsespec import cli
+from pulsespec import _digits
 from test_csv_format import FLOAT_MAX, check as check_csv, finite
 
 
@@ -20,7 +20,7 @@ def check(values):
     """The kernel's text against repr(value), naming the first values
     that differ."""
     x = np.asarray(values, dtype=float).ravel()
-    text = cli._repr_cells(x).tobytes().translate(None, b"\0 ").decode()
+    text = _digits._repr_cells(x).tobytes().translate(None, b"\0 ").decode()
     got = text.split(",")
     assert got.pop() == "" and len(got) == x.size
     wrong = [(v, g) for v, g in zip(x.tolist(), got) if g != repr(v)]
@@ -108,7 +108,7 @@ def test_notation_switches():
     check([0.0001, 1e-05, 0.00012, 1.2e-05, 9999999999999998.0, 1e16,
            1.2345678901234568e+16, 123456789012345.6, 1000000000000000.0,
            -1000000000000000.0, 1.0, 10.0, 0.5])
-    text = cli._repr_cells(np.array([0.0001, 1e-05, 9999999999999998.0,
+    text = _digits._repr_cells(np.array([0.0001, 1e-05, 9999999999999998.0,
                                      1e16, 1e15]))
     assert text.tobytes().translate(None, b"\0 ") == (
         b"0.0001,1e-05,9999999999999998.0,1e+16,1000000000000000.0,")
@@ -120,7 +120,7 @@ def test_zeros_subnormals_and_extremes():
 
 
 def test_arrays_of_zero_and_one_values():
-    assert cli._repr_cells(np.array([])).size == 0
+    assert _digits._repr_cells(np.array([])).size == 0
     for value in (0.1, -2.5, 0.0, 1e300):
         check([value])
 

@@ -151,9 +151,12 @@ def test_trajectory_matches_reference_march(name):
                           starts.real.diagonal(axis1=1, axis2=2))
 
 
-@pytest.mark.parametrize("n_pulses", [80, 5000])
+@pytest.mark.parametrize("n_pulses", [1000, 5000])
 def test_trajectory_peak_memory_is_its_result(n_pulses):
-    # the starts are written in place: no second copy of the result
+    # the starts are written in place: no second copy of the result. The
+    # call's fixed interpreter allocations trace about 1.5 kB, so the
+    # trains are long enough (16 kB of result at 1000 pulses) that the
+    # bound is decided by the result alone
     p = drive(n_pulses)
     g = ps.make_time_grid(p, 20)
     tracemalloc.start()

@@ -9,6 +9,7 @@ import errno
 import json
 import os
 import signal
+import threading
 import time
 from pathlib import Path
 
@@ -255,3 +256,18 @@ def test_numeric_sweep_runs_in_one_process(tmp_path, cpus):
             "omega_min = 0\nomega_max = 6\nomega_step = 1\n")
     assert run(tmp_path, text, tmp_path / "out")[0] == 0
     assert forks == []
+
+
+def test_sweep_off_the_main_thread_runs_in_one_process(tmp_path, cpus):
+    # only the main thread may set the SIGINT handler that forked shares
+    # need, so a sweep started from another thread runs every point itself
+    cpus(1)
+    assert run(tmp_path, SWEEP, tmp_path / "one")[0] == 0
+    forks, codes = cpus(2), []
+    thread = threading.Thread(target=lambda: codes.append(
+        run(tmp_path, SWEEP, tmp_path / "thread")[0]))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert codes == [0] and forks == [] and no_child_left(tmp_path)
+    assert files(tmp_path / "thread") == files(tmp_path / "one")

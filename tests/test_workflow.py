@@ -42,6 +42,7 @@ def step_lines(name: str) -> list[str]:
 def test_console_script_step_passes(tmp_path, broken):
     lines = step_lines(STEP)
     assert lines.count(INSTALL) == 1 and "diff -r sweep sweep_one_cpu" in lines
+    assert 'test -z "$(ls -A alias)"' in lines
     lines.remove(INSTALL)
     if broken:
         # a command that fails must fail the step, wherever it stands
@@ -62,3 +63,6 @@ def test_console_script_step_passes(tmp_path, broken):
                             capture_output=True, text=True, timeout=300)
     assert (result.returncode != 0) == broken, result.stderr
     assert (tmp_path / "sweep_one_cpu").is_dir() != broken
+    if not broken:
+        assert (tmp_path / "alias").is_dir()
+        assert not any((tmp_path / "alias").iterdir())
