@@ -33,7 +33,7 @@ from ._digits import _csv_texts, _repr_texts
 from .analysis import compare_spectra, find_peaks, positive_weight_fraction
 from .closed_form import closed_spectrum
 from .core import (DriveParams, FrequencyGrid, PulsespecError, Spectrum,
-                   make_frequency_grid, make_time_grid, refuse_aliasing)
+                   make_frequency_grid, make_time_grid)
 from .correlators import build_correlator_grids
 from .lindblad import propagate_trajectory
 from .spectrum_numeric import compute_numeric_spectrum
@@ -119,7 +119,6 @@ def _spectrum_for(engine: str, p: DriveParams, cfg: dict) -> Spectrum:
     if engine == "closed_form":
         return closed_spectrum(p, fg)
     g = make_time_grid(p, cfg.get("substeps"))
-    refuse_aliasing(p, g, fg)
     return compute_numeric_spectrum(p, g, propagate_trajectory(p, g),
                                     build_correlator_grids(p, g), fg)
 

@@ -227,7 +227,9 @@ def refuse_aliasing(p: DriveParams, g: TimeGrid, fg: FrequencyGrid) -> None:
     reaches pi. The engine samples theta at dt, so its sum is periodic in
     omega - delta with period 2*pi/dt, and from pi on a node takes the
     value of a frequency nearer delta. Below pi the error still grows with
-    |omega - delta| * dt; `validate` measures it."""
+    |omega - delta| * dt; `validate` measures it. Its one caller is
+    `spectrum_numeric.compute_numeric_spectrum`, so every numeric
+    spectrum, of the library and of every command, passes this rule."""
     reach = max(abs(fg.omega_min - p.delta), abs(fg.omega_max - p.delta))
     if reach * g.dt >= math.pi:
         raise AliasedWindow(

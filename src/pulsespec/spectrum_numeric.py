@@ -51,7 +51,7 @@ import numpy as np
 
 from .core import (DriveParams, FrequencyGrid, GridMismatch, Spectrum,
                    TimeGrid, build_meta, make_frequency_grid, make_time_grid,
-                   two_prod)
+                   refuse_aliasing, two_prod)
 from .correlators import build_correlator_grids
 from .lindblad import _free_decay, propagate_trajectory
 
@@ -67,12 +67,16 @@ def compute_numeric_spectrum(p: DriveParams, g: TimeGrid, traj: np.ndarray,
     fully weighted samples), so the theta transform runs once, by chirp-z,
     instead of once per row; the reduction order is fixed and no product
     goes through BLAS, so the output is reproducible bit for bit.
+    Raises GridMismatch where the shapes do not fit g, and
+    core.AliasedWindow where fg reaches pi in |omega - delta| * dt
+    (`core.refuse_aliasing`), before any sum is formed.
     """
     shape = (3, 2 * g.substeps_per_interval)
     if kernel.shape != shape or traj.shape != (g.n_intervals + 1, 2):
         raise GridMismatch(
             f"kernel has shape {kernel.shape} and trajectory {traj.shape}, "
             f"time grid needs {shape} and {(g.n_intervals + 1, 2)}")
+    refuse_aliasing(p, g, fg)
     raw_p1, raw_p2 = theta_transform(theta_sums(p, g, traj, kernel), g.dt,
                                      fg)
     # copies: with views of the complex arrays validate ran 8% slower
@@ -248,9 +252,8 @@ def theta_transform(s: np.ndarray, dt: float,
 def numeric_spectrum(p: DriveParams, fg: FrequencyGrid | None = None,
                      substeps: int | None = None) -> Spectrum:
     """Convenience pipeline: trajectory, kernel, then assembly."""
+    fg = make_frequency_grid(p) if fg is None else fg
     g = make_time_grid(p, substeps)
     traj = propagate_trajectory(p, g)
     kernel = build_correlator_grids(p, g)
-    if fg is None:
-        fg = make_frequency_grid(p)
     return compute_numeric_spectrum(p, g, traj, kernel, fg)

@@ -15,10 +15,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import pulsespec as ps
 from pulsespec import cli
-from conftest import closed_at, drive, grid_step, nearest_peak, unfold
+from conftest import (closed_at, drive, grid_step, log_uniform, nearest_peak,
+                      unfold)
 from marcher import march_populations
 from oracles import brute_integrals
 
@@ -43,6 +45,32 @@ def test_engines_agree_and_tighten_with_substeps(tmp_path):
     assert report["metrics"]["l2_rel"] <= 0.05
     _, finer = _validate_l2(tmp_path, 8, substeps=40)
     assert finer["metrics"]["l2_rel"] <= report["metrics"]["l2_rel"] / 3.5
+
+
+# The accuracy bound README states for the default window at default
+# substeps (dt <= 0.01, so gamma*dt <= 1), where the emitter decays over
+# the protocol: gamma*T >= 1/2 for T the protocol time. Worst measured
+# 0.018 over these 200 examples (pulse-free, gamma 95), and 0.0245 over
+# 7,000 random draws of the same domain (gamma*dt near 1). Below gamma*T
+# = 1/2 an even train's q nearly cancels and l2_rel, relative to that
+# small q, read up to 0.37 while the difference stayed within 0.26% of
+# the populations' norm.
+L2_REL_BOUND = 0.03
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(st.just(0), st.integers(1, 40)), st.floats(-25.0, 25.0),
+       log_uniform(-1.5, 0.3), log_uniform(-1.0, 2.0), st.integers(1, 10))
+def test_default_grid_stays_within_the_stated_bound(n_pulses, delta, tau,
+                                                    gamma, free_intervals):
+    p = ps.DriveParams(delta=delta, tau=tau, n_pulses=n_pulses, gamma=gamma,
+                       free_time=free_intervals * tau if n_pulses == 0
+                       else None)
+    assume(gamma * p.n_intervals * tau >= 0.5)
+    fg = ps.make_frequency_grid(p)
+    metrics = ps.compare_spectra(ps.numeric_spectrum(p, fg),
+                                 ps.closed_spectrum(p, fg))
+    assert metrics["l2_rel"] <= L2_REL_BOUND
 
 
 def romberg(p, fg, substeps=(10, 20, 40, 80, 160)):

@@ -405,14 +405,17 @@ def test_aliased_window_exits_3_without_output(tmp_path, capsys, engine):
     assert list(out.iterdir()) == []
 
 
-def test_validate_measures_an_aliased_window(tmp_path):
-    # validate reports how far the engines part there, rather than refusing
+def test_validate_refuses_an_aliased_window(tmp_path, capsys):
+    # validate used to compare the non-estimate with the closed form and
+    # exit 1 at l2_rel 0.995; the numeric assembly now refuses it, as for
+    # spectrum
     out = tmp_path / "val"
     assert cli.main(["validate", "--config", write_cfg(tmp_path, ALIASED),
-                     "--output-dir", str(out)]) == 1
-    report = json.loads((out / "validation_report.json").read_text())
-    assert not report["checks"]["l2_rel"]["pass"]
-    assert "substeps" in report["hint"]
+                     "--output-dir", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "AliasedWindow: omega window [550, 600] reaches |omega - delta| * dt "
+        "= 5.97 >= pi at 20 substeps; it needs more than 38.0062 substeps\n")
+    assert list(out.iterdir()) == []
 
 
 def test_aliased_sweep_point_is_named(tmp_path, capsys):
@@ -937,8 +940,11 @@ def test_validate_pass_and_report(tmp_path):
 
 
 def test_validate_coarse_grid_fails_with_hint(tmp_path):
+    # at 2 substeps (dt = 0.1) the window reaches |omega - delta| * dt =
+    # 1.3 rad, below the aliasing bound; the default window reaches 5.0
     cfg = write_cfg(tmp_path, "delta = 3\ntau = 0.2\nn_pulses = 20\n"
-                              "substeps = 2\n")
+                              "substeps = 2\nomega_min = -10\n"
+                              "omega_max = 10\nomega_step = 0.05\n")
     out = tmp_path / "val"
     assert cli.main(["validate", "--config", cfg,
                      "--output-dir", str(out)]) == 1
@@ -1071,9 +1077,11 @@ def test_node_checks_memory_follows_the_starts():
 def test_validate_at_large_gamma_tau_checks_the_companion(tmp_path, capsys):
     # exp((i*delta - gamma/2)*tau) underflows to 0 at tau 1000: dividing by
     # it made the companion's reference 0/0, with a RuntimeWarning, and the
-    # NaN deviation passed the check
+    # NaN deviation passed the check. At 1000 substeps (dt = 1) the
+    # default window reaches |omega - delta| * dt = 3.01 rad, below the
+    # aliasing bound; at 4 it reached 752
     cfg = write_cfg(tmp_path, "delta = 3\ntau = 1000\nn_pulses = 4\n"
-                              "substeps = 4\n")
+                              "substeps = 1000\n")
     out = tmp_path / "val"
     assert cli.main(["validate", "--config", cfg,
                      "--output-dir", str(out)]) == 1

@@ -266,10 +266,43 @@ def test_pair_block_matches_full_rows(n_pulses, substeps, delta, tau,
     p = drive(n_pulses, delta=delta, tau=tau, free_time=free_time)
     g = ps.make_time_grid(p, substeps)
     fg = ps.make_frequency_grid(p, omega_step=math.pi / (20.0 * tau))
-    s = ps.numeric_spectrum(p, fg, substeps=substeps)
-    for got, ref in zip((s.raw_p1, s.raw_p2), reference_raw(p, g, fg)):
+    # the sums and the transform without the assembly, which refuses the
+    # default window at 3 substeps or fewer, where it aliases
+    raw = theta_transform(theta_sums(p, g, ps.propagate_trajectory(p, g),
+                                     ps.build_correlator_grids(p, g)),
+                          g.dt, fg)
+    for got, ref in zip(raw, reference_raw(p, g, fg)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref),
                                                             initial=1e-300)
+
+
+# at the default 20 substeps (dt = 0.01) the window [550, 600] reaches
+# |omega - delta| * dt = 5.97 rad; the library returned a q off by 278
+# times max|q_closed| there
+ALIASED_LINE = ("AliasedWindow: omega window [550, 600] reaches |omega - "
+                "delta| * dt = 5.97 >= pi at 20 substeps; it needs more "
+                "than 38.0062 substeps")
+
+
+def test_library_refuses_an_aliased_window():
+    # the line the command line prints, from either library entry point
+    p = drive(20)
+    fg = ps.make_frequency_grid(p, omega_min=550.0, omega_max=600.0)
+    g = ps.make_time_grid(p)
+    traj = ps.propagate_trajectory(p, g)
+    kernel = ps.build_correlator_grids(p, g)
+    for run in (lambda: ps.numeric_spectrum(p, fg),
+                lambda: ps.compute_numeric_spectrum(p, g, traj, kernel, fg)):
+        with pytest.raises(ps.AliasedWindow) as info:
+            run()
+        assert f"{type(info.value).__name__}: {info.value}" == ALIASED_LINE
+
+
+def test_library_oversized_grid_takes_precedence_over_an_aliased_window():
+    p = drive(300000)
+    fg = ps.make_frequency_grid(p, omega_min=550.0, omega_max=600.0)
+    with pytest.raises(ps.GridTooLarge):
+        ps.numeric_spectrum(p, fg)
 
 
 def test_numeric_spectrum_structure(numeric8):

@@ -43,6 +43,9 @@ def test_console_script_step_passes(tmp_path, broken):
     lines = step_lines(STEP)
     assert lines.count(INSTALL) == 1 and "diff -r sweep sweep_one_cpu" in lines
     assert 'test -z "$(ls -A alias)"' in lines
+    assert ("pulsespec validate --config alias.cfg --output-dir "
+            "alias_validate || code=$?") in lines
+    assert 'test -z "$(ls -A alias_validate)"' in lines
     lines.remove(INSTALL)
     if broken:
         # a command that fails must fail the step, wherever it stands
@@ -64,5 +67,6 @@ def test_console_script_step_passes(tmp_path, broken):
     assert (result.returncode != 0) == broken, result.stderr
     assert (tmp_path / "sweep_one_cpu").is_dir() != broken
     if not broken:
-        assert (tmp_path / "alias").is_dir()
-        assert not any((tmp_path / "alias").iterdir())
+        for name in ("alias", "alias_validate"):
+            assert (tmp_path / name).is_dir()
+            assert not any((tmp_path / name).iterdir())
