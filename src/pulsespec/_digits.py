@@ -3,8 +3,9 @@
 take their digits from one decimal split of each value (`_scaled`), and
 `_csv_rows` can make a table's repr text from the split it makes for the
 CSV, so a run writing both formats splits each value once. The writers
-take the text as streams of chunks, `_csv_texts` and `_repr_texts`, each
-chunk's arrays under glibc's mmap threshold."""
+take the text chunk by chunk, `_csv_texts` as a stream of row chunks and
+`_repr_texts` as one list of chunk texts per array, each chunk's arrays
+under glibc's mmap threshold."""
 from __future__ import annotations
 
 from itertools import accumulate
@@ -192,12 +193,14 @@ def _csv_texts(columns: tuple[np.ndarray, ...], *reprs: list):
 
 
 def _repr_texts(arrays: list[np.ndarray]):
-    """The repr text of the arrays' values, a comma after each, as (text,
-    last) pieces in order; last marks an array's final piece. The values
-    go through `_repr_cells` in chunks of _JSON_CHUNK_VALUES (2560) that
-    run on from one array into the next, each chunk formatted only when
-    its first piece is asked for."""
+    """The repr text of each array's values, a comma after each, as one
+    list of chunk texts per array, in order. The values go through
+    `_repr_cells` in chunks of _JSON_CHUNK_VALUES (2560) that run on from
+    one array into the next, each chunk formatted only when a list it holds
+    values of is asked for, and each list yielded once its last value is
+    formatted."""
     ends = list(accumulate([values.size for values in arrays], initial=0))
+    texts = {i: [] for i in range(len(arrays))}
     for start in range(0, ends[-1], _JSON_CHUNK_VALUES):
         stop = start + _JSON_CHUNK_VALUES
         runs = [(i, max(start, ends[i]) - ends[i],
@@ -207,9 +210,12 @@ def _repr_texts(arrays: list[np.ndarray]):
         cells = _repr_cells(np.concatenate(
             [arrays[i][first:last] for i, first, last in runs]))
         for i, first, last in runs:
-            yield (cells[:last - first].tobytes().translate(None, b"\0 "),
-                   last == arrays[i].size)
+            texts[i].append(
+                cells[:last - first].tobytes().translate(None, b"\0 "))
             cells = cells[last - first:]
+        for i in [i for i in texts if ends[i + 1] <= stop]:
+            yield texts.pop(i)
+    yield from texts.values()
 
 
 def _shortest(a, b, e, d, fallback) -> tuple[np.ndarray, np.ndarray]:

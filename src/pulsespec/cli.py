@@ -155,13 +155,14 @@ def write_spectrum_json(f, s: Spectrum, reprs: dict | None = None) -> None:
     json.dumps with an indent runs the pure-Python encoder, one chunk per
     float, so only `meta` goes through it. Every float of the arrays is
     repr(value), as json writes a finite float (Spectrum admits no
-    other). A list whose text `reprs` holds (write_spectrum_csv's, for
-    omega, p1, p2 and q) is written from it; a raw part's real list that
-    is bit for bit p1 (p2) is written from p1's (p2's) text, which is kept
-    until then, about 40 B per omega node for both. The other lists go
-    through `_digits._repr_texts`, each piece written before the next
-    chunk is formatted, so the writer holds one chunk besides the kept
-    text.
+    other). Every list is written from a list of chunk texts, the first
+    of: the one `reprs` holds (write_spectrum_csv's, for omega, p1, p2
+    and q); for a raw part's real list that is bit for bit p1 (p2), p1's
+    (p2's) text, which goes into `reprs` and is kept until then, about
+    40 B per omega node for both; the next list of
+    `_digits._repr_texts`. So the writer holds the kept text, the text of
+    the list it writes, about 20 B a node, and the rest of the chunk that
+    runs on into the next list.
     Keys go out in sorted order: meta, omega, p1, p2, q, then raw_p1,
     raw_p2, raw_p3 as present, each with imag before real.
     """
@@ -185,30 +186,20 @@ def write_spectrum_json(f, s: Spectrum, reprs: dict | None = None) -> None:
                          if name not in reprs and name not in same])
     meta = _json_text(s.meta, "  ")
     text = '{\n  "meta": ' + meta
-    for name, values, head, indent, tail in lists:
-        if not values.size:
+    for name, _, head, indent, tail in lists:
+        texts = reprs.get(same.get(name, name))
+        if texts is None:
+            texts = next(fresh)
+            if name in same.values():
+                reprs[name] = texts
+        if not texts:
             text += head + "[]" + tail
             continue
         f.write((text + head + "[\n  " + indent).encode())
         text = "\n" + indent + "]" + tail
         sep = (",\n  " + indent).encode()
-        source = same.get(name, name)
-        if source not in reprs and name in same.values():
-            # formatted in full, as a raw real list will reuse the text
-            texts = reprs[name] = []
-            for piece, last in fresh:
-                texts.append(piece)
-                if last:
-                    break
-        if source in reprs:
-            texts = reprs[source]
-            pieces = zip(texts, [False] * (len(texts) - 1) + [True])
-        else:
-            pieces = fresh
-        for piece, last in pieces:
-            f.write((piece[:-1] if last else piece).replace(b",", sep))
-            if last:
-                break
+        f.writelines(piece.replace(b",", sep) for piece in texts[:-1])
+        f.write(texts[-1][:-1].replace(b",", sep))
     f.write((text + "\n}\n").encode())
 
 

@@ -63,8 +63,8 @@ DEFAULT_GAMMA = 2.0
 # that table (about 0.5 kB a substep, traced) by about 8.
 MAX_ARRAY_CELLS = 2**24
 # Largest frequency grid: a closed-form spectrum run with JSON output peaks
-# at about 0.26 kB per frequency node above the interpreter's ~30 MB, so
-# 131072 nodes stay near 65 MB.
+# at about 0.3 kB per frequency node above the interpreter's ~30 MB, so
+# 131072 nodes stay near 70 MB.
 MAX_FREQUENCY_NODES = MAX_ARRAY_CELLS // 128
 
 

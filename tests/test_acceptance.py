@@ -2,13 +2,14 @@
 
 Each test pins one observable claim: engine agreement, the layout of
 the pulsed spectrum, parameter trends, the free-decay limit, the
-randomized propagation invariants, and the brute-force quadrature
-oracle. Bounds are frozen from measured values. Position clauses the
-finite pulse train does not actually satisfy are checked at full
-strictness and converted to expected failures at the point of
-measurement, with the measured numbers in the reason string.
+detuning mirror, the randomized propagation invariants, and the
+brute-force quadrature oracle. Bounds are frozen from measured values.
+Position clauses the finite pulse train does not actually satisfy are
+checked at full strictness and converted to expected failures at the
+point of measurement, with the measured numbers in the reason string.
 """
 import cmath
+import dataclasses
 import itertools
 import json
 import math
@@ -251,6 +252,33 @@ def test_free_decay_line_is_a_lorentzian_at_the_detuning(nopulse20):
 
     hwhm = (crossing(right, right - 1) - crossing(left, left + 1)) / 2
     assert abs(hwhm - 1.0) <= 0.1 * 1.0
+
+
+@pytest.mark.parametrize("engine", [ps.closed_spectrum, ps.numeric_spectrum])
+@pytest.mark.parametrize("p", [drive(20), drive(7, delta=-2.2, tau=0.37),
+                               drive(0, delta=5.0, tau=0.3, free_time=2.0)],
+                         ids=["20_pulses", "7_pulses", "pulse_free"])
+def test_detuning_mirror_conjugates_the_raw_parts(p, engine):
+    # (delta, omega) -> (-delta, -omega) conjugates the kernel, the
+    # populations stay; the mirrored grid holds the exact negatives of
+    # the nodes (make_frequency_grid on the negated window rounds them
+    # differently). Measured on the default and an off-centre window:
+    # the closed form bit for bit, the numeric engine within 5.4e-15 of
+    # max|raw|, its chirp-z nodes omega_min + k*omega_step being the
+    # negatives only to rounding
+    for fg in (ps.make_frequency_grid(p),
+               ps.make_frequency_grid(omega_min=-4.0, omega_max=25.0,
+                                      omega_step=0.013)):
+        mirrored = ps.FrequencyGrid(omega_min=-fg.omegas[-1],
+                                    omega_max=-fg.omegas[0],
+                                    omega_step=fg.omega_step,
+                                    omegas=-fg.omegas[::-1])
+        s = engine(p, fg)
+        s_mirrored = engine(dataclasses.replace(p, delta=-p.delta), mirrored)
+        for raw, raw_mirrored in ((s.raw_p1, s_mirrored.raw_p1),
+                                  (s.raw_p2, s_mirrored.raw_p2)):
+            gap = np.max(np.abs(raw_mirrored[::-1] - raw.conj()))
+            assert gap <= 1e-14 * np.max(np.abs(raw))
 
 
 def test_randomized_propagation_invariants():

@@ -619,10 +619,10 @@ def numeric_like(n):
 
 def test_json_writer_peak_memory_is_bounded(tmp_path):
     # 30,000 nodes with raw_p1 and raw_p2: eight float arrays, 6.1 MB of
-    # JSON; measured 1.76 MB, one chunk's text at a time plus the text of
-    # p1 and p2, which the real parts of raw_p1 and raw_p2 reuse (0.76 MB
-    # without it; the json.dumps writer peaked at 33.8 MB, a joined string
-    # at 18.4 MB)
+    # JSON; measured 2.27 MB, the text of the list being written plus
+    # that of p1 and p2, which the real parts of raw_p1 and raw_p2 reuse
+    # (the json.dumps writer peaked at 33.8 MB, a joined string at
+    # 18.4 MB)
     s = numeric_like(30_000)
     path = tmp_path / "s.json"
     tracemalloc.start()
@@ -660,8 +660,9 @@ def test_csv_writer_peak_memory_is_bounded(tmp_path):
 
 def test_both_formats_peak_memory_is_bounded(tmp_path):
     # the spectrum of test_json_writer_peak_memory_is_bounded as CSV and
-    # JSON; measured 2.92 MB, mostly the repr text of the four columns
-    # that the CSV pass makes and the JSON writer takes
+    # JSON; measured 3.42 MB, mostly the repr text of the four columns
+    # that the CSV pass makes and the JSON writer takes, and the text of
+    # the raw list being written
     s = numeric_like(30_000)
     tracemalloc.start()
     try:

@@ -202,6 +202,26 @@ def test_p3_leading_term_at_large_frequency():
     assert residual[0] < 0.05        # far off resonance the term dominates cleanly
 
 
+@pytest.mark.parametrize("n_pulses, bound", [(20, 2e-6), (0, 5e-8)])
+def test_p3_weight_is_pi_times_the_protocol_time(n_pulses, bound):
+    # sum rule: with f(t, 0) = 1 and theta >= 0 the one-sided Fourier
+    # integral gives int Re P3 domega = pi*T, T the protocol time. P3
+    # falls as T/g0, so the trapezoid runs over Re(P3 - T/g0) within
+    # |omega - delta| <= w and the tail's 2*T*atan(2w/gamma) is added
+    # back; what the window misses then falls as 1/w, and w = 1000 and
+    # 2000 extrapolate it away. Measured -1.2e-6 (20 pulses) and 2.7e-8
+    # (pulse-free) of pi*T, the same at step 0.005 as at 0.01
+    p = drive(n_pulses, free_time=2.0 if n_pulses == 0 else None)
+    t = p.n_intervals * p.tau
+    step, n = 0.01, 100_000
+    x = step * np.arange(-2 * n, 2 * n + 1)
+    rest = (ps.closed_blocks(p.delta + x, p)[1]
+            - t / (1j * x + 0.5 * p.gamma)).real
+    weight = [np.trapezoid(rest[2 * n - k:2 * n + k + 1], dx=step)
+              + 2 * t * math.atan(2 * k * step / p.gamma) for k in (n, 2 * n)]
+    assert abs(2 * weight[1] - weight[0] - math.pi * t) <= bound * math.pi * t
+
+
 def test_denominators_bounded_over_default_grid():
     p = drive(8)
     omegas = ps.make_frequency_grid(p).omegas

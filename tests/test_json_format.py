@@ -8,6 +8,7 @@ each case here compares its output with repr(value).
 """
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -134,3 +135,32 @@ def test_random_magnitudes_and_short_decimals_match_repr():
     integers = rng.integers(1, 10**17, 50_000).astype(float)
     for values in (magnitudes, decimals, -decimals, integers):
         check(values)
+
+
+def test_repr_texts_hands_out_one_list_per_array(monkeypatch):
+    # chunks of 2560 values run on across the arrays, so in this order the
+    # arrays end just before a chunk boundary (2559), on two (2560, 5120),
+    # just after one (7681) and between; each list comes out once the
+    # chunk holding its last value is formatted
+    sizes = [2559, 1, 2560, 2561, 1201, 5121]
+    rng = np.random.default_rng(5)
+    arrays = [rng.normal(size=n) * 10.0 ** rng.integers(-8, 18, n)
+              for n in sizes]
+    formatted = _digits._repr_cells
+    calls = []
+
+    def counting(values):
+        calls.append(values.size)
+        return formatted(values)
+    monkeypatch.setattr(_digits, "_repr_cells", counting)
+    lists = _digits._repr_texts(arrays)
+    for values, end in zip(arrays, accumulate(sizes)):
+        texts = next(lists)
+        assert len(calls) == math.ceil(end / 2560)
+        assert b"".join(texts) == (formatted(values).tobytes()
+                                   .translate(None, b"\0 "))
+    assert next(lists, None) is None
+    assert len(calls) == math.ceil(sum(sizes) / 2560)
+    assert calls[:-1] == [2560] * (len(calls) - 1)
+    assert list(_digits._repr_texts([np.array([]), np.array([1.5])])) == [
+        [], [b"1.5,"]]
